@@ -2,11 +2,10 @@
 """Box-size sweep: window disagreement between consecutive periodizations.
 
 Prints the per-size disagreement against the 2^-L reference line and the
-fitted decay parameters.  Worker count comes from DNLS_THREADS.
+fitted decay parameters.
 """
 
 import argparse
-import os
 
 from dnls.convergence import SweepConfig, run_box_sweep
 from dnls.dynamics import SchemeConfig
@@ -35,8 +34,7 @@ def main() -> None:
         k=args.k,
         scheme=scheme,
     )
-    workers = max(1, int(os.environ.get("DNLS_THREADS", "1")))
-    report = run_box_sweep(config, standard_laplacian(1), max_workers=workers)
+    report = run_box_sweep(config, standard_laplacian(1))
 
     print(f"{'L':>4}  {'delta_bar':>12}  {'2^-L':>10}  {'drift':>8}  {'runtime':>8}")
     for e in report.entries:

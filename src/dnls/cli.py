@@ -8,17 +8,15 @@ produce byte-identical artifacts apart from wall-clock fields.
 
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
 error, 3 numerical blow-up.
-
-The worker-thread count for parallel sub-runs is read from DNLS_THREADS.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,14 +40,6 @@ EXPERIMENTS = (
 
 class ConfigError(ValueError):
     pass
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DNLS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"DNLS_THREADS must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +111,18 @@ def build_shape(cfg: dict) -> lattice.LatticeShape:
         raise ConfigError(str(err))
 
 
+def _load_file(loader, path, key: str):
+    try:
+        return loader(path)
+    except OSError as err:
+        raise ConfigError(f"cannot read {key} {path!r}: {err.strerror or err}")
+
+
 def build_potential(cfg: dict, d: int) -> hopping.HoppingPotential:
     sect = cfg.get("kernel", {"type": "standard"})
     kind = sect.get("type", "standard")
     if "file" in sect:
-        return hopping.load_potential(sect["file"])
+        return _load_file(hopping.load_potential, sect["file"], "kernel.file")
     if kind == "standard":
         return hopping.standard_laplacian(d)
     if kind == "nearest-neighbor":
@@ -158,7 +155,9 @@ def build_initial_field(cfg: dict, shape: lattice.LatticeShape, seed: int) -> la
         spec = sampling.GaussianSpec(density=float(sect.get("sigma2", 1.0)))
         return sampling.sample_gaussian(spec, shape, int(sect.get("seed", seed)))
     if kind == "file":
-        field = lattice.load_field(sect["path"])
+        if "path" not in sect:
+            raise ConfigError("initial.type file needs initial.path")
+        field = _load_file(lattice.load_field, sect["path"], "initial.path")
         if field.shape != shape:
             raise ConfigError("field file does not match the configured lattice")
         return field
@@ -250,6 +249,15 @@ def _jsonable(value):
 # experiments
 
 
+def _configured_run(cfg: dict, seed: int):
+    """Build the configured kernel, scheme and initial field, and integrate."""
+    shape = build_shape(cfg)
+    pot = build_potential(cfg, shape.d)
+    scheme = build_scheme(cfg)
+    field0 = build_initial_field(cfg, shape, seed)
+    return pot, scheme, field0, dynamics.integrate(field0, pot, scheme)
+
+
 def _series_artifact(writer, traj, pot, lam, cfg):
     obs_cfg = cfg.get("observables", {})
     locs = []
@@ -261,6 +269,7 @@ def _series_artifact(writer, traj, pot, lam, cfg):
         traj, pot, lam, locs, float(obs_cfg.get("c_const", 2.0))
     )
     writer.write_csv("series.csv", header, rows)
+    return header, rows
 
 
 def _maybe_dump_fields(writer, traj, cfg):
@@ -271,11 +280,7 @@ def _maybe_dump_fields(writer, traj, cfg):
 
 
 def run_simulate(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    shape = build_shape(cfg)
-    pot = build_potential(cfg, shape.d)
-    scheme = build_scheme(cfg)
-    field0 = build_initial_field(cfg, shape, seed)
-    traj = dynamics.integrate(field0, pot, scheme)
+    pot, scheme, field0, traj = _configured_run(cfg, seed)
     _series_artifact(writer, traj, pot, scheme.lam, cfg)
     _maybe_dump_fields(writer, traj, cfg)
     summary = {
@@ -288,15 +293,12 @@ def run_simulate(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
 
 
 def run_conserve(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    shape = build_shape(cfg)
-    pot = build_potential(cfg, shape.d)
-    scheme = build_scheme(cfg)
-    field0 = build_initial_field(cfg, shape, seed)
-    traj = dynamics.integrate(field0, pot, scheme)
-    _series_artifact(writer, traj, pot, scheme.lam, cfg)
+    pot, scheme, field0, traj = _configured_run(cfg, seed)
+    header, rows = _series_artifact(writer, traj, pot, scheme.lam, cfg)
 
-    n_series = np.array([observables.particle_number(s) for s in traj.snapshots])
-    h_series = np.array([observables.hamiltonian(s, pot, scheme.lam) for s in traj.snapshots])
+    table = np.array(rows)
+    n_series = table[:, header.index("N_L")]
+    h_series = table[:, header.index("H_L")]
     n0 = n_series[0]
     n_drift = float(np.max(np.abs(n_series - n0)) / n0) if n0 > 0 else 0.0
     h_drift = float(np.max(np.abs(h_series - h_series[0])))
@@ -323,16 +325,12 @@ def run_conserve(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
 
 
 def run_bound_check(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    shape = build_shape(cfg)
-    pot = build_potential(cfg, shape.d)
-    scheme = build_scheme(cfg)
-    field0 = build_initial_field(cfg, shape, seed)
-    traj = dynamics.integrate(field0, pot, scheme)
+    pot, scheme, field0, traj = _configured_run(cfg, seed)
 
     obs_cfg = cfg.get("observables", {})
     eps = float(obs_cfg.get("eps", 0.1))
     c_const = float(obs_cfg.get("c_const", 2.0))
-    centers = [tuple(c) for c in obs_cfg.get("centers", [[0] * shape.d])]
+    centers = [tuple(c) for c in obs_cfg.get("centers", [[0] * traj.shape.d])]
 
     _series_artifact(writer, traj, pot, scheme.lam, cfg)
     checks = {}
@@ -371,7 +369,7 @@ def run_sweep(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
         )
     except ValueError as err:
         raise ConfigError(str(err))
-    report = convergence.run_box_sweep(config, pot, max_workers=thread_count())
+    report = convergence.run_box_sweep(config, pot)
     payload = _jsonable(report.as_dict())
     writer.write_json("sweep.json", payload)
     writer.write_csv(
@@ -407,6 +405,8 @@ def run_uniqueness(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]
     dt_list = [float(v) for v in uniq.get("dt_list", [4e-3, 2e-3, 1e-3])]
     if len(dt_list) < 2:
         raise ConfigError("uniqueness needs at least two dt values")
+    if len(set(dt_list)) != len(dt_list):
+        raise ConfigError(f"uniqueness.dt_list has repeated entries: {dt_list}")
     n = int(uniq.get("n", 2))
     base = build_scheme(cfg)
     field0 = build_initial_field(cfg, shape, seed)
@@ -466,10 +466,7 @@ def run_sample_gibbs(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dic
     summary = {}
     if samp.get("tune_sigma", False):
         tuned = sampling.tune_proposal_sigma(spec, pot, shape, seed)
-        spec = sampling.GibbsSpec(
-            beta=spec.beta, mu=spec.mu, lam=spec.lam, proposal_sigma=tuned,
-            burn_in=spec.burn_in, thinning=spec.thinning,
-        )
+        spec = dataclasses.replace(spec, proposal_sigma=tuned)
         summary["tuned_sigma"] = tuned
     chain = sampling.run_gibbs_chain(spec, pot, shape, seed, n_samples)
     summary.update(_stats_payload(list(chain.samples), samp, writer, cfg))

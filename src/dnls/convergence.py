@@ -19,10 +19,9 @@ measurable decay near 1e-14.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +35,24 @@ def _require_common_grid(a: Trajectory, b: Trajectory) -> None:
         raise ValueError("trajectories do not share a time grid")
 
 
+def _require_nested(big: Trajectory, small: Trajectory) -> None:
+    _require_common_grid(big, small)
+    if big.shape.L <= small.shape.L:
+        raise ValueError("first trajectory must live on the larger box")
+
+
 def _window_slices(shape: LatticeShape, k: int) -> tuple[slice, ...]:
     if k > shape.L:
         raise ValueError(f"window half-width {k} exceeds box half-width {shape.L}")
     return (slice(shape.L - k, shape.L + k + 1),) * shape.d
+
+
+def _sup_over_time(m: int, difference: Callable[[int], np.ndarray]) -> float:
+    """max over snapshots j <= m, and over entries, of |difference(j)|."""
+    best = 0.0
+    for j in range(m + 1):
+        best = max(best, float(np.max(np.abs(difference(j)))))
+    return best
 
 
 def pointwise_disagreement(
@@ -49,18 +62,13 @@ def pointwise_disagreement(
     t: float,
 ) -> float:
     """max over grid times s <= t of |psi_s^big(x) - psi_s^small(x)|."""
-    _require_common_grid(traj_big, traj_small)
-    if traj_big.shape.L <= traj_small.shape.L:
-        raise ValueError("first trajectory must live on the larger box")
+    _require_nested(traj_big, traj_small)
     site = traj_small.shape.require_site(x)
     m = traj_small.time_index(t)
     big_idx = traj_big.shape.index(site)
     small_idx = traj_small.shape.index(site)
-    best = 0.0
-    for j in range(m + 1):
-        diff = abs(traj_big.snapshots[j].values[big_idx] - traj_small.snapshots[j].values[small_idx])
-        best = max(best, float(diff))
-    return best
+    return _sup_over_time(m, lambda j: traj_big.snapshots[j].values[big_idx]
+                          - traj_small.snapshots[j].values[small_idx])
 
 
 def window_disagreement(
@@ -70,27 +78,19 @@ def window_disagreement(
     t: float,
 ) -> float:
     """Supremum of pointwise disagreement over the centered window of half-width k."""
-    _require_common_grid(traj_big, traj_small)
-    if traj_big.shape.L <= traj_small.shape.L:
-        raise ValueError("first trajectory must live on the larger box")
+    _require_nested(traj_big, traj_small)
     big_sl = _window_slices(traj_big.shape, k)
     small_sl = _window_slices(traj_small.shape, k)
     m = traj_small.time_index(t)
-    best = 0.0
-    for j in range(m + 1):
-        diff = np.abs(traj_big.snapshots[j].values[big_sl] - traj_small.snapshots[j].values[small_sl])
-        best = max(best, float(diff.max()))
-    return best
+    return _sup_over_time(m, lambda j: traj_big.snapshots[j].values[big_sl]
+                          - traj_small.snapshots[j].values[small_sl])
 
 
 def drift(traj: Trajectory, t: float) -> float:
     """max over grid s <= t and sites of |psi_s(x) - psi_0(x)|."""
     m = traj.time_index(t)
     base = traj.snapshots[0].values
-    best = 0.0
-    for j in range(m + 1):
-        best = max(best, float(np.max(np.abs(traj.snapshots[j].values - base))))
-    return best
+    return _sup_over_time(m, lambda j: traj.snapshots[j].values - base)
 
 
 def scheme_disagreement(
@@ -114,14 +114,10 @@ def scheme_disagreement(
         raise ValueError("need n >= 0 and ell >= 1")
     if t is None:
         t = float(traj_a.times[-1])
-    radius = min(2 * n * ell, traj_a.shape.L)
-    sl = _window_slices(traj_a.shape, radius)
+    sl = _window_slices(traj_a.shape, min(2 * n * ell, traj_a.shape.L))
     m = traj_a.time_index(t)
-    best = 0.0
-    for j in range(m + 1):
-        diff = np.abs(traj_a.snapshots[j].values[sl] - traj_b.snapshots[j].values[sl])
-        best = max(best, float(diff.max()))
-    return best
+    return _sup_over_time(m, lambda j: traj_a.snapshots[j].values[sl]
+                          - traj_b.snapshots[j].values[sl])
 
 
 @dataclass(frozen=True)
@@ -196,40 +192,23 @@ def _fit_threshold(entries: Sequence[SweepEntry]) -> int | None:
     return None
 
 
-def run_box_sweep(
-    config: SweepConfig,
-    pot: HoppingPotential,
-    max_workers: int = 1,
-) -> DisagreementReport:
+def run_box_sweep(config: SweepConfig, pot: HoppingPotential) -> DisagreementReport:
     """Run consecutive-size pairs (L, L+1) for each listed L and report decay.
 
-    Per-size runs are independent and may execute in parallel; aggregation
-    is deterministic regardless of worker count.
+    Each size runs once; an entry's runtime is the sum of its two sizes'.
     """
     t_end = config.scheme.t_end
-    sizes = sorted({L for L in config.L_list} | {L + 1 for L in config.L_list})
-
-    def run_one(L: int) -> Trajectory | BlowUpError:
-        field0 = truncate(config.generator, LatticeShape(d=pot.d, L=L))
-        try:
-            return integrate(field0, pot, config.scheme)
-        except BlowUpError as err:
-            return err
-
+    sizes = sorted(set(config.L_list) | {L + 1 for L in config.L_list})
     runs: dict[int, Trajectory | BlowUpError] = {}
     timings: dict[int, float] = {}
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            starts = {L: time.perf_counter() for L in sizes}
-            futures = {L: pool.submit(run_one, L) for L in sizes}
-            for L in sizes:
-                runs[L] = futures[L].result()
-                timings[L] = time.perf_counter() - starts[L]
-    else:
-        for L in sizes:
-            start = time.perf_counter()
-            runs[L] = run_one(L)
-            timings[L] = time.perf_counter() - start
+    for L in sizes:
+        start = time.perf_counter()
+        field0 = truncate(config.generator, LatticeShape(d=pot.d, L=L))
+        try:
+            runs[L] = integrate(field0, pot, config.scheme)
+        except BlowUpError as err:
+            runs[L] = err
+        timings[L] = time.perf_counter() - start
 
     entries = []
     flagged = False

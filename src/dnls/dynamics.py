@@ -23,10 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hopping import Dispersion, HoppingPotential, convolve_values, dispersion, require_fits, validate
+from .hopping import HoppingPotential, convolve_values, dispersion, require_fits, validate
 from .lattice import FieldL, LatticeShape
 
 Observer = Callable[[float, FieldL], None]
+Stepper = Callable[[np.ndarray], np.ndarray]
 
 SCHEMES = ("strang", "rk4")
 
@@ -111,12 +112,18 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _gradient_values(
+    pot: HoppingPotential, shape: LatticeShape, lam: float, psi: np.ndarray
+) -> np.ndarray:
+    """energy_gradient on a raw array; also the RK4 right-hand side up to -i."""
+    return convolve_values(pot, shape, psi) + lam * (np.abs(psi) ** 2) * psi
+
+
 def energy_gradient(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
     """(alpha * psi)(x) + lam |psi(x)|^2 psi(x) over the box."""
     validate(pot)
     require_fits(pot, field.shape)
-    psi = field.values
-    return convolve_values(pot, field.shape, psi) + lam * (np.abs(psi) ** 2) * psi
+    return _gradient_values(pot, field.shape, lam, field.values)
 
 
 def g_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -> complex:
@@ -152,45 +159,54 @@ def p_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -
     return complex(second_time_derivative(field, pot, lam)[field.shape.index(x)])
 
 
-
-
-def step_strang(
-    field: FieldL,
-    pot: HoppingPotential,
-    lam: float,
-    dt: float,
-    disp: Dispersion | None = None,
-) -> FieldL:
-    """One Strang step: half onsite rotation, full linear flow, half rotation.
+def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
+    """Strang step on raw values: half onsite rotation, full linear flow, half rotation.
 
     A vanishing dispersion makes the linear flow the identity; the Fourier
     round trip is skipped then, so purely onsite runs carry no FFT rounding.
     """
-    if disp is None:
-        disp = dispersion(pot, field.shape)
-    linear_phase = None if np.all(disp.values == 0.0) else np.exp(-1j * dt * disp.values)
-    psi = field.values * np.exp(-0.5j * lam * dt * np.abs(field.values) ** 2)
-    if linear_phase is not None:
-        psi = np.fft.ifftn(linear_phase * np.fft.fftn(psi))
-    psi = psi * np.exp(-0.5j * lam * dt * np.abs(psi) ** 2)
-    return FieldL(field.shape, psi)
+    disp = dispersion(pot, shape).values
+    linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
+    half_rate = -0.5j * lam * dt
+
+    def advance(values: np.ndarray) -> np.ndarray:
+        psi = values * np.exp(half_rate * np.abs(values) ** 2)
+        if linear_phase is not None:
+            psi = np.fft.ifftn(linear_phase * np.fft.fftn(psi))
+        return psi * np.exp(half_rate * np.abs(psi) ** 2)
+
+    return advance
+
+
+def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
+    """Classical fourth-order step on the raw right-hand side."""
+    validate(pot)
+    require_fits(pot, shape)
+
+    def f(values: np.ndarray) -> np.ndarray:
+        return -1j * _gradient_values(pot, shape, lam, values)
+
+    def advance(y: np.ndarray) -> np.ndarray:
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return advance
+
+
+_STEPPERS = {"strang": _strang_stepper, "rk4": _rk4_stepper}
+
+
+def step_strang(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> FieldL:
+    """One Strang step: half onsite rotation, full linear flow, half rotation."""
+    return FieldL(field.shape, _strang_stepper(pot, field.shape, lam, dt)(field.values))
 
 
 def step_rk4(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> FieldL:
     """One classical fourth-order step on the raw right-hand side."""
-    validate(pot)
-    require_fits(pot, field.shape)
-    shape = field.shape
-
-    def f(values: np.ndarray) -> np.ndarray:
-        return -1j * (convolve_values(pot, shape, values) + lam * (np.abs(values) ** 2) * values)
-
-    y = field.values
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return FieldL(shape, y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return FieldL(field.shape, _rk4_stepper(pot, field.shape, lam, dt)(field.values))
 
 
 def integrate(
@@ -204,36 +220,11 @@ def integrate(
     Observers are called with (t, field) at t=0 and after every step.
     A non-finite value aborts the run with the offending time stamp.
     """
-    validate(pot)
-    require_fits(pot, field0.shape)
-    steps = config.n_steps()
     shape = field0.shape
     lam = config.lam
     dt = config.dt
-
-    if config.scheme == "strang":
-        disp = dispersion(pot, shape)
-        trivial_linear = bool(np.all(disp.values == 0.0))
-        linear_phase = np.exp(-1j * dt * disp.values)
-        half_rate = -0.5j * lam * dt
-
-        def advance(values: np.ndarray) -> np.ndarray:
-            psi = values * np.exp(half_rate * np.abs(values) ** 2)
-            if not trivial_linear:
-                psi = np.fft.ifftn(linear_phase * np.fft.fftn(psi))
-            return psi * np.exp(half_rate * np.abs(psi) ** 2)
-
-    else:
-
-        def advance(values: np.ndarray) -> np.ndarray:
-            def f(v: np.ndarray) -> np.ndarray:
-                return -1j * (convolve_values(pot, shape, v) + lam * (np.abs(v) ** 2) * v)
-
-            k1 = f(values)
-            k2 = f(values + 0.5 * dt * k1)
-            k3 = f(values + 0.5 * dt * k2)
-            k4 = f(values + dt * k3)
-            return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    advance = _STEPPERS[config.scheme](pot, shape, lam, dt)
+    steps = config.n_steps()
 
     snapshots = [field0]
     times = [0.0]

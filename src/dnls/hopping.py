@@ -133,10 +133,10 @@ def convolve(pot: HoppingPotential, field: FieldL) -> FieldL:
 
 
 def convolve_values(pot: HoppingPotential, shape: LatticeShape, values: np.ndarray) -> np.ndarray:
-    """Stencil evaluation on a raw array; offsets applied in fixed order."""
+    """Stencil of the box-restricted kernel on a raw array; fixed offset order."""
     axes = tuple(range(shape.d))
     out = np.zeros(shape.dims, dtype=np.complex128)
-    for offset, coeff in pot.nonzero_offsets():
+    for offset, coeff in clipped_offsets(pot, shape):
         out += coeff * np.roll(values, shift=offset, axis=axes)
     return out
 
@@ -184,8 +184,8 @@ def clipped_offsets(pot: HoppingPotential, shape: LatticeShape) -> list[tuple[Si
     """Kernel offsets restricted to box representatives.
 
     The periodic kernel is the plain kernel precomposed with the embedding,
-    so offsets outside {-L, ..., L}^d simply never occur; no folding.  This
-    is what energy evaluation on boxes smaller than the kernel range uses.
+    so offsets outside {-L, ..., L}^d simply never occur; no folding.  When
+    the kernel fits the box this is nonzero_offsets, in the same order.
     """
     reach = min(pot.range, shape.L)
     return [

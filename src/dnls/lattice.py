@@ -104,6 +104,25 @@ def torus_dist_inf(shape: LatticeShape, x: Sequence[int], y: Sequence[int]) -> i
     return dist
 
 
+def torus_distance_grid(shape: LatticeShape, center: Sequence[int]) -> np.ndarray:
+    """Minimum-image sup-distance from center, over the whole box.
+
+    At the origin this is the true-coordinate |x|_inf, since |x_i| <= L.
+    """
+    coords = np.arange(-shape.L, shape.L + 1)
+    axes = []
+    for c in shape.require_site(center):
+        delta = np.abs(coords - c)
+        axes.append(np.minimum(delta, shape.side - delta))
+    return np.maximum.reduce(np.meshgrid(*axes, indexing="ij"))
+
+
+def bracket_grid(shape: LatticeShape) -> np.ndarray:
+    """<x>^2 = 1 + |x|_2^2 at the true coordinates of the box sites."""
+    coords = np.arange(-shape.L, shape.L + 1).astype(np.float64)
+    return 1.0 + sum(np.meshgrid(*(coords**2,) * shape.d, indexing="ij"))
+
+
 def ball(shape: LatticeShape, x: Sequence[int], r: int) -> list[Site]:
     """All sites within torus sup-distance r of x, without duplicates."""
     if r < 0:

@@ -26,8 +26,17 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .hopping import HoppingPotential, clipped_offsets, convolve_values, require_fits, validate
-from .lattice import FieldL, InitialDataGenerator, LatticeShape, Site, regularized_abs
+from .hopping import HoppingPotential, convolve_values, require_fits, validate
+from .lattice import (
+    FieldL,
+    InitialDataGenerator,
+    LatticeShape,
+    Site,
+    bracket_grid,
+    regularized_abs,
+    torus_distance_grid,
+    truncate,
+)
 
 PASS_SLACK = 1e-9
 
@@ -85,32 +94,13 @@ def hamiltonian(field: FieldL, pot: HoppingPotential, lam: float) -> float:
     plain kernel precomposed with the embedding, never folded).
     """
     validate(pot)
-    shape = field.shape
     psi = field.values
-    axes = tuple(range(shape.d))
-    conv = np.zeros(shape.dims, dtype=np.complex128)
-    for offset, coeff in clipped_offsets(pot, shape):
-        conv += coeff * np.roll(psi, shift=offset, axis=axes)
-    quad = np.sum(psi * np.conj(conv))
+    quad = np.sum(psi * np.conj(convolve_values(pot, field.shape, psi)))
     quart = 0.5 * lam * np.sum(np.abs(psi) ** 4)
     scale = max(abs(quad), 1.0)
     if abs(quad.imag) > 1e-12 * scale:
         raise ValueError(f"hamiltonian acquired imaginary part {quad.imag}")
     return float(quad.real + quart)
-
-
-def _coordinate_absdiff(shape: LatticeShape, center_c: int) -> np.ndarray:
-    coords = np.arange(-shape.L, shape.L + 1)
-    delta = np.abs(coords - center_c)
-    return np.minimum(delta, shape.side - delta)
-
-
-def torus_distance_grid(shape: LatticeShape, center: Sequence[int]) -> np.ndarray:
-    """Minimum-image sup-distance from center, over the whole box."""
-    cs = shape.require_site(center)
-    axes = [_coordinate_absdiff(shape, c) for c in cs]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.maximum.reduce(grids)
 
 
 def weight_normalization(shape: LatticeShape, eps: float) -> float:
@@ -188,6 +178,18 @@ def growth_rate_bound(pot: HoppingPotential, eps: float, c_const: float = 2.0) -
     return eps * big_c
 
 
+def _bound_ratios(
+    values: np.ndarray, times: np.ndarray, rate: float, prefactor: float, what: str
+) -> tuple[np.ndarray, bool]:
+    """values(t) / (exp(rate t) * prefactor * values(0)), and whether all pass."""
+    if values[0] == 0.0:
+        if np.all(values == 0.0):
+            return np.zeros_like(values), True
+        raise UndefinedRatioError(f"initial {what} is zero but the trajectory is not")
+    ratios = values / (np.exp(rate * times) * prefactor * values[0])
+    return ratios, bool(np.all(ratios <= 1.0 + PASS_SLACK))
+
+
 @dataclass(frozen=True)
 class GrowthBoundReport:
     """Per-snapshot local-density growth ratios against the exponential bound."""
@@ -217,16 +219,7 @@ def growth_bound_report(
     eps_tilde = growth_rate_bound(pot, eps, c_const)
     center = traj.shape.require_site(x)
     q = np.array([local_density(s, eps, center) for s in traj.snapshots])
-    if q[0] == 0.0:
-        if np.all(q == 0.0):
-            return GrowthBoundReport(
-                eps=eps, center=center, c_const=c_const, eps_tilde=eps_tilde,
-                times=traj.times.copy(), ratios=np.zeros_like(q), passed=True,
-                fitted_rate=0.0,
-            )
-        raise UndefinedRatioError("initial local density is zero but the trajectory is not")
-    ratios = q / (np.exp(eps_tilde * traj.times) * q[0])
-    passed = bool(np.all(ratios <= 1.0 + PASS_SLACK))
+    ratios, passed = _bound_ratios(q, traj.times, eps_tilde, 1.0, "local density")
     positive = (traj.times > 0) & (q > 0)
     if np.any(positive):
         fitted_rate = float(np.max(np.log(q[positive] / q[0]) / traj.times[positive]))
@@ -240,14 +233,9 @@ def growth_bound_report(
 
 def _weight_grid(shape: LatticeShape, spec: WeightSpec) -> np.ndarray:
     """Phi(x) at the true coordinates of the box sites."""
-    coords = np.arange(-shape.L, shape.L + 1)
     if spec.kind == "exponential":
-        axes = [np.abs(coords)] * shape.d
-        sup = np.maximum.reduce(np.meshgrid(*axes, indexing="ij"))
-        return np.exp(-spec.parameter * sup)
-    sq = [coords.astype(np.float64) ** 2] * shape.d
-    grids = np.meshgrid(*sq, indexing="ij")
-    return (1.0 + sum(grids)) ** (-spec.parameter / 2.0)
+        return np.exp(-spec.parameter * torus_distance_grid(shape, (0,) * shape.d))
+    return bracket_grid(shape) ** (-spec.parameter / 2.0)
 
 
 def weighted_norm(field: FieldL, spec: WeightSpec) -> float:
@@ -262,11 +250,7 @@ def generator_weighted_norm(
     spec: WeightSpec,
 ) -> float:
     """max of Phi(z) |gen(z)| over the centered Z^d cube of the given radius."""
-    best = 0.0
-    for idx in np.ndindex((2 * radius + 1,) * d):
-        z = tuple(int(i) - radius for i in idx)
-        best = max(best, spec.at(z) * abs(gen(z)))
-    return best
+    return weighted_norm(truncate(gen, LatticeShape(d=d, L=radius)), spec)
 
 
 def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) -> float:
@@ -307,15 +291,7 @@ def weighted_bound_check(
     eps_tilde = growth_rate_bound(pot, eps, c_const)
     prefactor = weighted_bound_prefactor(traj.shape, eps, spec)
     norms = np.array([weighted_norm(s, spec) for s in traj.snapshots])
-    if norms[0] == 0.0:
-        if np.all(norms == 0.0):
-            return WeightedBoundReport(
-                eps=eps, spec=spec, eps_tilde=eps_tilde, prefactor=prefactor,
-                times=traj.times.copy(), ratios=np.zeros_like(norms), passed=True,
-            )
-        raise UndefinedRatioError("initial weighted norm is zero but the trajectory is not")
-    ratios = norms / (np.exp(eps_tilde * traj.times) * prefactor * norms[0])
-    passed = bool(np.all(ratios <= 1.0 + PASS_SLACK))
+    ratios, passed = _bound_ratios(norms, traj.times, eps_tilde, prefactor, "weighted norm")
     return WeightedBoundReport(
         eps=eps, spec=spec, eps_tilde=eps_tilde, prefactor=prefactor,
         times=traj.times.copy(), ratios=ratios, passed=passed,

@@ -16,13 +16,13 @@ the moment and power-law-growth checks used on the samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .hopping import HoppingPotential, clipped_offsets, validate
-from .lattice import FieldL, LatticeShape, Site
+from .lattice import FieldL, LatticeShape, Site, bracket_grid, torus_distance_grid
 
 
 class MeasureError(ValueError):
@@ -245,10 +245,7 @@ def tune_proposal_sigma(
     sigma = spec.proposal_sigma
     tune_seeds = np.random.SeedSequence(seed).spawn(rounds)
     for rnd in range(rounds):
-        probe = GibbsSpec(
-            beta=spec.beta, mu=spec.mu, lam=spec.lam,
-            proposal_sigma=sigma, burn_in=sweeps_per_round, thinning=1,
-        )
+        probe = replace(spec, proposal_sigma=sigma, burn_in=sweeps_per_round, thinning=1)
         chain = run_gibbs_chain(probe, pot, shape, int(tune_seeds[rnd].generate_state(1)[0]), 0)
         acc = acceptance_fraction(chain)
         sigma *= math.exp(1.5 * (acc - target))
@@ -320,11 +317,6 @@ def two_point_function(samples: Sequence[FieldL]) -> np.ndarray:
     return acc / (len(samples) * shape.volume)
 
 
-def _radius_grid(shape: LatticeShape) -> np.ndarray:
-    coords = np.abs(np.arange(-shape.L, shape.L + 1))
-    return np.maximum.reduce(np.meshgrid(*(coords,) * shape.d, indexing="ij"))
-
-
 def power_law_violations(sample: FieldL, a: float) -> SampleStats:
     """Sites where |psi(x)| exceeds <x>^(1/a), with counts per sup-norm radius.
 
@@ -333,11 +325,8 @@ def power_law_violations(sample: FieldL, a: float) -> SampleStats:
     if not (a > 0):
         raise ValueError(f"exponent a must be > 0, got {a}")
     shape = sample.shape
-    coords = np.arange(-shape.L, shape.L + 1).astype(np.float64)
-    sq = np.meshgrid(*(coords**2,) * shape.d, indexing="ij")
-    threshold = (1.0 + sum(sq)) ** (1.0 / (2.0 * a))
-    mask = np.abs(sample.values) > threshold
-    radii = _radius_grid(shape)
+    mask = np.abs(sample.values) > bracket_grid(shape) ** (1.0 / (2.0 * a))
+    radii = torus_distance_grid(shape, (0,) * shape.d)
     violations_by_radius: dict[int, int] = {}
     sites_by_radius: dict[int, int] = {}
     for r in range(shape.L + 1):
@@ -359,10 +348,7 @@ def power_law_violations(sample: FieldL, a: float) -> SampleStats:
 
 def weighted_sup(sample: FieldL, exponent: float) -> float:
     """max over the box of |psi(x)| <x>^(-exponent), true coordinates."""
-    shape = sample.shape
-    coords = np.arange(-shape.L, shape.L + 1).astype(np.float64)
-    sq = np.meshgrid(*(coords**2,) * shape.d, indexing="ij")
-    weight = (1.0 + sum(sq)) ** (-exponent / 2.0)
+    weight = bracket_grid(sample.shape) ** (-exponent / 2.0)
     return float(np.max(weight * np.abs(sample.values)))
 
 

@@ -48,6 +48,23 @@ class TestConfigHandling:
         assert run_cli("--config", str(cfg), "--out", str(tmp_path / "r")) == 2
         assert run_cli("--config", str(tmp_path / "missing.json"), "--out", "x") == 2
 
+    def test_missing_kernel_file_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            "--experiment", "simulate", "--out", str(tmp_path / "r"),
+            "--kernel.file", str(tmp_path / "missing.txt"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    def test_file_initial_without_path_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            "--experiment", "simulate", "--out", str(tmp_path / "r"), "--initial.type", "file",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_zero_time_single_snapshot(self, tmp_path):
@@ -187,6 +204,14 @@ class TestUniqueness:
         manifest = read_json(out / "manifest.json")
         assert manifest["checks"]["refinement_order"]
         assert manifest["results"]["fitted_order"] >= 1.8
+
+    @pytest.mark.parametrize("dt_list", ["[0.002, 0.002]", "[0.004, 0.002, 0.002]"])
+    def test_repeated_dt_exit_2(self, tmp_path, dt_list):
+        code = run_cli(
+            "--experiment", "uniqueness", "--out", str(tmp_path / "run"),
+            "--lattice.L", "6", "--dynamics.t_end", "0.02", "--uniqueness.dt_list", dt_list,
+        )
+        assert code == 2
 
 
 class TestSampling:

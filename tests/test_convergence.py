@@ -124,15 +124,6 @@ class TestSweep:
         assert report.fit_A is not None and report.fit_A >= 2.0
         assert report.fit_L0 is not None
 
-    def test_parallel_matches_serial(self):
-        gen = hashed_noise_generator(seed=7, envelope_exponent=0.3)
-        scheme = SchemeConfig(scheme="rk4", dt=5e-3, t_end=0.2, snapshot_stride=1, lam=1.0)
-        cfg = SweepConfig(generator=gen, L_list=(5, 7, 9), k=3, scheme=scheme)
-        serial = run_box_sweep(cfg, POT, max_workers=1)
-        parallel = run_box_sweep(cfg, POT, max_workers=4)
-        for a, b in zip(serial.entries, parallel.entries):
-            assert a.L == b.L and a.delta_bar == b.delta_bar and a.drift == b.drift
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_flags_partial_report(self):
         blow = closed_form_generator(lambda z: 60.0 + 0.0j, 0.0, 60.0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_propagator, hopping_matrix, naive_convolve, random_field
 from dnls.dynamics import (
+    SCHEMES,
     BlowUpError,
     SchemeConfig,
     Trajectory,
@@ -16,7 +19,12 @@ from dnls.dynamics import (
     step_rk4,
     step_strang,
 )
-from dnls.hopping import standard_laplacian, wrapped_difference, zero_potential
+from dnls.hopping import (
+    HoppingPotential,
+    standard_laplacian,
+    wrapped_difference,
+    zero_potential,
+)
 from dnls.lattice import FieldL, LatticeShape, point_source, truncate
 from dnls.observables import hamiltonian, particle_number
 
@@ -249,6 +257,41 @@ class TestIntegrate:
         a = integrate(f, standard_laplacian(1), cfg)
         b = integrate(f, standard_laplacian(1), cfg)
         assert np.array_equal(a.final.values, b.final.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        ell=st.integers(1, 2),
+        extra=st.integers(0, 2),
+        scheme=st.sampled_from(SCHEMES),
+        zero_kernel=st.booleans(),
+        lam=st.floats(-2.0, 2.0),
+        stride=st.integers(1, 3),
+        n_snap=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_snapshots_equal_iterated_steps(
+        self, d, ell, extra, scheme, zero_kernel, lam, stride, n_snap, seed
+    ):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((2 * ell + 1,) * d)
+        coeffs = np.zeros_like(coeffs) if zero_kernel else coeffs + np.flip(coeffs)
+        pot = HoppingPotential(d=d, range=ell, coeffs=coeffs)
+        f = random_field(LatticeShape(d, ell + extra), seed)
+        dt = 0.01
+        cfg = SchemeConfig(scheme=scheme, dt=dt, t_end=dt * stride * n_snap,
+                           snapshot_stride=stride, lam=lam)
+        traj = integrate(f, pot, cfg)
+        step = step_strang if scheme == "strang" else step_rk4
+        current = f
+        expected = [f]
+        for k in range(1, stride * n_snap + 1):
+            current = step(current, pot, lam, dt)
+            if k % stride == 0:
+                expected.append(current)
+        assert len(traj.snapshots) == len(expected)
+        for got, want in zip(traj.snapshots, expected):
+            assert np.array_equal(got.values, want.values)
 
 
 class TestTrajectoryGradients:
