@@ -26,17 +26,6 @@ import numpy as np
 from . import __version__
 from . import convergence, dynamics, hopping, lattice, observables, sampling
 
-EXPERIMENTS = (
-    "simulate",
-    "conserve",
-    "bound-check",
-    "sweep-L",
-    "uniqueness",
-    "sample-gaussian",
-    "sample-gibbs",
-    "stats",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -100,15 +89,85 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# config schema
+
+# The config format: section -> key -> default, where a type object marks a
+# key that is unset by default.  A key's type is its default's type (an int
+# also passes for a float, an integral float for an int, a bool only for a
+# bool), a list's first element types its items, and a dict inside a section
+# is a sub-object that needs all of its keys.  README.md's table lists them.
+SCHEMA = {
+    "experiment": str,
+    "out": str,
+    "seed": 0,
+    "dump_fields": False,
+    "lattice": {"d": 1, "L": 16},
+    "kernel": {"type": "standard", "file": str, "range": 1},
+    "initial": {"type": str, "seed": int, "sigma2": 1.0, "p": 0.0, "amplitude": 1.0,
+                "re": 1.0, "im": 0.0, "path": str},
+    "dynamics": {"scheme": "strang", "dt": 1e-3, "t_end": 1.0, "stride": 10, "lambda": 1.0},
+    "observables": {"eps": float, "centers": [[int]], "c_const": 2.0,
+                    "weight": {"kind": str, "parameter": float}},
+    "conserve": {"n_tol": 1e-10, "h_tol": float, "onsite_tol": 1e-12},
+    "sweep": {"L_list": [int], "k": 1, "check_decreasing": True, "L0_max": int},
+    "uniqueness": {"dt_list": [4e-3, 2e-3, 1e-3], "n": 2, "min_order": 1.8},
+    "sampling": {"n_samples": 100, "sigma2": 1.0, "beta": 1.0, "mu": -1.0, "lambda": 1.0,
+                 "proposal_sigma": 1.0, "burn_in": 200, "thinning": 5, "tune_sigma": False,
+                 "xi": 3.5, "a": 2.0 / 0.9},
+    "stats": {"fields_dir": str},
+}
+
+
+def _unset(spec) -> bool:
+    return isinstance(spec, (type, dict)) or (isinstance(spec, list) and _unset(spec[0]))
+
+
+def _value(spec, value, key: str, fill: bool = False):
+    """`value` of the dotted `key` checked against `spec`; `fill` marks the
+    root and its sections, whose missing keys take their defaults."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        prefix = f"{key}." if key else ""
+        unknown = sorted(value.keys() - spec.keys())
+        if unknown:
+            raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+        if not fill and value.keys() != spec.keys():
+            raise ConfigError(f"{key} needs the keys {', '.join(spec)}")
+        return {sub: _value(s, value[sub], prefix + sub, fill=not key) if sub in value
+                else None if _unset(s) else copy.deepcopy(s) for sub, s in spec.items()}
+    if isinstance(spec, list) and isinstance(value, list):
+        return [_value(spec[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+    kind = spec if isinstance(spec, type) else type(spec)
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is kind:
+        return value
+    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def resolve(cfg: dict) -> dict:
+    """The config checked against SCHEMA, with every default filled in."""
+    sections = {name: {} for name, spec in SCHEMA.items() if isinstance(spec, dict)}
+    c = _value(SCHEMA, {**sections, **cfg}, "", fill=True)
+    # defaults that depend on the experiment or on other keys
+    init, obs = c["initial"], c["observables"]
+    if init["type"] is None:
+        init["type"] = "hashed" if c["experiment"] == "sweep-L" else "gaussian"
+    if init["seed"] is None:
+        init["seed"] = c["seed"]
+    if obs["centers"] is None:
+        obs["centers"] = [[0] * c["lattice"]["d"]]
+    n_samples = c["sampling"]["n_samples"]
+    if c["experiment"] in ("sample-gaussian", "sample-gibbs") and n_samples < 2:
+        raise ConfigError(f"sampling.n_samples must be at least 2, got {n_samples}")
+    return c
+
+
+# ---------------------------------------------------------------------------
 # builders
-
-
-def build_shape(cfg: dict) -> lattice.LatticeShape:
-    sect = cfg.get("lattice", {})
-    try:
-        return lattice.LatticeShape(d=int(sect.get("d", 1)), L=int(sect.get("L", 16)))
-    except ValueError as err:
-        raise ConfigError(str(err))
 
 
 def _load_file(loader, path, key: str):
@@ -118,64 +177,51 @@ def _load_file(loader, path, key: str):
         raise ConfigError(f"cannot read {key} {path!r}: {err.strerror or err}")
 
 
-def build_potential(cfg: dict, d: int) -> hopping.HoppingPotential:
-    sect = cfg.get("kernel", {"type": "standard"})
-    kind = sect.get("type", "standard")
-    if "file" in sect:
-        return _load_file(hopping.load_potential, sect["file"], "kernel.file")
-    if kind == "standard":
+def build_potential(c: dict) -> hopping.HoppingPotential:
+    kernel, d = c["kernel"], c["lattice"]["d"]
+    if kernel["file"] is not None:
+        return _load_file(hopping.load_potential, kernel["file"], "kernel.file")
+    if kernel["type"] == "standard":
         return hopping.standard_laplacian(d)
-    if kind == "nearest-neighbor":
+    if kernel["type"] == "nearest-neighbor":
         return hopping.nearest_neighbor_laplacian(d)
-    if kind == "zero":
-        return hopping.zero_potential(d, int(sect.get("range", 1)))
-    raise ConfigError(f"unknown kernel type {kind!r}")
+    if kernel["type"] == "zero":
+        return hopping.zero_potential(d, kernel["range"])
+    raise ConfigError(f"unknown kernel type {kernel['type']!r}")
 
 
-def build_generator(cfg: dict, seed: int) -> lattice.InitialDataGenerator:
-    sect = cfg.get("initial", {})
-    kind = sect.get("type", "hashed")
-    if kind == "hashed":
+def build_generator(c: dict) -> lattice.InitialDataGenerator:
+    init = c["initial"]
+    if init["type"] == "hashed":
         return lattice.hashed_noise_generator(
-            seed=int(sect.get("seed", seed)),
-            envelope_exponent=float(sect.get("p", 0.0)),
-            amplitude=float(sect.get("amplitude", 1.0)),
+            seed=init["seed"], envelope_exponent=init["p"], amplitude=init["amplitude"]
         )
-    if kind == "constant":
-        return lattice.constant_generator(complex(sect.get("re", 1.0), sect.get("im", 0.0)))
-    if kind == "peak":
-        return lattice.point_source(complex(sect.get("amplitude", 1.0)))
-    raise ConfigError(f"initial data type {kind!r} is not a Z^d generator")
+    if init["type"] == "constant":
+        return lattice.constant_generator(complex(init["re"], init["im"]))
+    if init["type"] == "peak":
+        return lattice.point_source(complex(init["amplitude"]))
+    raise ConfigError(f"initial data type {init['type']!r} is not a Z^d generator")
 
 
-def build_initial_field(cfg: dict, shape: lattice.LatticeShape, seed: int) -> lattice.FieldL:
-    sect = cfg.get("initial", {})
-    kind = sect.get("type", "gaussian")
-    if kind == "gaussian":
-        spec = sampling.GaussianSpec(density=float(sect.get("sigma2", 1.0)))
-        return sampling.sample_gaussian(spec, shape, int(sect.get("seed", seed)))
-    if kind == "file":
-        if "path" not in sect:
+def build_initial_field(c: dict, shape: lattice.LatticeShape) -> lattice.FieldL:
+    init = c["initial"]
+    if init["type"] == "gaussian":
+        spec = sampling.GaussianSpec(density=init["sigma2"])
+        return sampling.sample_gaussian(spec, shape, init["seed"])
+    if init["type"] == "file":
+        if init["path"] is None:
             raise ConfigError("initial.type file needs initial.path")
-        field = _load_file(lattice.load_field, sect["path"], "initial.path")
+        field = _load_file(lattice.load_field, init["path"], "initial.path")
         if field.shape != shape:
             raise ConfigError("field file does not match the configured lattice")
         return field
-    return lattice.truncate(build_generator(cfg, seed), shape)
+    return lattice.truncate(build_generator(c), shape)
 
 
-def build_scheme(cfg: dict) -> dynamics.SchemeConfig:
-    sect = cfg.get("dynamics", {})
-    try:
-        return dynamics.SchemeConfig(
-            scheme=sect.get("scheme", "strang"),
-            dt=float(sect.get("dt", 1e-3)),
-            t_end=float(sect.get("t_end", 1.0)),
-            snapshot_stride=int(sect.get("stride", 10)),
-            lam=float(sect.get("lambda", 1.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err))
+def build_scheme(c: dict) -> dynamics.SchemeConfig:
+    dyn = c["dynamics"]
+    return dynamics.SchemeConfig(scheme=dyn["scheme"], dt=dyn["dt"], t_end=dyn["t_end"],
+                                 snapshot_stride=dyn["stride"], lam=dyn["lambda"])
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +263,8 @@ class RunWriter:
         self._register(relpath)
 
     def write_manifest(self, manifest: dict) -> None:
-        manifest = dict(manifest)
-        manifest["artifacts"] = dict(sorted(self.artifacts.items()))
-        path = self.outdir / "manifest.json"
-        with open(path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        artifacts = dict(sorted(self.artifacts.items()))
+        self.write_json("manifest.json", {**manifest, "artifacts": artifacts})
 
 
 def _csv_cell(v) -> str:
@@ -249,40 +291,36 @@ def _jsonable(value):
 # experiments
 
 
-def _configured_run(cfg: dict, seed: int):
+def _configured_run(c: dict):
     """Build the configured kernel, scheme and initial field, and integrate."""
-    shape = build_shape(cfg)
-    pot = build_potential(cfg, shape.d)
-    scheme = build_scheme(cfg)
-    field0 = build_initial_field(cfg, shape, seed)
+    shape = lattice.LatticeShape(**c["lattice"])
+    pot = build_potential(c)
+    scheme = build_scheme(c)
+    field0 = build_initial_field(c, shape)
     return pot, scheme, field0, dynamics.integrate(field0, pot, scheme)
 
 
-def _series_artifact(writer, traj, pot, lam, cfg):
-    obs_cfg = cfg.get("observables", {})
+def _series_artifact(writer, traj, pot, lam, c):
+    obs = c["observables"]
     locs = []
-    eps = obs_cfg.get("eps")
-    if eps is not None:
-        for center in obs_cfg.get("centers", [[0] * traj.shape.d]):
-            locs.append(observables.LocalizationParams(eps=float(eps), center=tuple(center)))
-    header, rows = observables.observable_series(
-        traj, pot, lam, locs, float(obs_cfg.get("c_const", 2.0))
-    )
+    if obs["eps"] is not None:
+        locs = [observables.LocalizationParams(eps=obs["eps"], center=tuple(x))
+                for x in obs["centers"]]
+    header, rows = observables.observable_series(traj, pot, lam, locs, obs["c_const"])
     writer.write_csv("series.csv", header, rows)
     return header, rows
 
 
-def _maybe_dump_fields(writer, traj, cfg):
-    if not cfg.get("dump_fields", False):
-        return
-    for j, snap in enumerate(traj.snapshots):
-        writer.write_field(f"fields/snapshot_{j:06d}.txt", snap)
+def _dump_fields(writer, c, stem, fields):
+    if c["dump_fields"]:
+        for j, field in enumerate(fields):
+            writer.write_field(f"fields/{stem}_{j:06d}.txt", field)
 
 
-def run_simulate(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    pot, scheme, field0, traj = _configured_run(cfg, seed)
-    _series_artifact(writer, traj, pot, scheme.lam, cfg)
-    _maybe_dump_fields(writer, traj, cfg)
+def run_simulate(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    pot, scheme, field0, traj = _configured_run(c)
+    _series_artifact(writer, traj, pot, scheme.lam, c)
+    _dump_fields(writer, c, "snapshot", traj.snapshots)
     summary = {
         "snapshots": len(traj),
         "t_end": float(traj.times[-1]),
@@ -292,9 +330,9 @@ def run_simulate(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
     return summary, {}
 
 
-def run_conserve(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    pot, scheme, field0, traj = _configured_run(cfg, seed)
-    header, rows = _series_artifact(writer, traj, pot, scheme.lam, cfg)
+def run_conserve(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    pot, scheme, field0, traj = _configured_run(c)
+    header, rows = _series_artifact(writer, traj, pot, scheme.lam, c)
 
     table = np.array(rows)
     n_series = table[:, header.index("N_L")]
@@ -303,48 +341,44 @@ def run_conserve(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
     n_drift = float(np.max(np.abs(n_series - n0)) / n0) if n0 > 0 else 0.0
     h_drift = float(np.max(np.abs(h_series - h_series[0])))
 
-    cons = cfg.get("conserve", {})
-    n_tol = float(cons.get("n_tol", 1e-10))
+    cons = c["conserve"]
+    n_tol = cons["n_tol"]
     checks = {"particle_number_conserved": n_drift <= n_tol}
-    h_tol = cons.get("h_tol")
-    if h_tol is not None:
-        checks["energy_drift_bounded"] = h_drift <= float(h_tol)
+    if cons["h_tol"] is not None:
+        checks["energy_drift_bounded"] = h_drift <= cons["h_tol"]
 
     summary = {"n_drift": n_drift, "h_drift": h_drift, "n_tol": n_tol,
                "kernel": pot.fingerprint()}
     if np.all(pot.coeffs == 0.0):
-        onsite_tol = float(cons.get("onsite_tol", 1e-12))
         err = 0.0
         base = np.abs(field0.values) ** 2
         for t, snap in zip(traj.times, traj.snapshots):
             exact = np.exp(-1j * scheme.lam * base * t) * field0.values
             err = max(err, float(np.max(np.abs(snap.values - exact))))
-        checks["onsite_exact_solution"] = err <= onsite_tol
+        checks["onsite_exact_solution"] = err <= cons["onsite_tol"]
         summary["onsite_error"] = err
     return summary, checks
 
 
-def run_bound_check(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    pot, scheme, field0, traj = _configured_run(cfg, seed)
+def run_bound_check(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    pot, scheme, field0, traj = _configured_run(c)
 
-    obs_cfg = cfg.get("observables", {})
-    eps = float(obs_cfg.get("eps", 0.1))
-    c_const = float(obs_cfg.get("c_const", 2.0))
-    centers = [tuple(c) for c in obs_cfg.get("centers", [[0] * traj.shape.d])]
+    obs = c["observables"]
+    eps = 0.1 if obs["eps"] is None else obs["eps"]  # bound-check's own default
+    c_const = obs["c_const"]
 
-    _series_artifact(writer, traj, pot, scheme.lam, cfg)
+    _series_artifact(writer, traj, pot, scheme.lam, c)
     checks = {}
     summary = {"eps": eps, "c_const": c_const, "kernel": pot.fingerprint()}
     worst = 0.0
-    for center in centers:
+    for center in map(tuple, obs["centers"]):
         rep = observables.growth_bound_report(traj, pot, eps, center, c_const)
         checks[f"growth_bound_x{'_'.join(map(str, center))}"] = rep.passed
         worst = max(worst, float(np.max(rep.ratios)))
     summary["max_growth_ratio"] = worst
 
-    w_cfg = obs_cfg.get("weight")
-    if w_cfg is not None:
-        spec = observables.WeightSpec(kind=w_cfg["kind"], parameter=float(w_cfg["parameter"]))
+    if obs["weight"] is not None:
+        spec = observables.WeightSpec(**obs["weight"])
         rep = observables.weighted_bound_check(traj, pot, eps, spec, c_const)
         checks["weighted_bound"] = rep.passed
         summary["weighted_prefactor"] = rep.prefactor
@@ -352,43 +386,30 @@ def run_bound_check(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict
     return summary, checks
 
 
-def run_sweep(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    sweep_cfg = cfg.get("sweep", {})
-    if "L_list" not in sweep_cfg:
+def run_sweep(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    sweep = c["sweep"]
+    if sweep["L_list"] is None:
         raise ConfigError("sweep-L needs sweep.L_list")
-    gen = build_generator(cfg, seed)
-    scheme = build_scheme(cfg)
-    shape_d = int(cfg.get("lattice", {}).get("d", 1))
-    pot = build_potential(cfg, shape_d)
-    try:
-        config = convergence.SweepConfig(
-            generator=gen,
-            L_list=tuple(int(v) for v in sweep_cfg["L_list"]),
-            k=int(sweep_cfg.get("k", 1)),
-            scheme=scheme,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err))
-    report = convergence.run_box_sweep(config, pot)
-    payload = _jsonable(report.as_dict())
-    writer.write_json("sweep.json", payload)
-    writer.write_csv(
-        "sweep.csv",
-        ["L", "delta_bar"],
-        [[e.L, e.delta_bar] for e in report.entries],
+    config = convergence.SweepConfig(
+        generator=build_generator(c),
+        L_list=tuple(sweep["L_list"]),
+        k=sweep["k"],
+        scheme=build_scheme(c),
     )
+    pot = build_potential(c)
+    report = convergence.run_box_sweep(config, pot)
+    writer.write_json("sweep.json", _jsonable(report.as_dict()))
+    writer.write_csv("sweep.csv", ["L", "delta_bar"], [[e.L, e.delta_bar] for e in report.entries])
 
     checks = {}
-    clean = [e for e in report.entries if e.error is None]
-    if sweep_cfg.get("check_decreasing", True):
-        deltas = [e.delta_bar for e in clean]
+    if sweep["check_decreasing"]:
+        deltas = [e.delta_bar for e in report.entries if e.error is None]
         checks["delta_bar_strictly_decreasing"] = all(
             b < a for a, b in zip(deltas, deltas[1:])
         ) and not report.flagged
-    l0_max = sweep_cfg.get("L0_max")
-    if l0_max is not None:
+    if sweep["L0_max"] is not None:
         checks["threshold_within_bound"] = (
-            report.fit_L0 is not None and report.fit_L0 <= int(l0_max)
+            report.fit_L0 is not None and report.fit_L0 <= sweep["L0_max"]
         )
     summary = {
         "fit": {"A": report.fit_A, "L0": report.fit_L0},
@@ -398,18 +419,17 @@ def run_sweep(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
     return _jsonable(summary), checks
 
 
-def run_uniqueness(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    shape = build_shape(cfg)
-    pot = build_potential(cfg, shape.d)
-    uniq = cfg.get("uniqueness", {})
-    dt_list = [float(v) for v in uniq.get("dt_list", [4e-3, 2e-3, 1e-3])]
+def run_uniqueness(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    shape = lattice.LatticeShape(**c["lattice"])
+    pot = build_potential(c)
+    uniq = c["uniqueness"]
+    dt_list = uniq["dt_list"]
     if len(dt_list) < 2:
         raise ConfigError("uniqueness needs at least two dt values")
     if len(set(dt_list)) != len(dt_list):
         raise ConfigError(f"uniqueness.dt_list has repeated entries: {dt_list}")
-    n = int(uniq.get("n", 2))
-    base = build_scheme(cfg)
-    field0 = build_initial_field(cfg, shape, seed)
+    base = build_scheme(c)
+    field0 = build_initial_field(c, shape)
 
     rows = []
     for dt in dt_list:
@@ -420,13 +440,12 @@ def run_uniqueness(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]
         kw = dict(dt=dt, t_end=base.t_end, snapshot_stride=stride, lam=base.lam)
         ta = dynamics.integrate(field0, pot, dynamics.SchemeConfig(scheme="strang", **kw))
         tb = dynamics.integrate(field0, pot, dynamics.SchemeConfig(scheme="rk4", **kw))
-        rows.append([dt, convergence.scheme_disagreement(ta, tb, n, pot.range)])
+        rows.append([dt, convergence.scheme_disagreement(ta, tb, uniq["n"], pot.range)])
     writer.write_csv("uniqueness.csv", ["dt", "delta"], rows)
 
     logs = np.log([r[1] for r in rows])
     order = float(np.polyfit(np.log([r[0] for r in rows]), logs, 1)[0])
-    min_order = float(uniq.get("min_order", 1.8))
-    checks = {"refinement_order": order >= min_order}
+    checks = {"refinement_order": order >= uniq["min_order"]}
     summary = {
         "fitted_order": order,
         "deltas": {repr(r[0]): r[1] for r in rows},
@@ -435,57 +454,45 @@ def run_uniqueness(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]
     return summary, checks
 
 
-def run_sample_gaussian(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    shape = build_shape(cfg)
-    samp = cfg.get("sampling", {})
-    n_samples = int(samp.get("n_samples", 100))
-    spec = sampling.GaussianSpec(density=float(samp.get("sigma2", 1.0)))
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_samples)]
+def run_sample_gaussian(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    shape = lattice.LatticeShape(**c["lattice"])
+    samp = c["sampling"]
+    spec = sampling.GaussianSpec(density=samp["sigma2"])
+    seeds = [int(s.generate_state(1)[0])
+             for s in np.random.SeedSequence(c["seed"]).spawn(samp["n_samples"])]
     samples = [sampling.sample_gaussian(spec, shape, s) for s in seeds]
-    summary = _stats_payload(samples, samp, writer, cfg)
-    summary["n_samples"] = n_samples
-    return summary, {}
+    return _stats_payload(samples, writer, c), {}
 
 
-def run_sample_gibbs(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    shape = build_shape(cfg)
-    pot = build_potential(cfg, shape.d)
-    samp = cfg.get("sampling", {})
-    try:
-        spec = sampling.GibbsSpec(
-            beta=float(samp.get("beta", 1.0)),
-            mu=float(samp.get("mu", -1.0)),
-            lam=float(samp.get("lambda", 1.0)),
-            proposal_sigma=float(samp.get("proposal_sigma", 1.0)),
-            burn_in=int(samp.get("burn_in", 200)),
-            thinning=int(samp.get("thinning", 5)),
-        )
-    except (ValueError, sampling.MeasureError) as err:
-        raise ConfigError(str(err))
-    n_samples = int(samp.get("n_samples", 100))
+def run_sample_gibbs(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    shape = lattice.LatticeShape(**c["lattice"])
+    pot = build_potential(c)
+    samp = c["sampling"]
+    spec = sampling.GibbsSpec(
+        beta=samp["beta"], mu=samp["mu"], lam=samp["lambda"],
+        proposal_sigma=samp["proposal_sigma"], burn_in=samp["burn_in"], thinning=samp["thinning"],
+    )
     summary = {}
-    if samp.get("tune_sigma", False):
-        tuned = sampling.tune_proposal_sigma(spec, pot, shape, seed)
+    if samp["tune_sigma"]:
+        tuned = sampling.tune_proposal_sigma(spec, pot, shape, c["seed"])
         spec = dataclasses.replace(spec, proposal_sigma=tuned)
         summary["tuned_sigma"] = tuned
-    chain = sampling.run_gibbs_chain(spec, pot, shape, seed, n_samples)
-    summary.update(_stats_payload(list(chain.samples), samp, writer, cfg))
-    summary["n_samples"] = n_samples
+    chain = sampling.run_gibbs_chain(spec, pot, shape, c["seed"], samp["n_samples"])
+    summary.update(_stats_payload(list(chain.samples), writer, c))
     summary["acceptance"] = sampling.acceptance_fraction(chain)
     summary["kernel"] = pot.fingerprint()
     return summary, {}
 
 
-def _stats_payload(samples, samp_cfg, writer, cfg) -> dict:
-    xi = float(samp_cfg.get("xi", 3.5))
-    a = float(samp_cfg.get("a", 2.0 / 0.9))
+def _stats_payload(samples, writer, c) -> dict:
+    xi = c["sampling"]["xi"]
     stats = sampling.site_moments(samples, xi)
     by_radius: dict[int, int] = {}
     sites_by_radius: dict[int, int] = {}
     for s in samples:
-        v = sampling.power_law_violations(s, a)
-        for r, c in v.violations_by_radius.items():
-            by_radius[r] = by_radius.get(r, 0) + c
+        v = sampling.power_law_violations(s, c["sampling"]["a"])
+        for r, count in v.violations_by_radius.items():
+            by_radius[r] = by_radius.get(r, 0) + count
         sites_by_radius = v.sites_by_radius
     payload = {
         "moment_order": xi,
@@ -495,24 +502,19 @@ def _stats_payload(samples, samp_cfg, writer, cfg) -> dict:
         "sites_by_radius": {str(k): v for k, v in sorted(sites_by_radius.items())},
     }
     writer.write_json("stats.json", _jsonable(payload))
-    if cfg.get("dump_fields", False):
-        for j, s in enumerate(samples):
-            writer.write_field(f"fields/sample_{j:06d}.txt", s)
-    return {"max_moment": stats.max_moment}
+    _dump_fields(writer, c, "sample", samples)
+    return {"max_moment": stats.max_moment, "n_samples": len(samples)}
 
 
-def run_stats(cfg: dict, writer: RunWriter, seed: int) -> tuple[dict, dict]:
-    sect = cfg.get("stats", {})
-    fields_dir = sect.get("fields_dir")
+def run_stats(c: dict, writer: RunWriter) -> tuple[dict, dict]:
+    fields_dir = c["stats"]["fields_dir"]
     if not fields_dir:
         raise ConfigError("stats needs stats.fields_dir")
     paths = sorted(Path(fields_dir).glob("*.txt"))
     if len(paths) < 2:
         raise ConfigError(f"need at least 2 field dumps in {fields_dir}")
     samples = [lattice.load_field(p) for p in paths]
-    summary = _stats_payload(samples, cfg.get("sampling", {}), writer, cfg)
-    summary["n_samples"] = len(samples)
-    return summary, {}
+    return _stats_payload(samples, writer, c), {}
 
 
 RUNNERS = {
@@ -525,6 +527,7 @@ RUNNERS = {
     "sample-gibbs": run_sample_gibbs,
     "stats": run_stats,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -541,26 +544,21 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         cfg = load_config(args.config, parse_overrides(extra))
-        if args.experiment is not None:
-            cfg["experiment"] = args.experiment
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.out is not None:
-            cfg["out"] = args.out
+        for key in ("experiment", "seed", "out"):
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
 
-        experiment = cfg.get("experiment")
-        if experiment not in RUNNERS:
+        c = resolve(cfg)
+        if c["experiment"] not in RUNNERS:
             raise ConfigError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
+                f"experiment must be one of {', '.join(EXPERIMENTS)}; got {c['experiment']!r}"
             )
-        outdir = cfg.get("out")
-        if not outdir:
+        if not c["out"]:
             raise ConfigError("an output directory is required (--out or config 'out')")
-        seed = int(cfg.get("seed", 0))
-        cfg["seed"] = seed
+        cfg["seed"] = c["seed"]
 
-        writer = RunWriter(Path(outdir))
-        summary, checks = RUNNERS[experiment](cfg, writer, seed)
+        writer = RunWriter(Path(c["out"]))
+        summary, checks = RUNNERS[c["experiment"]](c, writer)
     except dynamics.BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return 3
@@ -571,23 +569,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     manifest = {
-        "experiment": experiment,
+        "experiment": c["experiment"],
         "config": _jsonable(cfg),
         "version": __version__,
-        "seed": seed,
+        "seed": c["seed"],
         "wall_clock_s": time.perf_counter() - start,
         "results": _jsonable(summary),
         "checks": {k: bool(v) for k, v in checks.items()},
     }
     writer.write_manifest(manifest)
 
-    failed = [name for name, ok in checks.items() if not ok]
     for name, ok in sorted(checks.items()):
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    if failed:
-        return 1
-    return 0
+    return 0 if all(checks.values()) else 1
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

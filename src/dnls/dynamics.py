@@ -273,6 +273,19 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
     return w * spacing
 
 
+def _duhamel_terms(traj: Trajectory, x: Sequence[int], t: float, integrand):
+    """psi_t(x) - psi_0(x) and the Simpson integral over snapshots j up to t
+    of integrand(j, idx), idx being the array index of x; None at t = 0."""
+    m = traj.time_index(t)
+    idx = traj.shape.index(x)
+    if m == 0:
+        return None
+    weights = _quadrature_weights(m, traj.spacing)
+    samples = np.array([integrand(j, idx) for j in range(m + 1)])
+    increment = traj.snapshots[m].values[idx] - traj.snapshots[0].values[idx]
+    return increment, np.sum(weights * samples)
+
+
 def duhamel_defect_first(
     traj: Trajectory,
     pot: HoppingPotential,
@@ -281,16 +294,13 @@ def duhamel_defect_first(
     t: float,
 ) -> complex:
     """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed."""
-    m = traj.time_index(t)
-    idx = traj.shape.index(x)
-    if m == 0:
-        return 0.0j
-    weights = _quadrature_weights(m, traj.spacing)
-    samples = np.array(
-        [energy_gradient(traj.snapshots[j], pot, lam)[idx] for j in range(m + 1)]
+    terms = _duhamel_terms(
+        traj, x, t, lambda j, idx: energy_gradient(traj.snapshots[j], pot, lam)[idx]
     )
-    integral = np.sum(weights * samples)
-    return complex(traj.snapshots[m].values[idx] - traj.snapshots[0].values[idx] + 1j * integral)
+    if terms is None:
+        return 0.0j
+    increment, integral = terms
+    return complex(increment + 1j * integral)
 
 
 def duhamel_residual_first(
@@ -312,25 +322,13 @@ def duhamel_defect_second(
     t: float,
 ) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds."""
-    m = traj.time_index(t)
-    idx = traj.shape.index(x)
-    if m == 0:
+    terms = _duhamel_terms(traj, x, t, lambda j, idx: (t - traj.times[j])
+                           * second_time_derivative(traj.snapshots[j], pot, lam)[idx])
+    if terms is None:
         return 0.0j
-    weights = _quadrature_weights(m, traj.spacing)
-    samples = np.array(
-        [
-            (t - traj.times[j]) * second_time_derivative(traj.snapshots[j], pot, lam)[idx]
-            for j in range(m + 1)
-        ]
-    )
-    integral = np.sum(weights * samples)
-    g0 = energy_gradient(traj.snapshots[0], pot, lam)[idx]
-    return complex(
-        traj.snapshots[m].values[idx]
-        - traj.snapshots[0].values[idx]
-        + 1j * t * g0
-        - integral
-    )
+    increment, integral = terms
+    g0 = energy_gradient(traj.snapshots[0], pot, lam)[traj.shape.index(x)]
+    return complex(increment + 1j * t * g0 - integral)
 
 
 def duhamel_residual_second(

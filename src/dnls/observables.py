@@ -33,7 +33,6 @@ from .lattice import (
     LatticeShape,
     Site,
     bracket_grid,
-    regularized_abs,
     torus_distance_grid,
     truncate,
 )
@@ -74,11 +73,6 @@ class WeightSpec:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if not (self.parameter > 0):
             raise ValueError(f"weight parameter must be > 0, got {self.parameter}")
-
-    def at(self, z: Sequence[int]) -> float:
-        if self.kind == "exponential":
-            return math.exp(-self.parameter * max(abs(int(c)) for c in z))
-        return regularized_abs(z) ** (-self.parameter)
 
 
 def particle_number(field: FieldL) -> float:

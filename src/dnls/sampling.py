@@ -262,7 +262,6 @@ class SampleStats:
     per_site_se: np.ndarray | None = None
     max_moment: float | None = None
     max_moment_site: Site | None = None
-    two_point: np.ndarray | None = None
     violation_exponent: float | None = None
     violations_total: int | None = None
     violation_sites: tuple[Site, ...] | None = None
@@ -327,12 +326,8 @@ def power_law_violations(sample: FieldL, a: float) -> SampleStats:
     shape = sample.shape
     mask = np.abs(sample.values) > bracket_grid(shape) ** (1.0 / (2.0 * a))
     radii = torus_distance_grid(shape, (0,) * shape.d)
-    violations_by_radius: dict[int, int] = {}
-    sites_by_radius: dict[int, int] = {}
-    for r in range(shape.L + 1):
-        at_r = radii == r
-        sites_by_radius[r] = int(at_r.sum())
-        violations_by_radius[r] = int((mask & at_r).sum())
+    sites_at = np.bincount(radii.ravel(), minlength=shape.L + 1)
+    violations_at = np.bincount(radii[mask], minlength=shape.L + 1)
     sites = tuple(
         tuple(int(i) - shape.L for i in idx) for idx in np.argwhere(mask)
     )
@@ -341,8 +336,8 @@ def power_law_violations(sample: FieldL, a: float) -> SampleStats:
         violation_exponent=float(a),
         violations_total=int(mask.sum()),
         violation_sites=sites,
-        violations_by_radius=violations_by_radius,
-        sites_by_radius=sites_by_radius,
+        violations_by_radius=dict(enumerate(violations_at.tolist())),
+        sites_by_radius=dict(enumerate(sites_at.tolist())),
     )
 
 

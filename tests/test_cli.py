@@ -1,9 +1,17 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dnls.cli import main, parse_overrides
+import dnls
+from dnls.cli import SCHEMA, main, parse_overrides
 from dnls.lattice import load_field
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args) -> int:
@@ -64,6 +72,59 @@ class TestConfigHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment, flags, key", [
+        ("simulate", ["--lattice", "5"], "lattice"),
+        ("simulate", ["--kernel", "3"], "kernel"),
+        ("sweep-L", ["--sweep.L_list", "5"], "sweep.L_list"),
+        ("uniqueness", ["--uniqueness.dt_list", "0.002"], "uniqueness.dt_list"),
+        ("bound-check", ["--observables.centers", "5"], "observables.centers"),
+        ("bound-check", ["--observables.weight", "3"], "observables.weight"),
+        ("stats", ["--stats.fields_dir", "5"], "stats.fields_dir"),
+        ("bound-check", ["--observables.weight", '{"kind": "power"}'], "observables.weight"),
+        ("bound-check", ["--observables.weight", '{"parameter": 0.5}'], "observables.weight"),
+        ("simulate", ["--dynamics.dtt", "0.5"], "dynamics.dtt"),
+        ("simulate", ["--dump_feilds", "true"], "dump_feilds"),
+        ("simulate", ["--lattice.L", "3.7"], "lattice.L"),
+        ("simulate", ["--lattice.L", '"16"'], "lattice.L"),
+        ("simulate", ["--lattice.L", "true"], "lattice.L"),
+        ("simulate", ["--dynamics.dt", '"1e-3"'], "dynamics.dt"),
+        ("simulate", ["--dump_fields", "1"], "dump_fields"),
+        ("conserve", ["--conserve.h_tol", "null"], "conserve.h_tol"),
+        ("simulate", ["--initial.type", "peak", "--initial.amplitude", '"1+1j"'],
+         "initial.amplitude"),
+        ("sample-gaussian", ["--sampling.n_samples", "-3"], "sampling.n_samples"),
+        ("sample-gibbs", ["--sampling.n_samples", "1"], "sampling.n_samples"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
+        code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert key in err
+
+    def test_readme_table_lists_every_key(self):
+        text = (REPO / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `?([\w ]+)`? \| (.*) \|$", text, re.MULTILINE))
+        sections = {"top level": {k: s for k, s in SCHEMA.items() if not isinstance(s, dict)}}
+        sections.update((k, s) for k, s in SCHEMA.items() if isinstance(s, dict))
+        for name, section in sections.items():
+            keys = [*section, *(k for s in section.values() if isinstance(s, dict) for k in s)]
+            missing = [k for k in keys if f"`{k}`" not in rows[name]]
+            assert not missing, f"README config row {name!r} lacks {missing}"
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(dnls.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnls.cli", "--experiment", "simulate",
+             "--out", str(tmp_path / "r"), "--lattice.L", "2", "--dynamics.t_end", "0.0",
+             "--dynamics.stride", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "r" / "manifest.json").exists()
 
 
 class TestSimulate:
