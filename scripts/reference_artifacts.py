@@ -77,6 +77,14 @@ REFERENCE_RUNS = (
         "sampling.thinning": 2, "sampling.proposal_sigma": 0.7, "sampling.tune_sigma": True,
     }),
     ("stats", "stats", {"stats.fields_dir": "sample-gaussian/fields"}),
+    # 35,937 sites (562 KiB per complex array): above numpy's 256 KiB
+    # temporary-elision threshold, where a reordered complex product changes
+    # the last bit; the series reads N, H and the local quantities per step
+    *((f"simulate-d3-L16-{scheme}", "simulate", {
+        "lattice.d": 3, "lattice.L": 16, "dynamics.scheme": scheme, "dynamics.dt": 0.01,
+        "dynamics.t_end": 0.03, "dynamics.stride": 1, "observables.eps": 0.2,
+        "observables.centers": [[0, 0, 0], [5, -3, 16]],
+    }) for scheme in ("strang", "rk4")),
 )
 
 SEED = 7

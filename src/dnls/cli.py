@@ -229,11 +229,14 @@ def build_scheme(c: dict) -> dynamics.SchemeConfig:
 
 
 class RunWriter:
-    """Single writer for one run directory; tracks content hashes."""
+    """Single writer for one run directory; tracks content hashes.
+
+    The directory is created by the first write, so a run that fails before
+    writing anything leaves no directory behind.
+    """
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, str] = {}
 
     def _register(self, relpath: str) -> None:

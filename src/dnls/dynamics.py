@@ -23,13 +23,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hopping import HoppingPotential, convolve_values, dispersion, require_fits, validate
+from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil, validate
 from .lattice import FieldL, LatticeShape
 
 Observer = Callable[[float, FieldL], None]
 Stepper = Callable[[np.ndarray], np.ndarray]
 
 SCHEMES = ("strang", "rk4")
+
+# sites per block of stacked snapshots (256 KiB of complex values) when a
+# Duhamel integrand is evaluated over a trajectory; bounds the extra memory
+# whatever the trajectory length
+_STACK_SITES = 1 << 14
 
 
 class BlowUpError(RuntimeError):
@@ -112,18 +117,33 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _gradient_values(
-    pot: HoppingPotential, shape: LatticeShape, lam: float, psi: np.ndarray
-) -> np.ndarray:
-    """energy_gradient on a raw array; also the RK4 right-hand side up to -i."""
-    return convolve_values(pot, shape, psi) + lam * (np.abs(psi) ** 2) * psi
+def _gradient_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
+    """energy_gradient on a raw array or a stack of them; also the RK4
+    right-hand side up to -i."""
+    return apply(psi) + lam * (np.abs(psi) ** 2) * psi
+
+
+def _second_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
+    """second_time_derivative on a raw array."""
+    conv = apply(psi)
+    mod2 = np.abs(psi) ** 2
+    out = -apply(conv)
+    out -= lam * apply(mod2 * psi)
+    out -= 2.0 * lam * mod2 * conv
+    out -= lam * lam * mod2 * mod2 * psi
+    out += lam * psi * psi * np.conj(conv)
+    return out
+
+
+def _checked_stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
+    validate(pot)
+    require_fits(pot, shape)
+    return stencil(pot, shape)
 
 
 def energy_gradient(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
     """(alpha * psi)(x) + lam |psi(x)|^2 psi(x) over the box."""
-    validate(pot)
-    require_fits(pot, field.shape)
-    return _gradient_values(pot, field.shape, lam, field.values)
+    return _gradient_values(_checked_stencil(pot, field.shape), lam, field.values)
 
 
 def g_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -> complex:
@@ -141,18 +161,7 @@ def second_time_derivative(field: FieldL, pot: HoppingPotential, lam: float) -> 
 
     Depends on values within twice the kernel range of each site.
     """
-    validate(pot)
-    require_fits(pot, field.shape)
-    shape = field.shape
-    psi = field.values
-    conv = convolve_values(pot, shape, psi)
-    mod2 = np.abs(psi) ** 2
-    out = -convolve_values(pot, shape, conv)
-    out -= lam * convolve_values(pot, shape, mod2 * psi)
-    out -= 2.0 * lam * mod2 * conv
-    out -= lam * lam * mod2 * mod2 * psi
-    out += lam * psi * psi * np.conj(conv)
-    return out
+    return _second_values(_checked_stencil(pot, field.shape), lam, field.values)
 
 
 def p_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -> complex:
@@ -164,15 +173,18 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
 
     A vanishing dispersion makes the linear flow the identity; the Fourier
     round trip is skipped then, so purely onsite runs carry no FFT rounding.
+    In d = 1 the one-axis fft/ifft pair is used: fftn computes the same bits
+    through it, with more per-call overhead.
     """
     disp = dispersion(pot, shape).values
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
     half_rate = -0.5j * lam * dt
+    fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
 
     def advance(values: np.ndarray) -> np.ndarray:
         psi = values * np.exp(half_rate * np.abs(values) ** 2)
         if linear_phase is not None:
-            psi = np.fft.ifftn(linear_phase * np.fft.fftn(psi))
+            psi = ifft(linear_phase * fft(psi))
         return psi * np.exp(half_rate * np.abs(psi) ** 2)
 
     return advance
@@ -180,11 +192,10 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
 
 def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
     """Classical fourth-order step on the raw right-hand side."""
-    validate(pot)
-    require_fits(pot, shape)
+    apply = _checked_stencil(pot, shape)
 
     def f(values: np.ndarray) -> np.ndarray:
-        return -1j * _gradient_values(pot, shape, lam, values)
+        return -1j * _gradient_values(apply, lam, values)
 
     def advance(y: np.ndarray) -> np.ndarray:
         k1 = f(y)
@@ -274,16 +285,32 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
 
 
 def _duhamel_terms(traj: Trajectory, x: Sequence[int], t: float, integrand):
-    """psi_t(x) - psi_0(x) and the Simpson integral over snapshots j up to t
-    of integrand(j, idx), idx being the array index of x; None at t = 0."""
+    """psi_t(x) - psi_0(x) and the Simpson integral over snapshots j <= m of
+    integrand(m, idx)[j], where t = t_m and idx is the array index of x;
+    None at t = 0."""
     m = traj.time_index(t)
     idx = traj.shape.index(x)
     if m == 0:
         return None
     weights = _quadrature_weights(m, traj.spacing)
-    samples = np.array([integrand(j, idx) for j in range(m + 1)])
     increment = traj.snapshots[m].values[idx] - traj.snapshots[0].values[idx]
-    return increment, np.sum(weights * samples)
+    return increment, np.sum(weights * integrand(m, idx))
+
+
+def _gradients_at(traj: Trajectory, pot: HoppingPotential, lam: float, m: int, idx) -> np.ndarray:
+    """energy_gradient of snapshots 0..m at the array index idx.
+
+    Snapshots are stacked in blocks of about _STACK_SITES sites, each block
+    convolved by one stencil call.
+    """
+    apply = _checked_stencil(pot, traj.shape)
+    block = max(1, _STACK_SITES // traj.shape.volume)
+    at = (slice(None), *idx)
+    out = np.empty(m + 1, dtype=np.complex128)
+    for j in range(0, m + 1, block):
+        stack = np.stack([s.values for s in traj.snapshots[j:min(j + block, m + 1)]])
+        out[j:j + len(stack)] = _gradient_values(apply, lam, stack)[at]
+    return out
 
 
 def duhamel_defect_first(
@@ -294,9 +321,7 @@ def duhamel_defect_first(
     t: float,
 ) -> complex:
     """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed."""
-    terms = _duhamel_terms(
-        traj, x, t, lambda j, idx: energy_gradient(traj.snapshots[j], pot, lam)[idx]
-    )
+    terms = _duhamel_terms(traj, x, t, lambda m, idx: _gradients_at(traj, pot, lam, m, idx))
     if terms is None:
         return 0.0j
     increment, integral = terms
@@ -322,8 +347,12 @@ def duhamel_defect_second(
     t: float,
 ) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds."""
-    terms = _duhamel_terms(traj, x, t, lambda j, idx: (t - traj.times[j])
-                           * second_time_derivative(traj.snapshots[j], pot, lam)[idx])
+    def integrand(m: int, idx) -> np.ndarray:
+        apply = _checked_stencil(pot, traj.shape)
+        return np.array([(t - traj.times[j]) * _second_values(apply, lam, s.values)[idx]
+                         for j, s in enumerate(traj.snapshots[:m + 1])])
+
+    terms = _duhamel_terms(traj, x, t, integrand)
     if terms is None:
         return 0.0j
     increment, integral = terms

@@ -5,16 +5,25 @@ A hopping potential couples each site to sites within sup-norm distance
 acts by wrapped convolution; because the kernel is real and even, the
 action diagonalizes over Fourier modes with a real dispersion relation,
 which the split-step integrator uses.
+
+In position space the kernel acts through one stencil, resolved once per
+(kernel, box) by `stencil`: the box-restricted offsets and coefficients are
+fixed then, and every call applies them over the trailing d axes of its
+argument, so a stack of fields of shape (n, *dims) is convolved in one call.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .lattice import FieldL, LatticeShape, Site, wrap_coord
+
+
+Stencil = Callable[[np.ndarray], np.ndarray]
 
 
 class KernelError(ValueError):
@@ -59,11 +68,9 @@ class HoppingPotential:
 
     def nonzero_offsets(self) -> list[tuple[Site, float]]:
         """(offset, coefficient) pairs in a fixed row-major order."""
-        out = []
-        for idx in np.argwhere(self.coeffs != 0.0):
-            offset = tuple(int(i) - self.range for i in idx)
-            out.append((offset, float(self.coeffs[tuple(idx)])))
-        return out
+        idx = np.argwhere(self.coeffs != 0.0)
+        coeffs = self.coeffs[tuple(idx.T)].tolist()
+        return [(tuple(offset), c) for offset, c in zip((idx - self.range).tolist(), coeffs)]
 
     def fingerprint(self) -> str:
         """Stable content hash, used in run manifests."""
@@ -134,11 +141,65 @@ def convolve(pot: HoppingPotential, field: FieldL) -> FieldL:
 
 def convolve_values(pot: HoppingPotential, shape: LatticeShape, values: np.ndarray) -> np.ndarray:
     """Stencil of the box-restricted kernel on a raw array; fixed offset order."""
-    axes = tuple(range(shape.d))
-    out = np.zeros(shape.dims, dtype=np.complex128)
-    for offset, coeff in clipped_offsets(pot, shape):
-        out += coeff * np.roll(values, shift=offset, axis=axes)
-    return out
+    return stencil(pot, shape)(values)
+
+
+def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
+    """The box-restricted kernel's action, resolved once for (pot, shape).
+
+    The returned function acts on the trailing d axes of its argument, so a
+    stack of fields of shape (n, *dims) is convolved slice by slice.  It
+    wrap-pads those axes by reach = min(range, L), and then every offset of
+    clipped_offsets, in that order, adds coeff times the shifted padded
+    array into a zeroed output: out(x) = sum_y alpha(y) values(x - y).
+    Shifts are taken on the flattened padded array, so each term is one
+    contiguous slice; the output keeps the rows that hold box sites.
+    """
+    d, side = shape.d, shape.side
+    reach = min(pot.range, shape.L)
+    width = side + 2 * reach
+    strides = [width ** (d - 1 - a) for a in range(d)]
+    # out[k] holds the point at flat padded index first + k, first being box
+    # site 0; as (side, width, ..., width) it has box site i at out[i], and
+    # its first `used` entries run up to the last box site
+    first = reach * sum(strides)
+    span = side * strides[0]
+    used = span - (width - side) * sum(strides[1:])
+    full = (slice(None),) * d
+
+    def along(axis: int, sl: slice) -> tuple:
+        return (Ellipsis, *full[:axis], sl, *full[axis + 1:])
+
+    # the box, then per axis two wrap slabs (target, source): the low pad
+    # copies the box's last `reach` rows and the high pad its first; each
+    # slab spans the axes padded before it, which fills the corners
+    center = (Ellipsis, *(slice(reach, reach + side),) * d)
+    low = (slice(0, reach), slice(side, side + reach))
+    high = (slice(side + reach, width), slice(reach, 2 * reach))
+    wraps = [(along(axis, target), along(axis, source))
+             for axis in range(d) for target, source in (low, high)]
+    terms = [
+        (coeff, first - sum(c * s for c, s in zip(offset, strides)))
+        for offset, coeff in clipped_offsets(pot, shape)
+    ]
+    crop = (Ellipsis, slice(None), *(slice(0, side),) * (d - 1))
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        lead = values.shape[: values.ndim - d]
+        padded = np.empty(lead + (width,) * d, dtype=values.dtype)
+        padded[center] = values
+        for target, source in wraps:
+            padded[target] = padded[source]
+        flat = padded.reshape(lead + (-1,))
+        out = np.zeros(lead + (span,), dtype=np.complex128)
+        acc = out[..., :used]
+        for coeff, start in terms:
+            acc += coeff * flat[..., start:start + used]
+        if d == 1:
+            return out
+        return out.reshape(lead + (side,) + (width,) * (d - 1))[crop].copy()
+
+    return apply
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .hopping import HoppingPotential, convolve_values, require_fits, validate
+from .hopping import HoppingPotential, convolve_values, require_fits, stencil, validate
 from .lattice import (
     FieldL,
     InitialDataGenerator,
@@ -89,7 +89,12 @@ def hamiltonian(field: FieldL, pot: HoppingPotential, lam: float) -> float:
     """
     validate(pot)
     psi = field.values
-    quad = np.sum(psi * np.conj(convolve_values(pot, field.shape, psi)))
+    return _energy(psi, convolve_values(pot, field.shape, psi), lam)
+
+
+def _energy(psi: np.ndarray, conv: np.ndarray, lam: float) -> float:
+    """hamiltonian of psi, given conv = (alpha * psi)."""
+    quad = np.sum(psi * np.conj(conv))
     quart = 0.5 * lam * np.sum(np.abs(psi) ** 4)
     scale = max(abs(quad), 1.0)
     if abs(quad.imag) > 1e-12 * scale:
@@ -107,8 +112,18 @@ def weight_normalization(shape: LatticeShape, eps: float) -> float:
 
 def local_particle_number(field: FieldL, eps: float, x: Sequence[int]) -> float:
     """Exponentially weighted l2 mass around x (torus distance)."""
-    dist = torus_distance_grid(field.shape, x)
-    return float(np.sum(np.exp(-eps * dist) * np.abs(field.values) ** 2))
+    return float(np.sum(_local_weight(field.shape, eps, x) * np.abs(field.values) ** 2))
+
+
+def _local_weight(shape: LatticeShape, eps: float, x: Sequence[int]) -> np.ndarray:
+    """exp(-eps dist(x, y)) over the box sites y, torus distance."""
+    return np.exp(-eps * torus_distance_grid(shape, x))
+
+
+def _local_numbers(traj: Trajectory, eps: float, x: Site) -> np.ndarray:
+    """local_particle_number of every snapshot, against one weight grid."""
+    weight = _local_weight(traj.shape, eps, x)
+    return np.array([float(np.sum(weight * np.abs(s.values) ** 2)) for s in traj.snapshots])
 
 
 def local_density(field: FieldL, eps: float, x: Sequence[int]) -> float:
@@ -123,8 +138,12 @@ def particle_flux_field(field: FieldL, pot: HoppingPotential) -> np.ndarray:
     """
     validate(pot)
     require_fits(pot, field.shape)
-    conv = convolve_values(pot, field.shape, field.values)
-    return 2.0 * np.imag(np.conj(field.values) * conv)
+    return _flux(field.values, convolve_values(pot, field.shape, field.values))
+
+
+def _flux(psi: np.ndarray, conv: np.ndarray) -> np.ndarray:
+    """particle_flux_field of psi, given conv = (alpha * psi)."""
+    return 2.0 * np.imag(np.conj(psi) * conv)
 
 
 def particle_flux(field: FieldL, pot: HoppingPotential, y: Sequence[int]) -> float:
@@ -147,7 +166,7 @@ def weighted_flux(
     if form not in ("direct", "antisymmetrized"):
         raise ValueError(f"unknown form {form!r}")
     shape = field.shape
-    weight = np.exp(-eps * torus_distance_grid(shape, x))
+    weight = _local_weight(shape, eps, x)
     if form == "direct":
         return float(np.sum(weight * particle_flux_field(field, pot)))
     validate(pot)
@@ -212,7 +231,15 @@ def growth_bound_report(
     """
     eps_tilde = growth_rate_bound(pot, eps, c_const)
     center = traj.shape.require_site(x)
-    q = np.array([local_density(s, eps, center) for s in traj.snapshots])
+    q = _local_numbers(traj, eps, center) / weight_normalization(traj.shape, eps)
+    return _growth_report(traj, eps, center, c_const, eps_tilde, q)
+
+
+def _growth_report(
+    traj: Trajectory, eps: float, center: Site, c_const: float, eps_tilde: float,
+    q: np.ndarray,
+) -> GrowthBoundReport:
+    """growth_bound_report from the local densities q of the snapshots."""
     ratios, passed = _bound_ratios(q, traj.times, eps_tilde, 1.0, "local density")
     positive = (traj.times > 0) & (q > 0)
     if np.any(positive):
@@ -300,22 +327,31 @@ def observable_series(
     c_const: float = 2.0,
 ) -> tuple[list[str], list[list[float]]]:
     """Rows (t, N, H, then per localization: N_eps, Q_eps, M_eps, bound_ratio)."""
+    shape = traj.shape
+    validate(pot)
+    if localizations:
+        require_fits(pot, shape)
+    apply = stencil(pot, shape)
     header = ["t", "N_L", "H_L"]
-    reports = []
+    columns = []
     for loc in localizations:
         loc.validate_for(pot)
         suffix = f"eps{loc.eps:g}_x{'_'.join(str(c) for c in loc.center)}"
         header += [f"N_{suffix}", f"Q_{suffix}", f"M_{suffix}", f"ratio_{suffix}"]
-        reports.append(growth_bound_report(traj, pot, loc.eps, loc.center, c_const))
+        eps_tilde = growth_rate_bound(pot, loc.eps, c_const)
+        center = shape.require_site(loc.center)
+        n_eps = _local_numbers(traj, loc.eps, center)
+        q = n_eps / weight_normalization(shape, loc.eps)
+        rep = _growth_report(traj, loc.eps, center, c_const, eps_tilde, q)
+        columns.append((_local_weight(shape, loc.eps, center), n_eps, q, rep.ratios))
     rows = []
     for j, snap in enumerate(traj.snapshots):
-        row = [float(traj.times[j]), particle_number(snap), hamiltonian(snap, pot, lam)]
-        for loc, rep in zip(localizations, reports):
-            row += [
-                local_particle_number(snap, loc.eps, loc.center),
-                local_density(snap, loc.eps, loc.center),
-                weighted_flux(snap, pot, loc.eps, loc.center),
-                float(rep.ratios[j]),
-            ]
+        psi = snap.values
+        conv = apply(psi)
+        row = [float(traj.times[j]), particle_number(snap), _energy(psi, conv, lam)]
+        if columns:
+            flux = _flux(psi, conv)
+        for weight, n_eps, q, ratios in columns:
+            row += [float(n_eps[j]), float(q[j]), float(np.sum(weight * flux)), float(ratios[j])]
         rows.append(row)
     return header, rows

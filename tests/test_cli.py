@@ -43,6 +43,12 @@ class TestConfigHandling:
     def test_missing_out_exit_2(self):
         assert run_cli("--experiment", "simulate") == 2
 
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "probe" / "sweep"
+        assert run_cli("--experiment", "sweep-L", "--out", str(out)) == 2
+        assert "sweep.L_list" in capsys.readouterr().err
+        assert not (tmp_path / "probe").exists()
+
     def test_inconsistent_grid_exit_2(self, tmp_path):
         code = run_cli(
             "--experiment", "simulate", "--out", str(tmp_path / "r"),

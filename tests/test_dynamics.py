@@ -9,8 +9,10 @@ from dnls.dynamics import (
     BlowUpError,
     SchemeConfig,
     Trajectory,
+    duhamel_defect_first,
     duhamel_residual_first,
     duhamel_residual_second,
+    energy_gradient,
     g_site,
     integrate,
     p_site,
@@ -400,6 +402,27 @@ class TestDuhamel:
         r_coarse = duhamel_residual_second(coarse, pot, 0.0, (1,), 1.0)
         r_fine = duhamel_residual_second(fine, pot, 0.0, (1,), 1.0)
         assert r_coarse / r_fine >= 4.0
+
+    @pytest.mark.parametrize("d, L, t_end", [(1, 64, 0.3), (2, 10, 0.1)])
+    def test_first_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end):
+        # 301 snapshots of 129 sites, or 101 of 441, span several stacked blocks
+        shape = LatticeShape(d, L)
+        pot = standard_laplacian(d)
+        cfg = SchemeConfig(scheme="strang", dt=1e-3, t_end=t_end, snapshot_stride=1, lam=1.0)
+        traj = integrate(random_field(shape, 18, scale=0.7), pot, cfg)
+        for x in [(0,) * d, (L,) + (-3,) * (d - 1)]:
+            idx = shape.index(x)
+            m = len(traj) - 1
+            weights = np.ones(m + 1)
+            weights[1:-1:2] = 4.0
+            weights[2:-1:2] = 2.0
+            weights = weights * (traj.spacing / 3.0)
+            samples = np.array([energy_gradient(s, pot, 1.0)[idx] for s in traj.snapshots])
+            increment = traj.final.values[idx] - traj.snapshots[0].values[idx]
+            expected = complex(increment + 1j * np.sum(weights * samples))
+            got = duhamel_defect_first(traj, pot, 1.0, x, float(traj.times[-1]))
+            assert np.array([got]).view(np.uint64).tolist() == \
+                np.array([expected]).view(np.uint64).tolist()
 
     def test_first_residual_strang_run(self):
         shape = LatticeShape(1, 32)

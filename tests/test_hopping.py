@@ -10,11 +10,13 @@ from dnls.hopping import (
     clipped_offsets,
     convolve,
     convolve_fourier,
+    convolve_values,
     dispersion,
     load_potential,
     nearest_neighbor_laplacian,
     save_potential,
     standard_laplacian,
+    stencil,
     validate,
     zero_potential,
 )
@@ -228,3 +230,41 @@ class TestClippedOffsets:
 
     def test_zero_potential(self):
         assert clipped_offsets(zero_potential(1), LatticeShape(1, 3)) == []
+
+
+def roll_convolve(pot, shape, values):
+    """The box-restricted stencil written with np.roll, one shifted copy per
+    offset in clipped_offsets order; a bit-level oracle for convolve_values."""
+    axes = tuple(range(shape.d))
+    out = np.zeros(shape.dims, dtype=np.complex128)
+    for offset, coeff in clipped_offsets(pot, shape):
+        out += coeff * np.roll(values, shift=offset, axis=axes)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestStencil:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 4), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_roll_and_slicewise_on_stacks(self, d, kernel_range, L, zero, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros((2 * kernel_range + 1,) * d)
+        if not zero:
+            coeffs = rng.standard_normal(coeffs.shape) * (rng.random(coeffs.shape) < 0.7)
+            coeffs = 0.5 * (coeffs + coeffs[(slice(None, None, -1),) * d])
+        pot = HoppingPotential(d=d, range=kernel_range, coeffs=coeffs)
+        shape = LatticeShape(d, L)
+        values = rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims)
+        values[rng.random(shape.dims) < 0.2] = 0.0
+        assert same_bits(convolve_values(pot, shape, values), roll_convolve(pot, shape, values))
+
+        apply = stencil(pot, shape)
+        stack = np.stack([values, 2.0 * values - 1j, np.conj(values)])
+        out = apply(stack)
+        assert out.shape == stack.shape
+        for layer, row in zip(stack, out):
+            assert same_bits(row, apply(layer))

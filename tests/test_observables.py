@@ -316,6 +316,50 @@ class TestWeightedBoundCheck:
         assert rep.passed
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _strang_run(d, L, seed, t_end=0.5):
+    shape = LatticeShape(d, L)
+    pot = standard_laplacian(d)
+    cfg = SchemeConfig(scheme="strang", dt=1e-2, t_end=t_end, snapshot_stride=1, lam=1.0)
+    return pot, integrate(random_field(shape, seed), pot, cfg)
+
+
+class TestPerSnapshotReference:
+    """Report-level loops agree bit for bit with the per-snapshot observables."""
+
+    @pytest.mark.parametrize("d, L, x", [(1, 16, (3,)), (2, 6, (0, 0)), (2, 6, (-2, 5))])
+    def test_growth_report_bits(self, d, L, x):
+        pot, traj = _strang_run(d, L, 21)
+        rep = growth_bound_report(traj, pot, 0.1, x, c_const=2.0)
+        q = np.array([local_density(s, 0.1, x) for s in traj.snapshots])
+        ratios = q / (np.exp(growth_rate_bound(pot, 0.1, 2.0) * traj.times) * q[0])
+        positive = traj.times > 0
+        fitted = float(np.max(np.log(q[positive] / q[0]) / traj.times[positive]))
+        assert _bits(rep.ratios) == _bits(ratios)
+        assert _bits(rep.fitted_rate) == _bits(fitted)
+
+    @pytest.mark.parametrize("d, L", [(1, 16), (2, 6)])
+    def test_series_rows_bits(self, d, L):
+        pot, traj = _strang_run(d, L, 22)
+        locs = [LocalizationParams(eps=0.1, center=(0,) * d),
+                LocalizationParams(eps=0.2, center=(L,) + (-1,) * (d - 1))]
+        header, rows = observable_series(traj, pot, 1.0, locs, 2.0)
+        reports = [growth_bound_report(traj, pot, loc.eps, loc.center, 2.0) for loc in locs]
+        expected = []
+        for j, s in enumerate(traj.snapshots):
+            row = [float(traj.times[j]), particle_number(s), hamiltonian(s, pot, 1.0)]
+            for loc, rep in zip(locs, reports):
+                row += [local_particle_number(s, loc.eps, loc.center),
+                        local_density(s, loc.eps, loc.center),
+                        weighted_flux(s, pot, loc.eps, loc.center), float(rep.ratios[j])]
+            expected.append(row)
+        assert len(header) == len(rows[0]) == 3 + 4 * len(locs)
+        assert _bits(rows) == _bits(expected)
+
+
 class TestSeries:
     def test_header_and_rows(self):
         shape = LatticeShape(1, 6)
