@@ -85,6 +85,17 @@ REFERENCE_RUNS = (
         "dynamics.t_end": 0.03, "dynamics.stride": 1, "observables.eps": 0.2,
         "observables.centers": [[0, 0, 0], [5, -3, 16]],
     }) for scheme in ("strang", "rk4")),
+    # the bound prefactor in d=3, and the Metropolis neighbour table in d=2
+    ("bound-check-d3", "bound-check", {
+        "lattice.d": 3, "lattice.L": 3, "dynamics.dt": 0.01, "dynamics.t_end": 0.1,
+        "dynamics.stride": 5, "observables.eps": 0.1,
+        "observables.weight": {"kind": "power", "parameter": 1.5},
+    }),
+    ("sample-gibbs-d2", "sample-gibbs", {
+        "lattice.d": 2, "lattice.L": 2, "kernel.type": "nearest-neighbor",
+        "sampling.n_samples": 6, "sampling.burn_in": 10, "sampling.thinning": 2,
+        "sampling.proposal_sigma": 0.7,
+    }),
 )
 
 SEED = 7

@@ -23,10 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil, validate
+from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
 from .lattice import FieldL, LatticeShape
 
-Observer = Callable[[float, FieldL], None]
 Stepper = Callable[[np.ndarray], np.ndarray]
 
 SCHEMES = ("strang", "rk4")
@@ -136,7 +135,6 @@ def _second_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
 
 
 def _checked_stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
-    validate(pot)
     require_fits(pot, shape)
     return stencil(pot, shape)
 
@@ -220,15 +218,9 @@ def step_rk4(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> Fie
     return FieldL(field.shape, _rk4_stepper(pot, field.shape, lam, dt)(field.values))
 
 
-def integrate(
-    field0: FieldL,
-    pot: HoppingPotential,
-    config: SchemeConfig,
-    observers: Sequence[Observer] = (),
-) -> Trajectory:
+def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Trajectory:
     """Advance field0 to t_end, snapshotting every stride steps.
 
-    Observers are called with (t, field) at t=0 and after every step.
     A non-finite value aborts the run with the offending time stamp.
     """
     shape = field0.shape
@@ -239,24 +231,16 @@ def integrate(
 
     snapshots = [field0]
     times = [0.0]
-    for obs in observers:
-        obs(0.0, field0)
-
     values = field0.values
-    current: FieldL = field0
     for step in range(1, steps + 1):
         values = advance(values)
         t = step * dt
         if not np.isfinite(values).all():
             raise BlowUpError(time=t, step=step)
-        need_field = bool(observers) or step % config.snapshot_stride == 0
-        if need_field:
-            current = FieldL(shape, values)
-            values = current.values
-        for obs in observers:
-            obs(t, current)
         if step % config.snapshot_stride == 0:
-            snapshots.append(current)
+            # every step returns a fresh array; frozen, FieldL stores it uncopied
+            values.setflags(write=False)
+            snapshots.append(FieldL(shape, values))
             times.append(t)
 
     return Trajectory(
@@ -297,19 +281,20 @@ def _duhamel_terms(traj: Trajectory, x: Sequence[int], t: float, integrand):
     return increment, np.sum(weights * integrand(m, idx))
 
 
-def _gradients_at(traj: Trajectory, pot: HoppingPotential, lam: float, m: int, idx) -> np.ndarray:
-    """energy_gradient of snapshots 0..m at the array index idx.
+def _stacked_at(traj: Trajectory, apply: Stencil, lam: float, values_of, m: int,
+                idx) -> np.ndarray:
+    """values_of(apply, lam, .) of snapshots 0..m at the array index idx;
+    values_of is _gradient_values or _second_values.
 
     Snapshots are stacked in blocks of about _STACK_SITES sites, each block
-    convolved by one stencil call.
+    evaluated by one call.
     """
-    apply = _checked_stencil(pot, traj.shape)
     block = max(1, _STACK_SITES // traj.shape.volume)
     at = (slice(None), *idx)
     out = np.empty(m + 1, dtype=np.complex128)
     for j in range(0, m + 1, block):
         stack = np.stack([s.values for s in traj.snapshots[j:min(j + block, m + 1)]])
-        out[j:j + len(stack)] = _gradient_values(apply, lam, stack)[at]
+        out[j:j + len(stack)] = values_of(apply, lam, stack)[at]
     return out
 
 
@@ -321,7 +306,10 @@ def duhamel_defect_first(
     t: float,
 ) -> complex:
     """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed."""
-    terms = _duhamel_terms(traj, x, t, lambda m, idx: _gradients_at(traj, pot, lam, m, idx))
+    apply = _checked_stencil(pot, traj.shape)
+    terms = _duhamel_terms(
+        traj, x, t, lambda m, idx: _stacked_at(traj, apply, lam, _gradient_values, m, idx)
+    )
     if terms is None:
         return 0.0j
     increment, integral = terms
@@ -347,16 +335,16 @@ def duhamel_defect_second(
     t: float,
 ) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds."""
+    apply = _checked_stencil(pot, traj.shape)
+
     def integrand(m: int, idx) -> np.ndarray:
-        apply = _checked_stencil(pot, traj.shape)
-        return np.array([(t - traj.times[j]) * _second_values(apply, lam, s.values)[idx]
-                         for j, s in enumerate(traj.snapshots[:m + 1])])
+        return (t - traj.times[:m + 1]) * _stacked_at(traj, apply, lam, _second_values, m, idx)
 
     terms = _duhamel_terms(traj, x, t, integrand)
     if terms is None:
         return 0.0j
     increment, integral = terms
-    g0 = energy_gradient(traj.snapshots[0], pot, lam)[traj.shape.index(x)]
+    g0 = _gradient_values(apply, lam, traj.snapshots[0].values)[traj.shape.index(x)]
     return complex(increment + 1j * t * g0 - integral)
 
 

@@ -4,7 +4,9 @@ A hopping potential couples each site to sites within sup-norm distance
 `range` of it and plays the role of the Laplacian.  On a periodic box it
 acts by wrapped convolution; because the kernel is real and even, the
 action diagonalizes over Fourier modes with a real dispersion relation,
-which the split-step integrator uses.
+which the split-step integrator uses.  A HoppingPotential is finite and
+even by construction: the constructor raises KernelError otherwise, and
+fixes the row-major nonzero offsets once, so no caller checks it again.
 
 In position space the kernel acts through one stencil, resolved once per
 (kernel, box) by `stencil`: the box-restricted offsets and coefficients are
@@ -15,7 +17,7 @@ argument, so a stack of fields of shape (n, *dims) is convolved in one call.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
@@ -32,14 +34,18 @@ class KernelError(ValueError):
 
 @dataclass(frozen=True)
 class HoppingPotential:
-    """Real kernel on offsets [-range, range]^d, zero implicitly outside.
+    """Real, finite, even kernel on offsets [-range, range]^d, zero outside.
 
-    coeffs is indexed by offset + range along each axis.
+    coeffs is indexed by offset + range along each axis.  Construction
+    raises KernelError for a non-finite or asymmetric kernel.
     """
 
     d: int
     range: int
     coeffs: np.ndarray
+    _offsets: tuple[tuple[Site, float], ...] = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -53,7 +59,14 @@ class HoppingPotential:
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
+        if not np.isfinite(arr).all():
+            raise KernelError("kernel has non-finite coefficients")
+        if not np.array_equal(arr, arr[(slice(None, None, -1),) * self.d]):
+            raise KernelError("kernel is not symmetric under offset negation")
+        idx = np.argwhere(arr != 0.0)
+        offsets = zip((idx - self.range).tolist(), arr[tuple(idx.T)].tolist())
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_offsets", tuple((tuple(o), c) for o, c in offsets))
 
     def at(self, offset: Site) -> float:
         """Kernel value at an offset, zero outside the declared range."""
@@ -68,9 +81,7 @@ class HoppingPotential:
 
     def nonzero_offsets(self) -> list[tuple[Site, float]]:
         """(offset, coefficient) pairs in a fixed row-major order."""
-        idx = np.argwhere(self.coeffs != 0.0)
-        coeffs = self.coeffs[tuple(idx.T)].tolist()
-        return [(tuple(offset), c) for offset, c in zip((idx - self.range).tolist(), coeffs)]
+        return list(self._offsets)
 
     def fingerprint(self) -> str:
         """Stable content hash, used in run manifests."""
@@ -114,15 +125,6 @@ def zero_potential(d: int, range: int = 1) -> HoppingPotential:
     return HoppingPotential(d=d, range=range, coeffs=np.zeros((2 * range + 1,) * d))
 
 
-def validate(pot: HoppingPotential) -> None:
-    """Raise KernelError unless the kernel is finite and even."""
-    if not np.isfinite(pot.coeffs).all():
-        raise KernelError("kernel has non-finite coefficients")
-    flipped = pot.coeffs[(slice(None, None, -1),) * pot.d]
-    if not np.array_equal(pot.coeffs, flipped):
-        raise KernelError("kernel is not symmetric under offset negation")
-
-
 def require_fits(pot: HoppingPotential, shape: LatticeShape) -> None:
     if pot.d != shape.d:
         raise KernelError(f"kernel dimension {pot.d} != lattice dimension {shape.d}")
@@ -134,7 +136,6 @@ def require_fits(pot: HoppingPotential, shape: LatticeShape) -> None:
 
 def convolve(pot: HoppingPotential, field: FieldL) -> FieldL:
     """Wrapped convolution: out(x) = sum_y alpha(x - y) field(y)."""
-    validate(pot)
     require_fits(pot, field.shape)
     return FieldL(field.shape, convolve_values(pot, field.shape, field.values))
 
@@ -222,7 +223,6 @@ class Dispersion:
 
 def dispersion(pot: HoppingPotential, shape: LatticeShape) -> Dispersion:
     """omega(k) = sum_y alpha(y) cos(2 pi k.y / side); real by symmetry."""
-    validate(pot)
     require_fits(pot, shape)
     side = shape.side
     mode_grids = np.meshgrid(*(np.arange(side),) * shape.d, indexing="ij", sparse=True)
@@ -266,7 +266,8 @@ def save_potential(pot: HoppingPotential, path) -> None:
 
 
 def load_potential(path) -> HoppingPotential:
-    """Load a kernel file; omitted offsets are zero; symmetry is enforced."""
+    """Load a kernel file; omitted offsets are zero; the constructor enforces
+    finiteness and symmetry."""
     with open(path, "r") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -283,9 +284,7 @@ def load_potential(path) -> HoppingPotential:
             if any(abs(c) > rng for c in offset):
                 raise KernelError(f"offset {offset} outside declared range {rng}")
             coeffs[tuple(c + rng for c in offset)] = float(parts[d])
-    pot = HoppingPotential(d=d, range=rng, coeffs=coeffs)
-    validate(pot)
-    return pot
+    return HoppingPotential(d=d, range=rng, coeffs=coeffs)
 
 
 def wrapped_difference(shape: LatticeShape, x: Site, y: Site) -> Site:

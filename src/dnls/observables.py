@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .hopping import HoppingPotential, convolve_values, require_fits, stencil, validate
+from .hopping import HoppingPotential, convolve_values, require_fits, stencil
 from .lattice import (
     FieldL,
     InitialDataGenerator,
@@ -87,7 +87,6 @@ def hamiltonian(field: FieldL, pot: HoppingPotential, lam: float) -> float:
     kernel restricted to box representatives (the periodic kernel is the
     plain kernel precomposed with the embedding, never folded).
     """
-    validate(pot)
     psi = field.values
     return _energy(psi, convolve_values(pot, field.shape, psi), lam)
 
@@ -136,7 +135,6 @@ def particle_flux_field(field: FieldL, pot: HoppingPotential) -> np.ndarray:
     Computed as 2 Im(conj(psi) * (alpha * psi)); exactly real by
     construction, and it sums to zero over the box.
     """
-    validate(pot)
     require_fits(pot, field.shape)
     return _flux(field.values, convolve_values(pot, field.shape, field.values))
 
@@ -169,7 +167,6 @@ def weighted_flux(
     weight = _local_weight(shape, eps, x)
     if form == "direct":
         return float(np.sum(weight * particle_flux_field(field, pot)))
-    validate(pot)
     require_fits(pot, shape)
     psi = field.values
     axes = tuple(range(shape.d))
@@ -278,12 +275,18 @@ def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) 
     """sup_x sum_y exp(-(eps/2) dist(x,y)) Phi(x)/Phi(y) over the box."""
     if not (eps > 0):
         raise ValueError(f"eps must be > 0, got {eps}")
+    side = shape.side
     phi = _weight_grid(shape, spec)
+    # exp(-(eps/2) dist(x, y)) depends on y - x only: site x reads it as the
+    # window of the origin's grid, tiled twice per axis, starting at L - x
+    origin = torus_distance_grid(shape, (0,) * shape.d)
+    tiled = np.tile(np.exp(-0.5 * eps * origin), (2,) * shape.d)
     best = 0.0
-    for site in shape.sites():
-        dist = torus_distance_grid(shape, site)
-        total = float(np.sum(np.exp(-0.5 * eps * dist) / phi))
-        best = max(best, total * float(phi[shape.index(site)]))
+    for idx in np.ndindex(shape.dims):
+        starts = [(shape.L - i) % side for i in idx]
+        window = tiled[tuple(slice(s, s + side) for s in starts)]
+        total = float(np.sum(window / phi))
+        best = max(best, total * float(phi[idx]))
     return best
 
 
@@ -311,7 +314,8 @@ def weighted_bound_check(
     """
     eps_tilde = growth_rate_bound(pot, eps, c_const)
     prefactor = weighted_bound_prefactor(traj.shape, eps, spec)
-    norms = np.array([weighted_norm(s, spec) for s in traj.snapshots])
+    phi = _weight_grid(traj.shape, spec)
+    norms = np.array([float(np.max(phi * np.abs(s.values))) for s in traj.snapshots])
     ratios, passed = _bound_ratios(norms, traj.times, eps_tilde, prefactor, "weighted norm")
     return WeightedBoundReport(
         eps=eps, spec=spec, eps_tilde=eps_tilde, prefactor=prefactor,
@@ -328,7 +332,6 @@ def observable_series(
 ) -> tuple[list[str], list[list[float]]]:
     """Rows (t, N, H, then per localization: N_eps, Q_eps, M_eps, bound_ratio)."""
     shape = traj.shape
-    validate(pot)
     if localizations:
         require_fits(pot, shape)
     apply = stencil(pot, shape)

@@ -71,6 +71,18 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
+    def test_asymmetric_kernel_file_exit_2(self, tmp_path, capsys):
+        kernel = tmp_path / "kernel.txt"
+        kernel.write_text("1 1\n0 1.0\n1 -0.5\n-1 -0.25\n")
+        code = run_cli(
+            "--experiment", "simulate", "--out", str(tmp_path / "r"), "--kernel.file", str(kernel),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "not symmetric" in err
+        assert not (tmp_path / "r").exists()
+
     def test_file_initial_without_path_exit_2(self, tmp_path, capsys):
         code = run_cli(
             "--experiment", "simulate", "--out", str(tmp_path / "r"), "--initial.type", "file",

@@ -10,6 +10,7 @@ from dnls.dynamics import (
     SchemeConfig,
     Trajectory,
     duhamel_defect_first,
+    duhamel_defect_second,
     duhamel_residual_first,
     duhamel_residual_second,
     energy_gradient,
@@ -29,6 +30,14 @@ from dnls.hopping import (
 )
 from dnls.lattice import FieldL, LatticeShape, point_source, truncate
 from dnls.observables import hamiltonian, particle_number
+
+
+def _simpson_weights(m, spacing):
+    """Composite Simpson weights over m (even) intervals."""
+    weights = np.ones(m + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return weights * (spacing / 3.0)
 
 
 def naive_second_derivative(field, pot, lam, x):
@@ -237,13 +246,6 @@ class TestIntegrate:
         exact = dense_propagator(pot, shape, 1.0) @ f.values
         assert np.max(np.abs(traj.final.values - exact)) <= 1e-8
 
-    def test_observers_called_per_step(self):
-        f = random_field(LatticeShape(1, 3), 7)
-        seen = []
-        cfg = SchemeConfig(dt=0.1, t_end=0.5, snapshot_stride=5)
-        integrate(f, standard_laplacian(1), cfg, observers=[lambda t, field: seen.append(t)])
-        assert seen == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_raises_with_time(self):
         shape = LatticeShape(1, 4)
@@ -413,14 +415,32 @@ class TestDuhamel:
         for x in [(0,) * d, (L,) + (-3,) * (d - 1)]:
             idx = shape.index(x)
             m = len(traj) - 1
-            weights = np.ones(m + 1)
-            weights[1:-1:2] = 4.0
-            weights[2:-1:2] = 2.0
-            weights = weights * (traj.spacing / 3.0)
+            weights = _simpson_weights(m, traj.spacing)
             samples = np.array([energy_gradient(s, pot, 1.0)[idx] for s in traj.snapshots])
             increment = traj.final.values[idx] - traj.snapshots[0].values[idx]
             expected = complex(increment + 1j * np.sum(weights * samples))
             got = duhamel_defect_first(traj, pot, 1.0, x, float(traj.times[-1]))
+            assert np.array([got]).view(np.uint64).tolist() == \
+                np.array([expected]).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("d, L, t_end", [(1, 64, 0.3), (2, 10, 0.1)])
+    def test_second_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end):
+        # the per-snapshot loop over second_time_derivative as a reference;
+        # both times give an even interval count (Simpson) and three blocks
+        shape = LatticeShape(d, L)
+        pot = standard_laplacian(d)
+        cfg = SchemeConfig(scheme="rk4", dt=1e-3, t_end=t_end, snapshot_stride=1, lam=1.0)
+        traj = integrate(random_field(shape, 19, scale=0.7), pot, cfg)
+        for x, m in [((0,) * d, len(traj) - 1), ((L,) + (-3,) * (d - 1), len(traj) - 3)]:
+            t = float(traj.times[m])
+            idx = shape.index(x)
+            weights = _simpson_weights(m, traj.spacing)
+            samples = np.array([(t - traj.times[j]) * second_time_derivative(s, pot, 1.0)[idx]
+                                for j, s in enumerate(traj.snapshots[:m + 1])])
+            increment = traj.snapshots[m].values[idx] - traj.snapshots[0].values[idx]
+            g0 = energy_gradient(traj.snapshots[0], pot, 1.0)[idx]
+            expected = complex(increment + 1j * t * g0 - np.sum(weights * samples))
+            got = duhamel_defect_second(traj, pot, 1.0, x, t)
             assert np.array([got]).view(np.uint64).tolist() == \
                 np.array([expected]).view(np.uint64).tolist()
 

@@ -17,7 +17,6 @@ from dnls.hopping import (
     save_potential,
     standard_laplacian,
     stencil,
-    validate,
     zero_potential,
 )
 from dnls.lattice import FieldL, LatticeShape, point_source, truncate
@@ -63,23 +62,44 @@ class TestConstructors:
 
 
 class TestValidate:
+    """A kernel is checked once, when it is built."""
+
     def test_standard_ok(self):
-        validate(standard_laplacian(1))
+        pot = standard_laplacian(1)
+        assert pot.nonzero_offsets() == [((-1,), -0.5), ((0,), 1.0), ((1,), -0.5)]
 
     def test_asymmetric_rejected(self):
-        pot = HoppingPotential(d=1, range=1, coeffs=np.array([0.0, 0.5, 1.0]))
-        with pytest.raises(KernelError):
-            validate(pot)
+        with pytest.raises(KernelError, match="not symmetric"):
+            HoppingPotential(d=1, range=1, coeffs=np.array([0.0, 0.5, 1.0]))
 
     def test_nan_rejected(self):
-        pot = HoppingPotential(d=1, range=1, coeffs=np.array([np.nan, 1.0, np.nan]))
-        with pytest.raises(KernelError):
-            validate(pot)
+        with pytest.raises(KernelError, match="non-finite"):
+            HoppingPotential(d=1, range=1, coeffs=np.array([np.nan, 1.0, np.nan]))
 
     def test_convolve_requires_valid_kernel(self):
-        pot = HoppingPotential(d=1, range=1, coeffs=np.array([0.0, 0.5, 1.0]))
+        # an asymmetric kernel cannot be built, so it never reaches convolve
         with pytest.raises(KernelError):
-            convolve(pot, FieldL.zero(LatticeShape(1, 3)))
+            HoppingPotential(d=2, range=1, coeffs=np.arange(9.0).reshape(3, 3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_offsets_row_major(self, d, kernel_range, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(-2, 3, size=(2 * kernel_range + 1,) * d).astype(np.float64)
+        coeffs = raw + raw[(slice(None, None, -1),) * d]
+        pot = HoppingPotential(d=d, range=kernel_range, coeffs=coeffs)
+        expected = [
+            (tuple(i - kernel_range for i in idx), float(coeffs[idx]))
+            for idx in np.ndindex(coeffs.shape) if coeffs[idx] != 0.0
+        ]
+        assert pot.nonzero_offsets() == expected
+        pot.nonzero_offsets().clear()
+        assert pot.nonzero_offsets() == expected
+        assert "_offsets" not in repr(pot)
+
+    def test_fingerprint_unchanged(self):
+        # manifests record this hash; it depends on d, range and coeffs only
+        assert standard_laplacian(1).fingerprint() == "3e6c9ebbcb9cd315"
 
 
 class TestConvolve:

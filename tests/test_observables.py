@@ -6,7 +6,15 @@ import pytest
 from conftest import naive_hamiltonian, random_field
 from dnls.dynamics import SchemeConfig, Trajectory, integrate
 from dnls.hopping import standard_laplacian, zero_potential
-from dnls.lattice import FieldL, LatticeShape, hashed_noise_generator, point_source, truncate
+from dnls.lattice import (
+    FieldL,
+    LatticeShape,
+    bracket_grid,
+    hashed_noise_generator,
+    point_source,
+    torus_distance_grid,
+    truncate,
+)
 from dnls.observables import (
     LocalizationParams,
     UndefinedRatioError,
@@ -358,6 +366,40 @@ class TestPerSnapshotReference:
             expected.append(row)
         assert len(header) == len(rows[0]) == 3 + 4 * len(locs)
         assert _bits(rows) == _bits(expected)
+
+    @pytest.mark.parametrize("d, L", [(1, 16), (2, 6)])
+    @pytest.mark.parametrize("spec", [WeightSpec("power", 0.5), WeightSpec("exponential", 0.2)])
+    def test_weighted_bound_bits(self, d, L, spec):
+        pot, traj = _strang_run(d, L, 23)
+        rep = weighted_bound_check(traj, pot, 0.1, spec, c_const=2.0)
+        norms = np.array([weighted_norm(s, spec) for s in traj.snapshots])
+        rate = growth_rate_bound(pot, 0.1, 2.0)
+        ratios = norms / (np.exp(rate * traj.times) * rep.prefactor * norms[0])
+        assert _bits(rep.ratios) == _bits(ratios)
+
+
+def _reference_prefactor(shape, eps, spec):
+    """weighted_bound_prefactor as a per-site loop over torus distance grids."""
+    if spec.kind == "exponential":
+        phi = np.exp(-spec.parameter * torus_distance_grid(shape, (0,) * shape.d))
+    else:
+        phi = bracket_grid(shape) ** (-spec.parameter / 2.0)
+    best = 0.0
+    for site in shape.sites():
+        dist = torus_distance_grid(shape, site)
+        total = float(np.sum(np.exp(-0.5 * eps * dist) / phi))
+        best = max(best, total * float(phi[shape.index(site)]))
+    return best
+
+
+class TestPrefactorReference:
+    @pytest.mark.parametrize("d, L", [(1, 0), (1, 1), (1, 7), (2, 0), (2, 1), (2, 5), (3, 2)])
+    @pytest.mark.parametrize("spec", [WeightSpec("power", 1.0), WeightSpec("exponential", 0.3)])
+    @pytest.mark.parametrize("eps", [0.1, 0.45])
+    def test_bits(self, d, L, spec, eps):
+        shape = LatticeShape(d, L)
+        got = weighted_bound_prefactor(shape, eps, spec)
+        assert _bits(got) == _bits(_reference_prefactor(shape, eps, spec))
 
 
 class TestSeries:

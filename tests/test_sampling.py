@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dnls.hopping import standard_laplacian
+from dnls.hopping import clipped_offsets, nearest_neighbor_laplacian, standard_laplacian
 from dnls.lattice import FieldL, LatticeShape
 from dnls.sampling import (
     GaussianSpec,
@@ -21,6 +21,7 @@ from dnls.sampling import (
     tune_proposal_sigma,
     two_point_function,
     weighted_sup,
+    _neighbor_tables,
 )
 
 POT = standard_laplacian(1)
@@ -222,6 +223,24 @@ class TestGibbsChain:
             a.per_site_se**2 + b.per_site_se**2
         )
         assert (z <= 3.0).mean() >= 0.95
+
+
+class TestNeighborTables:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [0, 1, 2, 4])
+    @pytest.mark.parametrize("kernel", [standard_laplacian, nearest_neighbor_laplacian])
+    def test_matches_per_site_loop(self, d, L, kernel):
+        pot, shape = kernel(d), LatticeShape(d, L)
+        offsets = clipped_offsets(pot, shape)
+        side = shape.side
+        expected = np.empty((shape.volume, len(offsets)), dtype=np.int64)
+        for flat, coord in enumerate(np.ndindex(shape.dims)):
+            for j, (off, _) in enumerate(offsets):
+                target = tuple((c - o) % side for c, o in zip(coord, off))
+                expected[flat, j] = np.ravel_multi_index(target, shape.dims)
+        nbr, coeffs = _neighbor_tables(pot, shape)
+        assert nbr.dtype == np.int64 and np.array_equal(nbr, expected)
+        assert coeffs.tolist() == [c for _, c in offsets]
 
 
 class TestAcceptance:
