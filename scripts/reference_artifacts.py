@@ -96,6 +96,18 @@ REFERENCE_RUNS = (
         "sampling.n_samples": 6, "sampling.burn_in": 10, "sampling.thinning": 2,
         "sampling.proposal_sigma": 0.7,
     }),
+    # trajectories that span two blocks of stacked snapshots: 1001 of 17
+    # sites (963 per block), and 201 of 121 sites (135 per block) for the
+    # zero kernel's exact-solution check in d=2
+    ("bound-check-blocks", "bound-check", {
+        "lattice.L": 8, "dynamics.dt": 1e-3, "dynamics.t_end": 1.0, "dynamics.stride": 1,
+        "observables.eps": 0.1, "observables.centers": [[0], [-5]],
+        "observables.weight": {"kind": "exponential", "parameter": 0.2},
+    }),
+    ("conserve-zero-d2", "conserve", {
+        "lattice.d": 2, "lattice.L": 5, "kernel.type": "zero", "dynamics.dt": 0.01,
+        "dynamics.t_end": 2.0, "dynamics.stride": 1,
+    }),
 )
 
 SEED = 7

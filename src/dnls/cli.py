@@ -105,7 +105,7 @@ SCHEMA = {
     "kernel": {"type": "standard", "file": str, "range": 1},
     "initial": {"type": str, "seed": int, "sigma2": 1.0, "p": 0.0, "amplitude": 1.0,
                 "re": 1.0, "im": 0.0, "path": str},
-    "dynamics": {"scheme": "strang", "dt": 1e-3, "t_end": 1.0, "stride": 10, "lambda": 1.0},
+    "dynamics": {"scheme": str, "dt": 1e-3, "t_end": 1.0, "stride": 10, "lambda": 1.0},
     "observables": {"eps": float, "centers": [[int]], "c_const": 2.0,
                     "weight": {"kind": str, "parameter": float}},
     "conserve": {"n_tol": 1e-10, "h_tol": float, "onsite_tol": 1e-12},
@@ -153,9 +153,12 @@ def resolve(cfg: dict) -> dict:
     sections = {name: {} for name, spec in SCHEMA.items() if isinstance(spec, dict)}
     c = _value(SCHEMA, {**sections, **cfg}, "", fill=True)
     # defaults that depend on the experiment or on other keys
-    init, obs = c["initial"], c["observables"]
+    init, obs, dyn = c["initial"], c["observables"], c["dynamics"]
+    sweep = c["experiment"] == "sweep-L"
     if init["type"] is None:
-        init["type"] = "hashed" if c["experiment"] == "sweep-L" else "gaussian"
+        init["type"] = "hashed" if sweep else "gaussian"
+    if dyn["scheme"] is None:
+        dyn["scheme"] = "rk4" if sweep else "strang"
     if init["seed"] is None:
         init["seed"] = c["seed"]
     if obs["centers"] is None:
@@ -354,10 +357,11 @@ def run_conserve(c: dict, writer: RunWriter) -> tuple[dict, dict]:
                "kernel": pot.fingerprint()}
     if np.all(pot.coeffs == 0.0):
         err = 0.0
-        base = np.abs(field0.values) ** 2
-        for t, snap in zip(traj.times, traj.snapshots):
-            exact = np.exp(-1j * scheme.lam * base * t) * field0.values
-            err = max(err, float(np.max(np.abs(snap.values - exact))))
+        rate = -1j * scheme.lam * np.abs(field0.values) ** 2
+        for j, block in traj.blocks():
+            t = np.expand_dims(traj.times[j:j + len(block)], traj.shape.site_axes)
+            exact = np.exp(rate * t) * field0.values
+            err = max(err, float(np.max(np.abs(block - exact))))
         checks["onsite_exact_solution"] = err <= cons["onsite_tol"]
         summary["onsite_error"] = err
     return summary, checks

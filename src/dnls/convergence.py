@@ -10,18 +10,18 @@ a threshold the disagreement drops below 2^-L.
 Sites are identified across lattices by their literal coordinates; the
 observation window is contained in both boxes as-is.
 
-Sweeps default to the RK4/stencil scheme: its arithmetic at a window site
-is a pure function of values in the site's dependency cone, so the only
-source of disagreement is the genuine boundary signal.  An FFT-based step
-mixes rounding noise from the whole box into every site, which floors the
-measurable decay near 1e-14.
+The CLI's sweep-L defaults to the RK4/stencil scheme: its arithmetic at a
+window site is a pure function of values in the site's dependency cone, so
+the only source of disagreement is the genuine boundary signal.  An
+FFT-based step mixes rounding noise from the whole box into every site,
+which floors the measurable decay near 1e-14.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,11 +47,13 @@ def _window_slices(shape: LatticeShape, k: int) -> tuple[slice, ...]:
     return (slice(shape.L - k, shape.L + k + 1),) * shape.d
 
 
-def _sup_over_time(m: int, difference: Callable[[int], np.ndarray]) -> float:
-    """max over snapshots j <= m, and over entries, of |difference(j)|."""
+def _sup_difference(a: Trajectory, a_at: tuple, b: np.ndarray, b_at: tuple, m: int) -> float:
+    """max over snapshots j <= m, and over entries, of |a_j[a_at] - b[j][b_at]|,
+    for a snapshot stack b on a's time grid; one reduction per block of a."""
     best = 0.0
-    for j in range(m + 1):
-        best = max(best, float(np.max(np.abs(difference(j)))))
+    for j, block in a.blocks(m + 1):
+        diff = block[(slice(None), *a_at)] - b[(slice(j, j + len(block)), *b_at)]
+        best = max(best, float(np.max(np.abs(diff))))
     return best
 
 
@@ -65,10 +67,8 @@ def pointwise_disagreement(
     _require_nested(traj_big, traj_small)
     site = traj_small.shape.require_site(x)
     m = traj_small.time_index(t)
-    big_idx = traj_big.shape.index(site)
-    small_idx = traj_small.shape.index(site)
-    return _sup_over_time(m, lambda j: traj_big.snapshots[j].values[big_idx]
-                          - traj_small.snapshots[j].values[small_idx])
+    return _sup_difference(traj_big, traj_big.shape.index(site), traj_small.values,
+                           traj_small.shape.index(site), m)
 
 
 def window_disagreement(
@@ -82,15 +82,14 @@ def window_disagreement(
     big_sl = _window_slices(traj_big.shape, k)
     small_sl = _window_slices(traj_small.shape, k)
     m = traj_small.time_index(t)
-    return _sup_over_time(m, lambda j: traj_big.snapshots[j].values[big_sl]
-                          - traj_small.snapshots[j].values[small_sl])
+    return _sup_difference(traj_big, big_sl, traj_small.values, small_sl, m)
 
 
 def drift(traj: Trajectory, t: float) -> float:
     """max over grid s <= t and sites of |psi_s(x) - psi_0(x)|."""
     m = traj.time_index(t)
-    base = traj.snapshots[0].values
-    return _sup_over_time(m, lambda j: traj.snapshots[j].values - base)
+    base = np.broadcast_to(traj.values[0], traj.values.shape)
+    return _sup_difference(traj, (), base, (), m)
 
 
 def scheme_disagreement(
@@ -108,7 +107,7 @@ def scheme_disagreement(
     if traj_a.shape != traj_b.shape:
         raise ValueError("trajectories live on different lattices")
     _require_common_grid(traj_a, traj_b)
-    if not np.array_equal(traj_a.snapshots[0].values, traj_b.snapshots[0].values):
+    if not np.array_equal(traj_a.values[0], traj_b.values[0]):
         raise ValueError("trajectories start from different fields")
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
@@ -116,8 +115,7 @@ def scheme_disagreement(
         t = float(traj_a.times[-1])
     sl = _window_slices(traj_a.shape, min(2 * n * ell, traj_a.shape.L))
     m = traj_a.time_index(t)
-    return _sup_over_time(m, lambda j: traj_a.snapshots[j].values[sl]
-                          - traj_b.snapshots[j].values[sl])
+    return _sup_difference(traj_a, sl, traj_b.values, sl, m)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ on the periodic box.  Two one-step methods are provided:
 * Classical RK4 on the raw right-hand side, kept as a structurally
   independent scheme for cross-validation of uniqueness.
 
+`integrate` writes the snapshots into one read-only array (n, *dims) of a
+Trajectory; every computation over them runs on `Trajectory.blocks` of
+about 2^14 sites, so its temporaries stay small whatever n is.
+
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation; they mix
 quadrature error (order 4 in the snapshot spacing, composite Simpson) with
@@ -18,21 +22,21 @@ the scheme's own defect, and refinement studies separate the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
-from .lattice import FieldL, LatticeShape
+from .lattice import DataError, FieldL, LatticeShape, read_only
 
 Stepper = Callable[[np.ndarray], np.ndarray]
 
 SCHEMES = ("strang", "rk4")
 
-# sites per block of stacked snapshots (256 KiB of complex values) when a
-# Duhamel integrand is evaluated over a trajectory; bounds the extra memory
-# whatever the trajectory length
+# sites per block of Trajectory.blocks (256 KiB of complex values); bounds
+# the temporaries of a computation over all snapshots, whatever their count
 _STACK_SITES = 1 << 14
 
 
@@ -76,11 +80,12 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run on the uniform grid t_j = j * dt * stride."""
+    """Snapshots of one run on the uniform grid t_j = j * dt * stride; snapshot
+    j is values[j], one read-only array (len(times), *dims) checked here once."""
 
     shape: LatticeShape
     times: np.ndarray
-    snapshots: tuple[FieldL, ...]
+    values: np.ndarray
     dt: float
     stride: int
     scheme: str
@@ -88,17 +93,21 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
-        if len(times) != len(self.snapshots) or len(times) == 0:
-            raise ValueError("times and snapshots must align and be nonempty")
+        values = np.asarray(self.values, dtype=np.complex128)
+        if times.ndim != 1 or len(times) == 0:
+            raise DataError("snapshot times must be a nonempty 1-d array")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
-        if any(s.shape != self.shape for s in self.snapshots):
-            raise ValueError("all snapshots must share the trajectory's shape")
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
+            raise DataError("snapshot times must be strictly increasing")
+        expected = (len(times), *self.shape.dims)
+        if values.shape != expected:
+            raise DataError(f"expected snapshots of shape {expected}, got {values.shape}")
+        object.__setattr__(self, "times", read_only(times))
+        object.__setattr__(self, "values", read_only(values))
+        if not all(np.isfinite(block).all() for _, block in self.blocks()):
+            raise DataError("snapshots contain non-finite values")
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.times)
 
     @property
     def spacing(self) -> float:
@@ -111,9 +120,25 @@ class Trajectory:
             raise ValueError(f"t={t} is not on the snapshot grid")
         return idx
 
+    def blocks(self, count: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(j, values[j:j+b]) over the first count snapshots (default all),
+        b snapshots of about _STACK_SITES sites in all."""
+        count = len(self) if count is None else count
+        b = max(1, _STACK_SITES // self.shape.volume)
+        for j in range(0, count, b):
+            yield j, self.values[j:min(j + b, count)]
+
+    @cached_property
+    def snapshots(self) -> tuple[FieldL, ...]:
+        """Every snapshot as a FieldL over its row of values."""
+        return tuple(FieldL(self.shape, row) for row in self.values)
+
     @property
     def final(self) -> FieldL:
-        return self.snapshots[-1]
+        # a copy: a view of the last row would keep the whole stack alive
+        row = self.values[-1].copy()
+        row.setflags(write=False)
+        return FieldL(self.shape, row)
 
 
 def _gradient_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
@@ -219,39 +244,29 @@ def step_rk4(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> Fie
 
 
 def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Trajectory:
-    """Advance field0 to t_end, snapshotting every stride steps.
+    """Advance field0 to t_end, writing every stride-th step into one buffer.
 
     A non-finite value aborts the run with the offending time stamp.
     """
-    shape = field0.shape
-    lam = config.lam
-    dt = config.dt
-    advance = _STEPPERS[config.scheme](pot, shape, lam, dt)
+    shape, dt, stride = field0.shape, config.dt, config.snapshot_stride
+    advance = _STEPPERS[config.scheme](pot, shape, config.lam, dt)
     steps = config.n_steps()
-
-    snapshots = [field0]
-    times = [0.0]
-    values = field0.values
+    times = np.arange(0, steps + 1, stride) * dt
+    values = np.empty((len(times), *shape.dims), dtype=np.complex128)
+    values[0] = psi = field0.values
     for step in range(1, steps + 1):
-        values = advance(values)
-        t = step * dt
-        if not np.isfinite(values).all():
-            raise BlowUpError(time=t, step=step)
-        if step % config.snapshot_stride == 0:
-            # every step returns a fresh array; frozen, FieldL stores it uncopied
-            values.setflags(write=False)
-            snapshots.append(FieldL(shape, values))
-            times.append(t)
-
-    return Trajectory(
-        shape=shape,
-        times=np.asarray(times),
-        snapshots=tuple(snapshots),
-        dt=dt,
-        stride=config.snapshot_stride,
-        scheme=config.scheme,
-        lam=lam,
-    )
+        psi = advance(psi)
+        if not np.isfinite(psi).all():
+            raise BlowUpError(time=step * dt, step=step)
+        if step % stride == 0:
+            # the next step reads the stored row, so the step's own array is
+            # freed and no snapshot is held twice
+            values[step // stride] = psi
+            psi = values[step // stride]
+    # frozen, the buffer is stored uncopied
+    values.setflags(write=False)
+    return Trajectory(shape=shape, times=times, values=values, dt=dt, stride=stride,
+                      scheme=config.scheme, lam=config.lam)
 
 
 def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
@@ -268,110 +283,64 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
     return w * spacing
 
 
-def _duhamel_terms(traj: Trajectory, x: Sequence[int], t: float, integrand):
-    """psi_t(x) - psi_0(x) and the Simpson integral over snapshots j <= m of
-    integrand(m, idx)[j], where t = t_m and idx is the array index of x;
-    None at t = 0."""
+def _duhamel_terms(traj: Trajectory, apply: Stencil, lam: float, x: Sequence[int], t: float,
+                   values_of):
+    """psi_t(x) - psi_0(x), the quadrature weights over snapshots j <= m, where
+    t = t_m, and values_of(apply, lam, .) of those snapshots at x, one call per
+    block; values_of is _gradient_values or _second_values.  None at t = 0."""
     m = traj.time_index(t)
     idx = traj.shape.index(x)
     if m == 0:
         return None
-    weights = _quadrature_weights(m, traj.spacing)
-    increment = traj.snapshots[m].values[idx] - traj.snapshots[0].values[idx]
-    return increment, np.sum(weights * integrand(m, idx))
+    samples = np.empty(m + 1, dtype=np.complex128)
+    for j, block in traj.blocks(m + 1):
+        # copied out: a view would keep the whole evaluated block alive
+        samples[j:j + len(block)] = values_of(apply, lam, block)[(slice(None), *idx)]
+    increment = traj.values[(m, *idx)] - traj.values[(0, *idx)]
+    return increment, _quadrature_weights(m, traj.spacing), samples
 
 
-def _stacked_at(traj: Trajectory, apply: Stencil, lam: float, values_of, m: int,
-                idx) -> np.ndarray:
-    """values_of(apply, lam, .) of snapshots 0..m at the array index idx;
-    values_of is _gradient_values or _second_values.
-
-    Snapshots are stacked in blocks of about _STACK_SITES sites, each block
-    evaluated by one call.
-    """
-    block = max(1, _STACK_SITES // traj.shape.volume)
-    at = (slice(None), *idx)
-    out = np.empty(m + 1, dtype=np.complex128)
-    for j in range(0, m + 1, block):
-        stack = np.stack([s.values for s in traj.snapshots[j:min(j + block, m + 1)]])
-        out[j:j + len(stack)] = values_of(apply, lam, stack)[at]
-    return out
-
-
-def duhamel_defect_first(
-    traj: Trajectory,
-    pot: HoppingPotential,
-    lam: float,
-    x: Sequence[int],
-    t: float,
-) -> complex:
+def duhamel_defect_first(traj: Trajectory, pot: HoppingPotential, lam: float,
+                         x: Sequence[int], t: float) -> complex:
     """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed."""
-    apply = _checked_stencil(pot, traj.shape)
-    terms = _duhamel_terms(
-        traj, x, t, lambda m, idx: _stacked_at(traj, apply, lam, _gradient_values, m, idx)
-    )
+    terms = _duhamel_terms(traj, _checked_stencil(pot, traj.shape), lam, x, t, _gradient_values)
     if terms is None:
         return 0.0j
-    increment, integral = terms
-    return complex(increment + 1j * integral)
+    increment, weights, g = terms
+    return complex(increment + 1j * np.sum(weights * g))
 
 
-def duhamel_residual_first(
-    traj: Trajectory,
-    pot: HoppingPotential,
-    lam: float,
-    x: Sequence[int],
-    t: float,
-) -> float:
+def duhamel_residual_first(traj: Trajectory, pot: HoppingPotential, lam: float,
+                           x: Sequence[int], t: float) -> float:
     """| psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds |."""
     return abs(duhamel_defect_first(traj, pot, lam, x, t))
 
 
-def duhamel_defect_second(
-    traj: Trajectory,
-    pot: HoppingPotential,
-    lam: float,
-    x: Sequence[int],
-    t: float,
-) -> complex:
+def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
+                          x: Sequence[int], t: float) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds."""
     apply = _checked_stencil(pot, traj.shape)
-
-    def integrand(m: int, idx) -> np.ndarray:
-        return (t - traj.times[:m + 1]) * _stacked_at(traj, apply, lam, _second_values, m, idx)
-
-    terms = _duhamel_terms(traj, x, t, integrand)
+    terms = _duhamel_terms(traj, apply, lam, x, t, _second_values)
     if terms is None:
         return 0.0j
-    increment, integral = terms
-    g0 = _gradient_values(apply, lam, traj.snapshots[0].values)[traj.shape.index(x)]
-    return complex(increment + 1j * t * g0 - integral)
+    increment, weights, p = terms
+    g0 = _gradient_values(apply, lam, traj.values[0])[traj.shape.index(x)]
+    return complex(increment + 1j * t * g0 - np.sum(weights * ((t - traj.times[:len(p)]) * p)))
 
 
-def duhamel_residual_second(
-    traj: Trajectory,
-    pot: HoppingPotential,
-    lam: float,
-    x: Sequence[int],
-    t: float,
-) -> float:
+def duhamel_residual_second(traj: Trajectory, pot: HoppingPotential, lam: float,
+                            x: Sequence[int], t: float) -> float:
     """| psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds |."""
     return abs(duhamel_defect_second(traj, pot, lam, x, t))
 
 
 def subsample(traj: Trajectory, factor: int) -> Trajectory:
-    """Coarser snapshot view of the same run (every factor-th snapshot).
+    """Coarser snapshot view of the same run (every factor-th snapshot);
+    its times and values are views of traj's.
 
     Requires the snapshot count to cover t_end at the coarser spacing.
     """
     if factor < 1 or (len(traj) - 1) % factor != 0:
         raise ValueError(f"cannot subsample {len(traj)} snapshots by {factor}")
-    return Trajectory(
-        shape=traj.shape,
-        times=traj.times[::factor].copy(),
-        snapshots=traj.snapshots[::factor],
-        dt=traj.dt,
-        stride=traj.stride * factor,
-        scheme=traj.scheme,
-        lam=traj.lam,
-    )
+    return replace(traj, times=traj.times[::factor], values=traj.values[::factor],
+                   stride=traj.stride * factor)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import FieldL, LatticeShape, Site, wrap_coord
+from .lattice import FieldL, LatticeShape, Site, read_only, wrap_coord
 
 
 Stencil = Callable[[np.ndarray], np.ndarray]
@@ -56,9 +56,7 @@ class HoppingPotential:
         expected = (2 * self.range + 1,) * self.d
         if arr.shape != expected:
             raise ValueError(f"coeffs must have shape {expected}, got {arr.shape}")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
+        arr = read_only(arr)
         if not np.isfinite(arr).all():
             raise KernelError("kernel has non-finite coefficients")
         if not np.array_equal(arr, arr[(slice(None, None, -1),) * self.d]):
@@ -247,7 +245,11 @@ def clipped_offsets(pot: HoppingPotential, shape: LatticeShape) -> list[tuple[Si
     The periodic kernel is the plain kernel precomposed with the embedding,
     so offsets outside {-L, ..., L}^d simply never occur; no folding.  When
     the kernel fits the box this is nonzero_offsets, in the same order.
+    Every stencil and the Metropolis neighbour table go through here, so a
+    kernel of another dimension than the box is rejected here.
     """
+    if pot.d != shape.d:
+        raise KernelError(f"kernel dimension {pot.d} != lattice dimension {shape.d}")
     reach = min(pot.range, shape.L)
     return [
         (offset, coeff)

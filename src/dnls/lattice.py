@@ -62,6 +62,11 @@ class LatticeShape:
     def contains(self, x: Sequence[int]) -> bool:
         return len(x) == self.d and all(-self.L <= int(c) <= self.L for c in x)
 
+    @property
+    def site_axes(self) -> tuple[int, ...]:
+        """The trailing d axes: the sites of a field, or of each field of a stack."""
+        return tuple(range(-self.d, 0))
+
     def require_site(self, x: Sequence[int]) -> Site:
         """Validate and normalize a site to a tuple of ints."""
         site = tuple(int(c) for c in x)
@@ -78,6 +83,14 @@ class LatticeShape:
         """All sites in storage order (row-major over shifted coordinates)."""
         for idx in np.ndindex(self.dims):
             yield tuple(int(i) - self.L for i in idx)
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is read-only, else a read-only copy of it."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 def wrap_coord(c: int, side: int) -> int:
@@ -159,10 +172,7 @@ class FieldL:
                 )
         if not np.isfinite(arr).all():
             raise DataError("field contains non-finite values")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", read_only(arr))
 
     def at(self, x: Sequence[int]) -> complex:
         return complex(self.values[self.shape.index(x)])

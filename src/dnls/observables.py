@@ -122,7 +122,9 @@ def _local_weight(shape: LatticeShape, eps: float, x: Sequence[int]) -> np.ndarr
 def _local_numbers(traj: Trajectory, eps: float, x: Site) -> np.ndarray:
     """local_particle_number of every snapshot, against one weight grid."""
     weight = _local_weight(traj.shape, eps, x)
-    return np.array([float(np.sum(weight * np.abs(s.values) ** 2)) for s in traj.snapshots])
+    axes = traj.shape.site_axes
+    return np.concatenate([np.sum(weight * np.abs(block) ** 2, axis=axes)
+                           for _, block in traj.blocks()])
 
 
 def local_density(field: FieldL, eps: float, x: Sequence[int]) -> float:
@@ -315,7 +317,8 @@ def weighted_bound_check(
     eps_tilde = growth_rate_bound(pot, eps, c_const)
     prefactor = weighted_bound_prefactor(traj.shape, eps, spec)
     phi = _weight_grid(traj.shape, spec)
-    norms = np.array([float(np.max(phi * np.abs(s.values))) for s in traj.snapshots])
+    axes = traj.shape.site_axes
+    norms = np.concatenate([np.max(phi * np.abs(block), axis=axes) for _, block in traj.blocks()])
     ratios, passed = _bound_ratios(norms, traj.times, eps_tilde, prefactor, "weighted norm")
     return WeightedBoundReport(
         eps=eps, spec=spec, eps_tilde=eps_tilde, prefactor=prefactor,
@@ -336,7 +339,7 @@ def observable_series(
         require_fits(pot, shape)
     apply = stencil(pot, shape)
     header = ["t", "N_L", "H_L"]
-    columns = []
+    weights, local = [], []
     for loc in localizations:
         loc.validate_for(pot)
         suffix = f"eps{loc.eps:g}_x{'_'.join(str(c) for c in loc.center)}"
@@ -346,15 +349,23 @@ def observable_series(
         n_eps = _local_numbers(traj, loc.eps, center)
         q = n_eps / weight_normalization(shape, loc.eps)
         rep = _growth_report(traj, loc.eps, center, c_const, eps_tilde, q)
-        columns.append((_local_weight(shape, loc.eps, center), n_eps, q, rep.ratios))
-    rows = []
-    for j, snap in enumerate(traj.snapshots):
-        psi = snap.values
-        conv = apply(psi)
-        row = [float(traj.times[j]), particle_number(snap), _energy(psi, conv, lam)]
-        if columns:
-            flux = _flux(psi, conv)
-        for weight, n_eps, q, ratios in columns:
-            row += [float(n_eps[j]), float(q[j]), float(np.sum(weight * flux)), float(ratios[j])]
-        rows.append(row)
-    return header, rows
+        weights.append(_local_weight(shape, loc.eps, center))
+        local.append((n_eps, q, rep.ratios))
+    # columns N, H, then the flux sum M per localization; N and M are stacked
+    # reductions, H sums each snapshot on its own, since a complex sum over
+    # stacked axes may round differently
+    axes = shape.site_axes
+    sums = np.empty((len(traj), 2 + len(weights)))
+    for j, block in traj.blocks():
+        at = slice(j, j + len(block))
+        conv = apply(block)
+        sums[at, 0] = np.sum(np.abs(block) ** 2, axis=axes)
+        sums[at, 1] = [_energy(psi, c, lam) for psi, c in zip(block, conv)]
+        if weights:
+            flux = _flux(block, conv)
+            for i, weight in enumerate(weights, 2):
+                sums[at, i] = np.sum(weight * flux, axis=axes)
+    columns = [traj.times, sums[:, 0], sums[:, 1]]
+    for i, (n_eps, q, ratios) in enumerate(local, 2):
+        columns += [n_eps, q, sums[:, i], ratios]
+    return header, np.column_stack(columns).tolist()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dnls
-from dnls.cli import SCHEMA, main, parse_overrides
+from dnls.cli import SCHEMA, main, parse_overrides, resolve
 from dnls.lattice import load_field
 
 REPO = Path(__file__).resolve().parents[1]
@@ -120,6 +120,15 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("cfg, scheme", [
+        ({"experiment": "sweep-L"}, "rk4"),
+        ({"experiment": "simulate"}, "strang"),
+        ({"experiment": "sweep-L", "dynamics": {"scheme": "strang"}}, "strang"),
+        ({"experiment": "conserve", "dynamics": {"scheme": "rk4"}}, "rk4"),
+    ])
+    def test_scheme_default_depends_on_experiment(self, cfg, scheme):
+        assert resolve(cfg)["dynamics"]["scheme"] == scheme
 
     def test_readme_table_lists_every_key(self):
         text = (REPO / "README.md").read_text()

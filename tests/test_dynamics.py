@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_propagator, hopping_matrix, naive_convolve, random_field
+import dnls.dynamics
 from dnls.dynamics import (
     SCHEMES,
     BlowUpError,
@@ -21,6 +22,7 @@ from dnls.dynamics import (
     second_time_derivative,
     step_rk4,
     step_strang,
+    subsample,
 )
 from dnls.hopping import (
     HoppingPotential,
@@ -28,7 +30,7 @@ from dnls.hopping import (
     wrapped_difference,
     zero_potential,
 )
-from dnls.lattice import FieldL, LatticeShape, point_source, truncate
+from dnls.lattice import DataError, FieldL, LatticeShape, point_source, truncate
 from dnls.observables import hamiltonian, particle_number
 
 
@@ -74,6 +76,64 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(dt=1e-3, t_end=0.015, snapshot_stride=10).n_steps()
         assert SchemeConfig(dt=1e-3, t_end=0.02, snapshot_stride=10).n_steps() == 20
+
+
+class TestTrajectory:
+    SHAPE = LatticeShape(2, 1)
+
+    def _build(self, values, times=(0.0, 0.5, 1.0)):
+        return Trajectory(shape=self.SHAPE, times=np.array(times), values=values,
+                          dt=0.5, stride=1, scheme="strang", lam=1.0)
+
+    def _stack(self, n=3):
+        return np.stack([random_field(self.SHAPE, seed).values for seed in range(n)])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DataError):
+            self._build(self._stack(4))
+        with pytest.raises(DataError):
+            self._build(self._stack().reshape(3, 9))
+
+    def test_empty_times_rejected(self):
+        with pytest.raises(DataError):
+            self._build(np.empty((0, 3, 3), dtype=np.complex128), times=())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_in_any_block(self, bad, monkeypatch):
+        # one snapshot per block, and the bad entry in the last one
+        monkeypatch.setattr(dnls.dynamics, "_STACK_SITES", self.SHAPE.volume)
+        values = self._stack()
+        values[2, 1, 0] = bad
+        with pytest.raises(DataError):
+            self._build(values)
+
+    def test_writeable_input_copied_and_frozen(self):
+        values = self._stack()
+        traj = self._build(values)
+        assert not traj.values.flags.writeable
+        assert not np.shares_memory(traj.values, values)
+        assert np.array_equal(traj.values, values)
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        assert self._build(frozen).values is frozen
+
+    def test_views_share_the_stack_but_final_does_not(self):
+        f = random_field(LatticeShape(1, 4), 5)
+        traj = integrate(f, standard_laplacian(1), SchemeConfig(dt=0.01, t_end=0.04,
+                                                                 snapshot_stride=1))
+        sub = subsample(traj, 2)
+        assert np.shares_memory(sub.values, traj.values)
+        assert np.array_equal(sub.values, traj.values[::2])
+        assert np.array_equal(sub.times, traj.times[::2])
+        assert all(np.shares_memory(s.values, traj.values) for s in traj.snapshots)
+        # a view would keep the whole stack alive for as long as the final field
+        assert not np.shares_memory(traj.final.values, traj.values)
+        assert np.array_equal(traj.final.values, traj.values[-1])
+
+    def test_times_are_the_step_grid(self):
+        cfg = SchemeConfig(dt=0.003, t_end=0.3, snapshot_stride=4)
+        traj = integrate(random_field(LatticeShape(1, 3), 2), standard_laplacian(1), cfg)
+        assert traj.times.tolist() == [step * 0.003 for step in range(0, 101, 4)]
 
 
 class TestEvolutionPolynomials:
@@ -378,11 +438,9 @@ class TestDuhamel:
 
     def _oracle_trajectory(self, shape, pot, f, T, n_snap):
         times = np.linspace(0.0, T, n_snap + 1)
-        snaps = tuple(
-            FieldL(shape, dense_propagator(pot, shape, t) @ f.values) for t in times
-        )
+        values = np.stack([dense_propagator(pot, shape, t) @ f.values for t in times])
         return Trajectory(
-            shape=shape, times=times, snapshots=snaps,
+            shape=shape, times=times, values=values,
             dt=times[1] - times[0], stride=1, scheme="strang", lam=0.0,
         )
 

@@ -20,6 +20,18 @@ from dnls.hopping import (
     zero_potential,
 )
 from dnls.lattice import FieldL, LatticeShape, point_source, truncate
+from dnls.observables import hamiltonian
+from dnls.sampling import GibbsSpec, run_gibbs_chain
+
+# every entry point that resolves a kernel on a box through clipped_offsets
+DIMENSION_ENTRY_POINTS = {
+    "hamiltonian": lambda pot, f: hamiltonian(f, pot, 1.0),
+    "convolve_values": lambda pot, f: convolve_values(pot, f.shape, f.values),
+    "stencil": lambda pot, f: stencil(pot, f.shape),
+    "run_gibbs_chain": lambda pot, f: run_gibbs_chain(
+        GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.5, burn_in=1, thinning=1),
+        pot, f.shape, 0, 1),
+}
 
 
 class TestConstructors:
@@ -250,6 +262,13 @@ class TestClippedOffsets:
 
     def test_zero_potential(self):
         assert clipped_offsets(zero_potential(1), LatticeShape(1, 3)) == []
+
+    @pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRY_POINTS))
+    @pytest.mark.parametrize("box_d, kernel_d", [(1, 2), (2, 1)])
+    def test_kernel_of_another_dimension_rejected(self, entry, box_d, kernel_d):
+        f = random_field(LatticeShape(box_d, 4), 3)
+        with pytest.raises(KernelError, match="dimension"):
+            DIMENSION_ENTRY_POINTS[entry](standard_laplacian(kernel_d), f)
 
 
 def roll_convolve(pot, shape, values):

@@ -1,11 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_hamiltonian, random_field
+import dnls.dynamics
+from dnls.convergence import drift, window_disagreement
 from dnls.dynamics import SchemeConfig, Trajectory, integrate
-from dnls.hopping import standard_laplacian, zero_potential
+from dnls.hopping import HoppingPotential, standard_laplacian, zero_potential
 from dnls.lattice import (
     FieldL,
     LatticeShape,
@@ -239,7 +244,7 @@ class TestGrowthBound:
         zero = FieldL.zero(shape)
         bump = truncate(point_source(1.0), shape)
         traj = Trajectory(
-            shape=shape, times=np.array([0.0, 1.0]), snapshots=(zero, bump),
+            shape=shape, times=np.array([0.0, 1.0]), values=np.stack([zero.values, bump.values]),
             dt=1.0, stride=1, scheme="strang", lam=1.0,
         )
         with pytest.raises(UndefinedRatioError):
@@ -416,3 +421,56 @@ class TestSeries:
         assert len(rows) == 3
         assert rows[0][0] == 0.0
         assert rows[0][3] == pytest.approx(local_particle_number(f, 0.1, (0,)))
+
+
+def _random_trajectory(rng, shape, n):
+    values = rng.standard_normal((n, *shape.dims)) + 1j * rng.standard_normal((n, *shape.dims))
+    return Trajectory(shape=shape, times=0.1 * np.arange(n), values=values, dt=0.1, stride=1,
+                      scheme="rk4", lam=1.0)
+
+
+class TestStackedReductions:
+    """Every reduction over a trajectory's blocks equals its per-snapshot
+    public formula bit for bit, in d = 1, 2, 3 and at any block size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), ell=st.integers(1, 2), extra=st.integers(0, 2),
+           n=st.integers(1, 12), block_sites=st.integers(1, 300),
+           power=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_equals_per_snapshot(self, d, ell, extra, n, block_sites, power, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((2 * ell + 1,) * d)
+        pot = HoppingPotential(d=d, range=ell, coeffs=coeffs + np.flip(coeffs))
+        shape = LatticeShape(d, ell + extra)
+        lam = float(rng.uniform(-2.0, 2.0))
+        eps = float(rng.uniform(0.01, 0.24))
+        center = tuple(int(c) for c in rng.integers(-shape.L, shape.L + 1, size=d))
+        spec = WeightSpec("power" if power else "exponential", float(rng.uniform(0.1, 3.0)))
+        k = int(rng.integers(0, shape.L + 1))
+        m = int(rng.integers(0, n))
+        traj = _random_trajectory(rng, shape, n)
+        big = _random_trajectory(rng, LatticeShape(d, shape.L + 1), n)
+        t = float(traj.times[m])
+        with mock.patch.object(dnls.dynamics, "_STACK_SITES", block_sites):
+            _, rows = observable_series(traj, pot, lam, [LocalizationParams(eps, center)])
+            report = weighted_bound_check(traj, pot, eps, spec)
+            got_drift = drift(traj, t)
+            got_window = window_disagreement(big, traj, k, t)
+
+        table = np.array(rows)
+        snaps = traj.snapshots
+        assert np.array_equal(table[:, 1], [particle_number(s) for s in snaps])
+        assert np.array_equal(table[:, 2], [hamiltonian(s, pot, lam) for s in snaps])
+        assert np.array_equal(table[:, 3], [local_particle_number(s, eps, center) for s in snaps])
+        assert np.array_equal(table[:, 5], [weighted_flux(s, pot, eps, center) for s in snaps])
+        norms = np.array([weighted_norm(s, spec) for s in snaps])
+        ratios = norms / (np.exp(report.eps_tilde * traj.times) * report.prefactor * norms[0])
+        assert np.array_equal(report.ratios, ratios)
+
+        assert got_drift == max(float(np.max(np.abs(traj.values[j] - traj.values[0])))
+                                for j in range(m + 1))
+        small_sl = (slice(shape.L - k, shape.L + k + 1),) * d
+        big_sl = (slice(shape.L + 1 - k, shape.L + k + 2),) * d
+        assert got_window == max(float(np.max(np.abs(big.values[j][big_sl]
+                                                     - traj.values[j][small_sl])))
+                                 for j in range(m + 1))
