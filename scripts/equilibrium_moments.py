@@ -9,8 +9,6 @@ face of the almost-sure power-law growth class.
 
 import argparse
 
-import numpy as np
-
 from dnls.hopping import standard_laplacian
 from dnls.lattice import LatticeShape
 from dnls.sampling import (
@@ -19,6 +17,7 @@ from dnls.sampling import (
     median_with_se,
     run_gibbs_chain,
     site_moments,
+    site_uniformity_z,
     weighted_sup,
 )
 
@@ -47,9 +46,8 @@ def main() -> None:
         sups = [weighted_sup(s, args.exponent) for s in chain.samples]
         med, se = median_with_se(sups)
         stats = site_moments(list(chain.samples), args.xi)
-        z = np.abs(stats.per_site_moments - stats.per_site_moments.mean()) / stats.per_site_se
         print(f"{L:>5}  {med:>11.4f}  {se:>8.4f}  {stats.max_moment:>11.4f}  "
-              f"{z.max():>6.2f}  {acceptance_fraction(chain):>7.3f}")
+              f"{site_uniformity_z(stats):>6.2f}  {acceptance_fraction(chain):>7.3f}")
 
 
 if __name__ == "__main__":

@@ -108,6 +108,13 @@ REFERENCE_RUNS = (
         "lattice.d": 2, "lattice.L": 5, "kernel.type": "zero", "dynamics.dt": 0.01,
         "dynamics.t_end": 2.0, "dynamics.stride": 1,
     }),
+    # the single-site chain of criterion 10, whose samples are dumped and
+    # read back by `stats`
+    ("sample-gibbs-L0", "sample-gibbs", {
+        "lattice.L": 0, "sampling.n_samples": 50, "sampling.proposal_sigma": 0.7,
+        "dump_fields": True,
+    }),
+    ("stats-gibbs-L0", "stats", {"stats.fields_dir": "sample-gibbs-L0/fields"}),
 )
 
 SEED = 7

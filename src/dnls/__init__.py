@@ -68,6 +68,7 @@ from .sampling import (  # noqa: F401
     GaussianSpec,
     GibbsChain,
     GibbsSpec,
+    PowerLawViolations,
     SampleStats,
     acceptance_fraction,
     power_law_violations,

@@ -436,6 +436,8 @@ def run_uniqueness(c: dict, writer: RunWriter) -> tuple[dict, dict]:
     if len(set(dt_list)) != len(dt_list):
         raise ConfigError(f"uniqueness.dt_list has repeated entries: {dt_list}")
     base = build_scheme(c)
+    if base.t_end <= 0:
+        raise ConfigError("uniqueness needs dynamics.t_end > 0")
     field0 = build_initial_field(c, shape)
 
     rows = []
@@ -494,19 +496,14 @@ def run_sample_gibbs(c: dict, writer: RunWriter) -> tuple[dict, dict]:
 def _stats_payload(samples, writer, c) -> dict:
     xi = c["sampling"]["xi"]
     stats = sampling.site_moments(samples, xi)
-    by_radius: dict[int, int] = {}
-    sites_by_radius: dict[int, int] = {}
-    for s in samples:
-        v = sampling.power_law_violations(s, c["sampling"]["a"])
-        for r, count in v.violations_by_radius.items():
-            by_radius[r] = by_radius.get(r, 0) + count
-        sites_by_radius = v.sites_by_radius
+    violations = [sampling.power_law_violations(s, c["sampling"]["a"]) for s in samples]
+    by_radius = map(sum, zip(*(v.violations_by_radius.values() for v in violations)))
     payload = {
         "moment_order": xi,
         "per_site_moments": stats.per_site_moments,
         "max_moment": stats.max_moment,
-        "violations_by_radius": {str(k): v for k, v in sorted(by_radius.items())},
-        "sites_by_radius": {str(k): v for k, v in sorted(sites_by_radius.items())},
+        "violations_by_radius": dict(enumerate(by_radius)),
+        "sites_by_radius": violations[0].sites_by_radius,
     }
     writer.write_json("stats.json", _jsonable(payload))
     _dump_fields(writer, c, "sample", samples)

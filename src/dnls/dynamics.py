@@ -88,8 +88,6 @@ class Trajectory:
     values: np.ndarray
     dt: float
     stride: int
-    scheme: str
-    lam: float
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -265,8 +263,7 @@ def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Tr
             psi = values[step // stride]
     # frozen, the buffer is stored uncopied
     values.setflags(write=False)
-    return Trajectory(shape=shape, times=times, values=values, dt=dt, stride=stride,
-                      scheme=config.scheme, lam=config.lam)
+    return Trajectory(shape=shape, times=times, values=values, dt=dt, stride=stride)
 
 
 def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:

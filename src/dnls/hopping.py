@@ -275,7 +275,10 @@ def load_potential(path) -> HoppingPotential:
         if len(header) != 2:
             raise KernelError(f"bad kernel header in {path}")
         d, rng = int(header[0]), int(header[1])
-        coeffs = np.zeros((2 * rng + 1,) * d)
+        try:
+            coeffs = np.zeros((2 * rng + 1,) * d)
+        except MemoryError:
+            raise KernelError(f"kernel header '{d} {rng}' in {path} is too large") from None
         for line in fh:
             parts = line.split()
             if not parts:

@@ -136,6 +136,11 @@ def bracket_grid(shape: LatticeShape) -> np.ndarray:
     return 1.0 + sum(np.meshgrid(*(coords**2,) * shape.d, indexing="ij"))
 
 
+def power_weight(shape: LatticeShape, p: float) -> np.ndarray:
+    """<x>^(-p) at the true coordinates of the box sites, for any real p."""
+    return bracket_grid(shape) ** (-p / 2.0)
+
+
 def ball(shape: LatticeShape, x: Sequence[int], r: int) -> list[Site]:
     """All sites within torus sup-distance r of x, without duplicates."""
     if r < 0:
@@ -333,9 +338,12 @@ def load_field(path) -> FieldL:
         if len(header) != 2:
             raise DataError(f"bad field dump header in {path}")
         shape = LatticeShape(d=int(header[0]), L=int(header[1]))
+        lines = fh.readlines()
+        # checked before the allocation, which a header alone can make huge
+        if len(lines) < shape.volume:
+            raise DataError(f"expected {shape.volume} sites, found {len(lines)}")
         values = np.empty(shape.dims, dtype=np.complex128)
-        count = 0
-        for line, site in zip(fh, shape.sites()):
+        for line, site in zip(lines, shape.sites()):
             parts = line.split()
             if len(parts) != shape.d + 2:
                 raise DataError(f"bad field dump line: {line!r}")
@@ -345,7 +353,4 @@ def load_field(path) -> FieldL:
             values[tuple(c + shape.L for c in coords)] = complex(
                 float(parts[shape.d]), float(parts[shape.d + 1])
             )
-            count += 1
-        if count != shape.volume:
-            raise DataError(f"expected {shape.volume} sites, found {count}")
     return FieldL(shape, values)

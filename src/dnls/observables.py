@@ -32,7 +32,7 @@ from .lattice import (
     InitialDataGenerator,
     LatticeShape,
     Site,
-    bracket_grid,
+    power_weight,
     torus_distance_grid,
     truncate,
 )
@@ -255,7 +255,7 @@ def _weight_grid(shape: LatticeShape, spec: WeightSpec) -> np.ndarray:
     """Phi(x) at the true coordinates of the box sites."""
     if spec.kind == "exponential":
         return np.exp(-spec.parameter * torus_distance_grid(shape, (0,) * shape.d))
-    return bracket_grid(shape) ** (-spec.parameter / 2.0)
+    return power_weight(shape, spec.parameter)
 
 
 def weighted_norm(field: FieldL, spec: WeightSpec) -> float:

@@ -9,8 +9,15 @@ The equilibrium sampler targets the grand-canonical density
 exp(-beta * (H - mu * N)) on the box with a defocusing quartic term
 (lam > 0, otherwise the density is not normalizable).  It is a single-site
 Metropolis random walk on the real and imaginary parts, swept in systematic
-site order, with a globally tuned proposal width.  Statistics helpers back
-the moment and power-law-growth checks used on the samples.
+site order, with a globally tuned proposal width.  The sweep runs over Python
+data: each site's row of (coefficient, neighbour index) pairs is built once,
+and each sweep's draws are read as lists.
+
+Two results back the checks on the samples: SampleStats (per-site moments,
+their standard errors and the largest) and PowerLawViolations (sites above
+<x>^(1/a) of one sample, counted per radius).  That threshold and the weight
+of weighted_sup are lattice.power_weight, the one power weight <x>^(-p) that
+the observables' power-weighted norms use too.
 """
 
 from __future__ import annotations
@@ -22,7 +29,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hopping import HoppingPotential, clipped_offsets
-from .lattice import FieldL, LatticeShape, Site, bracket_grid, torus_distance_grid
+from .lattice import FieldL, LatticeShape, Site, power_weight, torus_distance_grid
+
+
+# tune_proposal_sigma: target acceptance, rounds and sweeps per round
+_TUNE_TARGET = 0.3
+_TUNE_ROUNDS = 12
+_TUNE_SWEEPS = 20
 
 
 class MeasureError(ValueError):
@@ -120,16 +133,15 @@ class GibbsChain:
     n_accepted: int
 
 
-def _neighbor_tables(pot: HoppingPotential, shape: LatticeShape):
-    """Flat-index neighbor lists for the box-restricted kernel."""
+def _neighbor_rows(pot: HoppingPotential, shape: LatticeShape) -> list[tuple]:
+    """Per site x, its (coefficient, flat index of x - offset) pairs, in
+    clipped_offsets order; the zero kernel gives empty rows."""
     offsets = clipped_offsets(pot, shape)
-    coeffs = np.array([c for _, c in offsets])
-    # column j holds, per site x, the flat index of x - offset_j
-    flat = np.arange(shape.volume, dtype=np.int64).reshape(shape.dims)
-    nbr = np.empty((shape.volume, len(offsets)), dtype=np.int64)
-    for j, (off, _) in enumerate(offsets):
-        nbr[:, j] = np.roll(flat, off, axis=tuple(range(shape.d))).ravel()
-    return nbr, coeffs
+    flat = np.arange(shape.volume).reshape(shape.dims)
+    columns = [np.roll(flat, off, axis=tuple(range(shape.d))).ravel().tolist()
+               for off, _ in offsets]
+    coeffs = [float(c) for _, c in offsets]
+    return [tuple(zip(coeffs, idx)) for idx in zip(*columns)] or [()] * shape.volume
 
 
 def run_gibbs_chain(
@@ -142,10 +154,7 @@ def run_gibbs_chain(
     """Metropolis chain for exp(-beta (H - mu N)); deterministic given seed."""
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    nbr, coeffs = _neighbor_tables(pot, shape)
-    n_off = len(coeffs)
-    coeff_list = [float(c) for c in coeffs]
-    nbr_list = [list(map(int, row)) for row in nbr]
+    rows = _neighbor_rows(pot, shape)
     alpha0 = pot.at((0,) * pot.d)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -160,20 +169,18 @@ def run_gibbs_chain(
     state = [complex(math.cos(p), math.sin(p)) for p in phases]
 
     samples: list[FieldL] = []
-    n_proposed = 0
     n_accepted = 0
     total_sweeps = spec.burn_in + n_samples * spec.thinning
 
     for sweep in range(total_sweeps):
-        re = rng.standard_normal(volume)
-        im = rng.standard_normal(volume)
-        us = rng.random(volume)
-        for i in range(volume):
+        re = rng.standard_normal(volume).tolist()
+        im = rng.standard_normal(volume).tolist()
+        us = rng.random(volume).tolist()
+        for i, row in enumerate(rows):
             delta = complex(sigma * re[i], sigma * im[i])
             h = 0.0j
-            row = nbr_list[i]
-            for j in range(n_off):
-                h += coeff_list[j] * state[row[j]]
+            for c, k in row:
+                h += c * state[k]
             old = state[i]
             old2 = old.real * old.real + old.imag * old.imag
             new = old + delta
@@ -182,19 +189,23 @@ def run_gibbs_chain(
             cross = delta.real * h.real + delta.imag * h.imag
             d_quad = 2.0 * cross + alpha0 * d2
             d_energy = d_quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
-            n_proposed += 1
             if d_energy <= 0.0 or us[i] < math.exp(-beta * d_energy):
                 state[i] = new
                 n_accepted += 1
         if sweep >= spec.burn_in and (sweep - spec.burn_in + 1) % spec.thinning == 0:
-            samples.append(FieldL(shape, np.array(state).reshape(shape.dims)))
+            # filled in place, not reshaped: a view would hold a second array
+            # object per sample; frozen, the sample is stored uncopied
+            values = np.empty(shape.dims, dtype=np.complex128)
+            values.flat = state
+            values.setflags(write=False)
+            samples.append(FieldL(shape, values))
 
     return GibbsChain(
         spec=spec,
         shape=shape,
         seed=int(seed),
-        samples=tuple(samples[:n_samples]),
-        n_proposed=n_proposed,
+        samples=tuple(samples),
+        n_proposed=total_sweeps * volume,
         n_accepted=n_accepted,
     )
 
@@ -221,9 +232,6 @@ def tune_proposal_sigma(
     pot: HoppingPotential,
     shape: LatticeShape,
     seed: int,
-    target: float = 0.3,
-    rounds: int = 12,
-    sweeps_per_round: int = 20,
 ) -> float:
     """Multiplicative proposal-width adaptation toward a target acceptance.
 
@@ -231,30 +239,21 @@ def tune_proposal_sigma(
     production kernel so stationarity arguments stay clean.
     """
     sigma = spec.proposal_sigma
-    tune_seeds = np.random.SeedSequence(seed).spawn(rounds)
-    for rnd in range(rounds):
-        probe = replace(spec, proposal_sigma=sigma, burn_in=sweeps_per_round, thinning=1)
-        chain = run_gibbs_chain(probe, pot, shape, int(tune_seeds[rnd].generate_state(1)[0]), 0)
-        acc = acceptance_fraction(chain)
-        sigma *= math.exp(1.5 * (acc - target))
+    tune_seeds = np.random.SeedSequence(seed).spawn(_TUNE_ROUNDS)
+    for tune_seed in tune_seeds:
+        probe = replace(spec, proposal_sigma=sigma, burn_in=_TUNE_SWEEPS, thinning=1)
+        chain = run_gibbs_chain(probe, pot, shape, int(tune_seed.generate_state(1)[0]), 0)
+        sigma *= math.exp(1.5 * (acceptance_fraction(chain) - _TUNE_TARGET))
     return sigma
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleStats:
-    """Aggregated per-site statistics; fields are filled by their producers."""
+    """Empirical E|psi(x)|^xi per site over samples, its standard errors and its max."""
 
-    n_samples: int
-    moment_order: float | None = None
-    per_site_moments: np.ndarray | None = None
-    per_site_se: np.ndarray | None = None
-    max_moment: float | None = None
-    max_moment_site: Site | None = None
-    violation_exponent: float | None = None
-    violations_total: int | None = None
-    violation_sites: tuple[Site, ...] | None = None
-    violations_by_radius: dict[int, int] | None = None
-    sites_by_radius: dict[int, int] | None = None
+    per_site_moments: np.ndarray
+    per_site_se: np.ndarray
+    max_moment: float
 
 
 def site_moments(samples: Sequence[FieldL], xi: float) -> SampleStats:
@@ -267,26 +266,13 @@ def site_moments(samples: Sequence[FieldL], xi: float) -> SampleStats:
     if any(s.shape != shape for s in samples):
         raise ValueError("samples live on different lattices")
     stack = np.stack([np.abs(s.values) ** xi for s in samples])
-    n = stack.shape[0]
     means = stack.mean(axis=0)
-    ses = stack.std(axis=0, ddof=1) / math.sqrt(n)
-    flat_argmax = int(np.argmax(means))
-    max_idx = np.unravel_index(flat_argmax, shape.dims)
-    max_site = tuple(int(i) - shape.L for i in max_idx)
-    return SampleStats(
-        n_samples=n,
-        moment_order=float(xi),
-        per_site_moments=means,
-        per_site_se=ses,
-        max_moment=float(means[max_idx]),
-        max_moment_site=max_site,
-    )
+    ses = stack.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return SampleStats(per_site_moments=means, per_site_se=ses, max_moment=float(means.max()))
 
 
 def site_uniformity_z(stats: SampleStats) -> float:
     """Largest |per-site moment - cross-site mean| in units of the site's SE."""
-    if stats.per_site_moments is None or stats.per_site_se is None:
-        raise ValueError("stats carry no per-site moments")
     center = float(stats.per_site_moments.mean())
     se = np.maximum(stats.per_site_se, 1e-300)
     return float(np.max(np.abs(stats.per_site_moments - center) / se))
@@ -304,7 +290,18 @@ def two_point_function(samples: Sequence[FieldL]) -> np.ndarray:
     return acc / (len(samples) * shape.volume)
 
 
-def power_law_violations(sample: FieldL, a: float) -> SampleStats:
+@dataclass(frozen=True)
+class PowerLawViolations:
+    """Sites of one sample where |psi(x)| > <x>^(1/a), with counts of those
+    sites and of all sites per sup-norm radius."""
+
+    violations_total: int
+    violation_sites: tuple[Site, ...]
+    violations_by_radius: dict[int, int]
+    sites_by_radius: dict[int, int]
+
+
+def power_law_violations(sample: FieldL, a: float) -> PowerLawViolations:
     """Sites where |psi(x)| exceeds <x>^(1/a), with counts per sup-norm radius.
 
     Uses the true coordinates of the box sites.
@@ -312,16 +309,14 @@ def power_law_violations(sample: FieldL, a: float) -> SampleStats:
     if not (a > 0):
         raise ValueError(f"exponent a must be > 0, got {a}")
     shape = sample.shape
-    mask = np.abs(sample.values) > bracket_grid(shape) ** (1.0 / (2.0 * a))
+    mask = np.abs(sample.values) > power_weight(shape, -1.0 / a)
     radii = torus_distance_grid(shape, (0,) * shape.d)
     sites_at = np.bincount(radii.ravel(), minlength=shape.L + 1)
     violations_at = np.bincount(radii[mask], minlength=shape.L + 1)
     sites = tuple(
         tuple(int(i) - shape.L for i in idx) for idx in np.argwhere(mask)
     )
-    return SampleStats(
-        n_samples=1,
-        violation_exponent=float(a),
+    return PowerLawViolations(
         violations_total=int(mask.sum()),
         violation_sites=sites,
         violations_by_radius=dict(enumerate(violations_at.tolist())),
@@ -330,9 +325,9 @@ def power_law_violations(sample: FieldL, a: float) -> SampleStats:
 
 
 def weighted_sup(sample: FieldL, exponent: float) -> float:
-    """max over the box of |psi(x)| <x>^(-exponent), true coordinates."""
-    weight = bracket_grid(sample.shape) ** (-exponent / 2.0)
-    return float(np.max(weight * np.abs(sample.values)))
+    """max over the box of |psi(x)| <x>^(-exponent), true coordinates; any
+    real exponent."""
+    return float(np.max(power_weight(sample.shape, exponent) * np.abs(sample.values)))
 
 
 def median_with_se(values: Sequence[float]) -> tuple[float, float]:

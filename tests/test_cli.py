@@ -83,6 +83,31 @@ class TestConfigHandling:
         assert "not symmetric" in err
         assert not (tmp_path / "r").exists()
 
+    # headers beyond 2^57 bytes: numpy refuses such an allocation at once on
+    # 64-bit Linux, so a loader that allocates first would touch no memory
+    def test_oversized_kernel_header_exit_2(self, tmp_path, capsys):
+        kernel = tmp_path / "kernel.txt"
+        kernel.write_text("1 36028797018963968\n0 1.0\n")
+        code = run_cli(
+            "--experiment", "simulate", "--out", str(tmp_path / "r"), "--kernel.file", str(kernel),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment, flags", [
+        ("simulate", ["--initial.type", "file", "--initial.path", "{dir}/a.txt"]),
+        ("stats", ["--stats.fields_dir", "{dir}"]),
+    ])
+    def test_oversized_field_header_exit_2(self, tmp_path, capsys, experiment, flags):
+        for name in ("a.txt", "b.txt"):
+            (tmp_path / name).write_text("3 300000\n0 0 0 1.0 0.0\n")
+        flags = [f.format(dir=tmp_path) for f in flags]
+        code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
     def test_file_initial_without_path_exit_2(self, tmp_path, capsys):
         code = run_cli(
             "--experiment", "simulate", "--out", str(tmp_path / "r"), "--initial.type", "file",
@@ -113,6 +138,7 @@ class TestConfigHandling:
          "initial.amplitude"),
         ("sample-gaussian", ["--sampling.n_samples", "-3"], "sampling.n_samples"),
         ("sample-gibbs", ["--sampling.n_samples", "1"], "sampling.n_samples"),
+        ("uniqueness", ["--dynamics.t_end", "0"], "dynamics.t_end"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
         code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)

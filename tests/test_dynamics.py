@@ -83,7 +83,7 @@ class TestTrajectory:
 
     def _build(self, values, times=(0.0, 0.5, 1.0)):
         return Trajectory(shape=self.SHAPE, times=np.array(times), values=values,
-                          dt=0.5, stride=1, scheme="strang", lam=1.0)
+                          dt=0.5, stride=1)
 
     def _stack(self, n=3):
         return np.stack([random_field(self.SHAPE, seed).values for seed in range(n)])
@@ -441,7 +441,7 @@ class TestDuhamel:
         values = np.stack([dense_propagator(pot, shape, t) @ f.values for t in times])
         return Trajectory(
             shape=shape, times=times, values=values,
-            dt=times[1] - times[0], stride=1, scheme="strang", lam=0.0,
+            dt=times[1] - times[0], stride=1,
         )
 
     def test_second_residual_on_exact_linear_trajectory(self):

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dnls.hopping import clipped_offsets, nearest_neighbor_laplacian, standard_laplacian
+from dnls.hopping import (
+    HoppingPotential,
+    clipped_offsets,
+    nearest_neighbor_laplacian,
+    standard_laplacian,
+    zero_potential,
+)
 from dnls.lattice import FieldL, LatticeShape
 from dnls.sampling import (
     GaussianSpec,
@@ -21,10 +29,14 @@ from dnls.sampling import (
     tune_proposal_sigma,
     two_point_function,
     weighted_sup,
-    _neighbor_tables,
+    _neighbor_rows,
 )
 
 POT = standard_laplacian(1)
+
+
+def zero_kernel(d):
+    return zero_potential(d, 1)
 
 
 def gibbs_radial_oracle(spec: GibbsSpec, alpha0: float):
@@ -225,22 +237,109 @@ class TestGibbsChain:
         assert (z <= 3.0).mean() >= 0.95
 
 
+def _per_site_table(pot, shape):
+    """Flat index of x - offset per site x and offset, by a per-site loop."""
+    offsets = clipped_offsets(pot, shape)
+    side = shape.side
+    table = np.empty((shape.volume, len(offsets)), dtype=np.int64)
+    for flat, coord in enumerate(np.ndindex(shape.dims)):
+        for j, (off, _) in enumerate(offsets):
+            target = tuple((c - o) % side for c, o in zip(coord, off))
+            table[flat, j] = np.ravel_multi_index(target, shape.dims)
+    return table, np.array([c for _, c in offsets])
+
+
+def _reference_chain(spec, pot, shape, seed, n_samples):
+    """The site-by-site Metropolis sweep as first written, one proposal at a
+    time over an int64 neighbour table; (samples, n_proposed, n_accepted)."""
+    nbr, coeffs = _per_site_table(pot, shape)
+    n_off = len(coeffs)
+    coeff_list = [float(c) for c in coeffs]
+    nbr_list = [list(map(int, row)) for row in nbr]
+    alpha0 = pot.at((0,) * pot.d)
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    volume = shape.volume
+    beta = spec.beta
+    mu = spec.mu
+    half_lam = 0.5 * spec.lam
+    sigma = spec.proposal_sigma
+
+    # random-phase start of unit modulus, as flat python complex list
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=volume)
+    state = [complex(math.cos(p), math.sin(p)) for p in phases]
+
+    samples: list[FieldL] = []
+    n_proposed = 0
+    n_accepted = 0
+    total_sweeps = spec.burn_in + n_samples * spec.thinning
+
+    for sweep in range(total_sweeps):
+        re = rng.standard_normal(volume)
+        im = rng.standard_normal(volume)
+        us = rng.random(volume)
+        for i in range(volume):
+            delta = complex(sigma * re[i], sigma * im[i])
+            h = 0.0j
+            row = nbr_list[i]
+            for j in range(n_off):
+                h += coeff_list[j] * state[row[j]]
+            old = state[i]
+            old2 = old.real * old.real + old.imag * old.imag
+            new = old + delta
+            new2 = new.real * new.real + new.imag * new.imag
+            d2 = delta.real * delta.real + delta.imag * delta.imag
+            cross = delta.real * h.real + delta.imag * h.imag
+            d_quad = 2.0 * cross + alpha0 * d2
+            d_energy = d_quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
+            n_proposed += 1
+            if d_energy <= 0.0 or us[i] < math.exp(-beta * d_energy):
+                state[i] = new
+                n_accepted += 1
+        if sweep >= spec.burn_in and (sweep - spec.burn_in + 1) % spec.thinning == 0:
+            samples.append(FieldL(shape, np.array(state).reshape(shape.dims)))
+
+    return samples[:n_samples], n_proposed, n_accepted
+
+
 class TestNeighborTables:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("L", [0, 1, 2, 4])
-    @pytest.mark.parametrize("kernel", [standard_laplacian, nearest_neighbor_laplacian])
+    @pytest.mark.parametrize("kernel", [standard_laplacian, nearest_neighbor_laplacian,
+                                        zero_kernel])
     def test_matches_per_site_loop(self, d, L, kernel):
         pot, shape = kernel(d), LatticeShape(d, L)
-        offsets = clipped_offsets(pot, shape)
-        side = shape.side
-        expected = np.empty((shape.volume, len(offsets)), dtype=np.int64)
-        for flat, coord in enumerate(np.ndindex(shape.dims)):
-            for j, (off, _) in enumerate(offsets):
-                target = tuple((c - o) % side for c, o in zip(coord, off))
-                expected[flat, j] = np.ravel_multi_index(target, shape.dims)
-        nbr, coeffs = _neighbor_tables(pot, shape)
-        assert nbr.dtype == np.int64 and np.array_equal(nbr, expected)
-        assert coeffs.tolist() == [c for _, c in offsets]
+        nbr, coeffs = _per_site_table(pot, shape)
+        rows = _neighbor_rows(pot, shape)
+        assert rows == [tuple(zip(coeffs.tolist(), row.tolist())) for row in nbr]
+        assert all(type(c) is float and type(k) is int for row in rows for c, k in row)
+
+
+class TestSweepBits:
+    """The Gibbs chain equals the one-proposal-at-a-time reference sweep bit
+    for bit, for random symmetric kernels (zero included) in d = 1, 2, 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), L=st.integers(0, 3), ell=st.integers(1, 2),
+           zero=st.booleans(), burn_in=st.integers(0, 3), thinning=st.integers(1, 3),
+           n_samples=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_chain_equals_reference_sweep(self, d, L, ell, zero, burn_in, thinning,
+                                          n_samples, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((2 * ell + 1,) * d)
+        coeffs = np.zeros_like(coeffs) if zero else coeffs + np.flip(coeffs)
+        pot = HoppingPotential(d=d, range=ell, coeffs=coeffs)
+        spec = GibbsSpec(beta=float(rng.uniform(0.2, 3.0)), mu=float(rng.uniform(-2.0, 2.0)),
+                         lam=float(rng.uniform(0.1, 2.0)),
+                         proposal_sigma=float(rng.uniform(0.05, 3.0)),
+                         burn_in=burn_in, thinning=thinning)
+        shape = LatticeShape(d, L)
+        chain = run_gibbs_chain(spec, pot, shape, seed, n_samples)
+        samples, n_proposed, n_accepted = _reference_chain(spec, pot, shape, seed, n_samples)
+        assert len(chain.samples) == len(samples) == n_samples
+        for got, want in zip(chain.samples, samples):
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+        assert (chain.n_proposed, chain.n_accepted) == (n_proposed, n_accepted)
 
 
 class TestAcceptance:
@@ -263,6 +362,11 @@ class TestAcceptance:
         )
         chain = run_gibbs_chain(tuned, POT, shape, 22, 100)
         assert 0.2 <= acceptance_fraction(chain) <= 0.5
+
+    def test_tuned_sigma_pinned(self):
+        # the value the one-proposal-at-a-time sweep gave at this seed
+        spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=5.0, burn_in=50, thinning=2)
+        assert tune_proposal_sigma(spec, POT, LatticeShape(1, 8), seed=21) == 0.9310480047129117
 
 
 class TestSiteMoments:
