@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Equilibrium-sample statistics across box sizes.
 
-Draws grand-canonical samples at several L and prints the median of the
-power-law weighted supremum plus the site-uniformity diagnostic of the
-per-site moments.  Stability of the first column in L is the sampling-side
+Draws grand-canonical samples at several L, in dimension --d with the
+standard Laplacian, and prints the median of the power-law weighted
+supremum plus the site-uniformity diagnostic of the per-site moments.  Stability of the first column in L is the sampling-side
 face of the almost-sure power-law growth class.
 """
 
@@ -24,6 +24,7 @@ from dnls.sampling import (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--d", type=int, default=1)
     ap.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256])
     ap.add_argument("--n-samples", type=int, default=200)
     ap.add_argument("--beta", type=float, default=1.0)
@@ -34,14 +35,14 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    pot = standard_laplacian(1)
+    pot = standard_laplacian(args.d)
     spec = GibbsSpec(beta=args.beta, mu=args.mu, lam=args.lam,
                      proposal_sigma=0.7, burn_in=300, thinning=15)
 
     print(f"{'L':>5}  {'median sup':>11}  {'se':>8}  {'max moment':>11}  "
           f"{'max z':>6}  {'accept':>7}")
     for L in args.sizes:
-        chain = run_gibbs_chain(spec, pot, LatticeShape(d=1, L=L),
+        chain = run_gibbs_chain(spec, pot, LatticeShape(d=args.d, L=L),
                                 args.seed + L, args.n_samples)
         sups = [weighted_sup(s, args.exponent) for s in chain.samples]
         med, se = median_with_se(sups)

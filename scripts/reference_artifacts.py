@@ -115,6 +115,12 @@ REFERENCE_RUNS = (
         "dump_fields": True,
     }),
     ("stats-gibbs-L0", "stats", {"stats.fields_dir": "sample-gibbs-L0/fields"}),
+    # a ring of 129 sites, whose two 64-site colour classes run the numpy
+    # kernel of the sweep and whose one-site class runs the Python loop
+    ("sample-gibbs-L64", "sample-gibbs", {
+        "lattice.L": 64, "sampling.n_samples": 5, "sampling.proposal_sigma": 0.7,
+        "dump_fields": True,
+    }),
 )
 
 SEED = 7

@@ -17,6 +17,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -94,8 +95,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
 # The config format: section -> key -> default, where a type object marks a
 # key that is unset by default.  A key's type is its default's type (an int
 # also passes for a float, an integral float for an int, a bool only for a
-# bool), a list's first element types its items, and a dict inside a section
-# is a sub-object that needs all of its keys.  README.md's table lists them.
+# bool, and a float must be finite), a list's first element types its items,
+# and a dict inside a section is a sub-object that needs all of its keys.
+# README.md's table lists them.
 SCHEMA = {
     "experiment": str,
     "out": str,
@@ -144,6 +146,8 @@ def _value(spec, value, key: str, fill: bool = False):
     if kind is int and type(value) is float and value.is_integer():
         return int(value)
     if type(value) is kind:
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
         return value
     raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
 

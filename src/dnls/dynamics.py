@@ -60,6 +60,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not np.isfinite([self.dt, self.t_end, self.lam]).all():
+            raise ValueError("dt, t_end and lam must be finite")
         if not (self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_end < 0:

@@ -139,6 +139,12 @@ class TestConfigHandling:
         ("sample-gaussian", ["--sampling.n_samples", "-3"], "sampling.n_samples"),
         ("sample-gibbs", ["--sampling.n_samples", "1"], "sampling.n_samples"),
         ("uniqueness", ["--dynamics.t_end", "0"], "dynamics.t_end"),
+        *(("sample-gibbs", [f"--{key}", value, "--sampling.n_samples", "3",
+                            "--sampling.burn_in", "2"], key)
+          for key, value in (("sampling.mu", "NaN"), ("sampling.proposal_sigma", "Infinity"),
+                             ("sampling.beta", "Infinity"), ("sampling.mu", "Infinity"))),
+        ("simulate", ["--dynamics.lambda", "NaN"], "dynamics.lambda"),
+        ("simulate", ["--dynamics.dt", "Infinity"], "dynamics.dt"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
         code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dnls import sampling
 from dnls.hopping import (
     HoppingPotential,
     clipped_offsets,
@@ -29,6 +31,7 @@ from dnls.sampling import (
     tune_proposal_sigma,
     two_point_function,
     weighted_sup,
+    _colour_classes,
     _neighbor_rows,
 )
 
@@ -250,20 +253,32 @@ def _per_site_table(pot, shape):
 
 
 def _reference_chain(spec, pot, shape, seed, n_samples):
-    """The site-by-site Metropolis sweep as first written, one proposal at a
-    time over an int64 neighbour table; (samples, n_proposed, n_accepted)."""
+    """The Metropolis sweep one proposal at a time over an int64 neighbour
+    table: sites visited colour class by colour class (greedy colouring in
+    site order), draws taken in blocks of whole sweeps, accepted when
+    dE < -log(u) / beta; (samples, n_proposed, n_accepted)."""
     nbr, coeffs = _per_site_table(pot, shape)
     n_off = len(coeffs)
     coeff_list = [float(c) for c in coeffs]
     nbr_list = [list(map(int, row)) for row in nbr]
     alpha0 = pot.at((0,) * pot.d)
+    volume = shape.volume
+    links = [j for j, (off, _) in enumerate(clipped_offsets(pot, shape)) if any(off)]
+    colour = []
+    for x in range(volume):
+        taken = {colour[nbr_list[x][j]] for j in links if nbr_list[x][j] < x}
+        c = 0
+        while c in taken:
+            c += 1
+        colour.append(c)
+    order = sorted(range(volume), key=lambda x: (colour[x], x))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    volume = shape.volume
     beta = spec.beta
     mu = spec.mu
     half_lam = 0.5 * spec.lam
     sigma = spec.proposal_sigma
+    block = max(1, 2**14 // volume)
 
     # random-phase start of unit modulus, as flat python complex list
     phases = rng.uniform(0.0, 2.0 * math.pi, size=volume)
@@ -275,15 +290,20 @@ def _reference_chain(spec, pot, shape, seed, n_samples):
     total_sweeps = spec.burn_in + n_samples * spec.thinning
 
     for sweep in range(total_sweeps):
-        re = rng.standard_normal(volume)
-        im = rng.standard_normal(volume)
-        us = rng.random(volume)
-        for i in range(volume):
-            delta = complex(sigma * re[i], sigma * im[i])
+        s = sweep % block
+        if s == 0:
+            re = rng.standard_normal(block * volume)
+            im = rng.standard_normal(block * volume)
+            us = rng.random(block * volume)
+            with np.errstate(divide="ignore"):
+                thresholds = -np.log(us) / beta
+        for p, i in enumerate(order):
+            j = s * volume + p
+            delta = complex(sigma * re[j], sigma * im[j])
             h = 0.0j
             row = nbr_list[i]
-            for j in range(n_off):
-                h += coeff_list[j] * state[row[j]]
+            for k in range(n_off):
+                h += coeff_list[k] * state[row[k]]
             old = state[i]
             old2 = old.real * old.real + old.imag * old.imag
             new = old + delta
@@ -293,7 +313,7 @@ def _reference_chain(spec, pot, shape, seed, n_samples):
             d_quad = 2.0 * cross + alpha0 * d2
             d_energy = d_quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
             n_proposed += 1
-            if d_energy <= 0.0 or us[i] < math.exp(-beta * d_energy):
+            if d_energy < thresholds[j]:
                 state[i] = new
                 n_accepted += 1
         if sweep >= spec.burn_in and (sweep - spec.burn_in + 1) % spec.thinning == 0:
@@ -315,31 +335,67 @@ class TestNeighborTables:
         assert all(type(c) is float and type(k) is int for row in rows for c, k in row)
 
 
+def _random_kernel(d, ell, zero, rng):
+    """A random symmetric kernel of range ell (c + flip(c)), or the zero one."""
+    coeffs = rng.standard_normal((2 * ell + 1,) * d)
+    coeffs = np.zeros_like(coeffs) if zero else coeffs + np.flip(coeffs)
+    return HoppingPotential(d=d, range=ell, coeffs=coeffs)
+
+
+class TestColourClasses:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), L=st.integers(0, 5), ell=st.integers(1, 2),
+           zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_classes_partition_independent_sets(self, d, L, ell, zero, seed):
+        pot, shape = _random_kernel(d, ell, zero, np.random.default_rng(seed)), LatticeShape(d, L)
+        classes = _colour_classes(_neighbor_rows(pot, shape))
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(shape.volume))
+        assert all(np.all(np.diff(c) > 0) for c in classes)
+        nbr, _ = _per_site_table(pot, shape)
+        links = [j for j, (off, _) in enumerate(clipped_offsets(pot, shape)) if any(off)]
+        colour = np.empty(shape.volume, dtype=np.int64)
+        for c, members in enumerate(classes):
+            colour[members] = c
+        for j in links:
+            assert np.all(colour != colour[nbr[:, j]])
+        if zero or L == 0:
+            assert len(classes) == 1
+
+
 class TestSweepBits:
     """The Gibbs chain equals the one-proposal-at-a-time reference sweep bit
-    for bit, for random symmetric kernels (zero included) in d = 1, 2, 3."""
+    for bit, for random symmetric kernels (zero included) in d = 1, 2, 3, with
+    colour classes on both sides of the numpy kernel's size threshold."""
 
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(1, 3), L=st.integers(0, 3), ell=st.integers(1, 2),
-           zero=st.booleans(), burn_in=st.integers(0, 3), thinning=st.integers(1, 3),
-           n_samples=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-    def test_chain_equals_reference_sweep(self, d, L, ell, zero, burn_in, thinning,
-                                          n_samples, seed):
+    @given(dim=st.integers(1, 3).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(0, 40 if d == 1 else 3))),
+           ell=st.integers(1, 2), zero=st.booleans(), burn_in=st.integers(0, 3),
+           thinning=st.integers(1, 3), n_samples=st.integers(0, 3),
+           all_numpy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_chain_equals_reference_sweep(self, dim, ell, zero, burn_in, thinning,
+                                          n_samples, all_numpy, seed):
+        d, L = dim
         rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal((2 * ell + 1,) * d)
-        coeffs = np.zeros_like(coeffs) if zero else coeffs + np.flip(coeffs)
-        pot = HoppingPotential(d=d, range=ell, coeffs=coeffs)
+        pot = _random_kernel(d, ell, zero, rng)
         spec = GibbsSpec(beta=float(rng.uniform(0.2, 3.0)), mu=float(rng.uniform(-2.0, 2.0)),
                          lam=float(rng.uniform(0.1, 2.0)),
                          proposal_sigma=float(rng.uniform(0.05, 3.0)),
                          burn_in=burn_in, thinning=thinning)
         shape = LatticeShape(d, L)
-        chain = run_gibbs_chain(spec, pot, shape, seed, n_samples)
+        # all_numpy sends every class, the one-site ones too, to the numpy kernel
+        threshold = 1 if all_numpy else sampling._NUMPY_CLASS_MIN
+        with mock.patch.object(sampling, "_NUMPY_CLASS_MIN", threshold):
+            chain = run_gibbs_chain(spec, pot, shape, seed, n_samples)
+            longer = run_gibbs_chain(spec, pot, shape, seed, n_samples + 3)
         samples, n_proposed, n_accepted = _reference_chain(spec, pot, shape, seed, n_samples)
         assert len(chain.samples) == len(samples) == n_samples
         for got, want in zip(chain.samples, samples):
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
         assert (chain.n_proposed, chain.n_accepted) == (n_proposed, n_accepted)
+        # draws come in whole blocks, so a chain is a prefix of any longer one
+        for got, want in zip(longer.samples, chain.samples):
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
 
 
 class TestAcceptance:
@@ -364,9 +420,9 @@ class TestAcceptance:
         assert 0.2 <= acceptance_fraction(chain) <= 0.5
 
     def test_tuned_sigma_pinned(self):
-        # the value the one-proposal-at-a-time sweep gave at this seed
+        # the value the reference sweep (_reference_chain) gives at this seed
         spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=5.0, burn_in=50, thinning=2)
-        assert tune_proposal_sigma(spec, POT, LatticeShape(1, 8), seed=21) == 0.9310480047129117
+        assert tune_proposal_sigma(spec, POT, LatticeShape(1, 8), seed=21) == 0.9351646435835531
 
 
 class TestSiteMoments:
