@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
     FieldL,
-    InitialDataGenerator,
     LatticeShape,
     Site,
     ball,

@@ -197,7 +197,7 @@ def build_potential(c: dict) -> hopping.HoppingPotential:
     raise ConfigError(f"unknown kernel type {kernel['type']!r}")
 
 
-def build_generator(c: dict) -> lattice.InitialDataGenerator:
+def build_generator(c: dict) -> lattice.Generator:
     init = c["initial"]
     if init["type"] == "hashed":
         return lattice.hashed_noise_generator(

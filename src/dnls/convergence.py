@@ -8,13 +8,17 @@ on a fixed observation window, and fits the exponential decay base: beyond
 a threshold the disagreement drops below 2^-L.
 
 Sites are identified across lattices by their literal coordinates; the
-observation window is contained in both boxes as-is.
+observation window is contained in both boxes as-is.  A sweep truncates
+its generator once, to the largest box it needs, and takes every smaller
+box as the centred slice of that field; the generator is pure, so the
+values are those of a truncation per box.  Each trajectory is freed as
+soon as the pairs that read it are done.
 
-The CLI's sweep-L defaults to the RK4/stencil scheme: its arithmetic at a
-window site is a pure function of values in the site's dependency cone, so
-the only source of disagreement is the genuine boundary signal.  An
-FFT-based step mixes rounding noise from the whole box into every site,
-which floors the measurable decay near 1e-14.
+A sweep runs the RK4/stencil scheme only: its arithmetic at a window site
+is a pure function of values in the site's dependency cone, so the only
+source of disagreement is the genuine boundary signal.  An FFT-based step
+mixes rounding noise from the whole box into every site, which floors the
+measurable decay near 1e-13.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .dynamics import BlowUpError, SchemeConfig, Trajectory, integrate
 from .hopping import HoppingPotential
-from .lattice import InitialDataGenerator, LatticeShape, truncate
+from .lattice import FieldL, Generator, LatticeShape, truncate
 
 
 def _require_common_grid(a: Trajectory, b: Trajectory) -> None:
@@ -122,12 +126,14 @@ def scheme_disagreement(
 class SweepConfig:
     """One Z^d sample run at a list of box sizes with a shared scheme."""
 
-    generator: InitialDataGenerator
+    generator: Generator
     L_list: tuple[int, ...]
     k: int
     scheme: SchemeConfig
 
     def __post_init__(self) -> None:
+        if self.scheme.scheme != "rk4":
+            raise ValueError(f"sweep-L needs dynamics.scheme rk4, got {self.scheme.scheme!r}")
         ls = tuple(int(v) for v in self.L_list)
         if not ls or any(b <= a for a, b in zip(ls, ls[1:])):
             raise ValueError("L_list must be nonempty and strictly increasing")
@@ -193,43 +199,48 @@ def _fit_threshold(entries: Sequence[SweepEntry]) -> int | None:
 def run_box_sweep(config: SweepConfig, pot: HoppingPotential) -> DisagreementReport:
     """Run consecutive-size pairs (L, L+1) for each listed L and report decay.
 
-    Each size runs once; an entry's runtime is the sum of its two sizes'.
+    Each size runs once: when L+1 is listed too, a pair's big box is the next
+    pair's small box.  An entry's runtime is the integration time of its two
+    sizes.
     """
     t_end = config.scheme.t_end
-    sizes = sorted(set(config.L_list) | {L + 1 for L in config.L_list})
-    runs: dict[int, Trajectory | BlowUpError] = {}
-    timings: dict[int, float] = {}
-    for L in sizes:
+    top = truncate(config.generator, LatticeShape(d=pot.d, L=max(config.L_list) + 1))
+
+    def run(L: int) -> tuple[Trajectory | BlowUpError, float]:
+        shape = LatticeShape(d=pot.d, L=L)
+        field0 = FieldL(shape, top.values[_window_slices(top.shape, L)])
         start = time.perf_counter()
-        field0 = truncate(config.generator, LatticeShape(d=pot.d, L=L))
         try:
-            runs[L] = integrate(field0, pot, config.scheme)
+            traj = integrate(field0, pot, config.scheme)
         except BlowUpError as err:
-            runs[L] = err
-        timings[L] = time.perf_counter() - start
+            traj = err
+        return traj, time.perf_counter() - start
 
     entries = []
-    flagged = False
-    for L in config.L_list:
-        small, big = runs[L], runs[L + 1]
-        runtime = timings[L] + timings[L + 1]
+    shared = None  # the last pair's big run, when it is this pair's small one
+    for L, next_L in zip(config.L_list, config.L_list[1:] + (None,)):
+        small, small_time = shared if shared is not None else run(L)
+        big, big_time = run(L + 1)
+        runtime = small_time + big_time
         if isinstance(small, BlowUpError) or isinstance(big, BlowUpError):
             err = small if isinstance(small, BlowUpError) else big
             entries.append(SweepEntry(L=L, delta_bar=float("nan"), drift=float("nan"),
                                       runtime=runtime, error=str(err)))
-            flagged = True
-            continue
-        entries.append(
-            SweepEntry(
-                L=L,
-                delta_bar=window_disagreement(big, small, config.k, t_end),
-                drift=drift(small, t_end),
-                runtime=runtime,
+        else:
+            entries.append(
+                SweepEntry(
+                    L=L,
+                    delta_bar=window_disagreement(big, small, config.k, t_end),
+                    drift=drift(small, t_end),
+                    runtime=runtime,
+                )
             )
-        )
+        shared = (big, big_time) if next_L == L + 1 else None
+        # no run outlives the pairs that read it
+        del small, big
     return DisagreementReport(
         entries=tuple(entries),
         fit_A=_fit_decay_base(entries),
         fit_L0=_fit_threshold(entries),
-        flagged=flagged,
+        flagged=any(e.error is not None for e in entries),
     )

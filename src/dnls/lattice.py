@@ -5,9 +5,10 @@ addition taken modulo the odd side length 2L+1.  Field values are stored
 row-major over coordinates shifted to [0, 2L+1); the text dump format and
 all FFT-based code rely on this order.
 
-Initial data lives on the infinite lattice: a generator is a pure function
-of (site, seed) so that truncations to different box sizes agree on their
-overlap, which is what every cross-L experiment requires.
+Initial data lives on the infinite lattice: a generator is a plain
+function from Z^d sites to amplitudes, pure in the site (and its seed), so
+that truncations to different box sizes agree on their overlap, which is
+what every cross-L experiment requires.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 Site = tuple[int, ...]
+Generator = Callable[[Site], complex]
 
 
 class InvalidSiteError(ValueError):
@@ -58,9 +60,6 @@ class LatticeShape:
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.side,) * self.d
-
-    def contains(self, x: Sequence[int]) -> bool:
-        return len(x) == self.d and all(-self.L <= int(c) <= self.L for c in x)
 
     @property
     def site_axes(self) -> tuple[int, ...]:
@@ -195,68 +194,22 @@ def regularized_abs(z: Sequence[int]) -> float:
     return math.sqrt(1.0 + sum(float(c) * float(c) for c in z))
 
 
-@dataclass(frozen=True)
-class InitialDataGenerator:
-    """Pure function from Z^d sites to amplitudes, with a declared envelope.
-
-    Purity means identical (site, seed) inputs give identical amplitudes, so
-    truncations to nested boxes agree on the overlap.  The declared envelope
-    guarantees |gen(z)| <= envelope_constant * <z>^envelope_exponent, i.e.
-    the sample lies in the corresponding power-law bounded space.
-    """
-
-    kind: str
-    fn: Callable[[Site], complex]
-    envelope_exponent: float
-    envelope_constant: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.envelope_exponent < 0:
-            raise ValueError("envelope exponent must be >= 0")
-
-    def __call__(self, z: Sequence[int]) -> complex:
-        return complex(self.fn(tuple(int(c) for c in z)))
-
-
-def constant_generator(value: complex) -> InitialDataGenerator:
+def constant_generator(value: complex) -> Generator:
     value = complex(value)
-    return InitialDataGenerator(
-        kind="closed-form",
-        fn=lambda z: value,
-        envelope_exponent=0.0,
-        envelope_constant=abs(value),
-    )
+    return lambda z: value
 
 
-def point_source(amplitude: complex, site: Sequence[int] = ()) -> InitialDataGenerator:
+def point_source(amplitude: complex, site: Sequence[int] = ()) -> Generator:
     """Amplitude at one Z^d site (origin by default), zero elsewhere."""
     amplitude = complex(amplitude)
     target = tuple(int(c) for c in site)
 
-    def fn(z: Site) -> complex:
+    def gen(z: Sequence[int]) -> complex:
+        z = tuple(z)
         probe = target if target else (0,) * len(z)
         return amplitude if z == probe else 0.0j
 
-    return InitialDataGenerator(
-        kind="closed-form",
-        fn=fn,
-        envelope_exponent=0.0,
-        envelope_constant=abs(amplitude),
-    )
-
-
-def closed_form_generator(
-    fn: Callable[[Site], complex],
-    envelope_exponent: float,
-    envelope_constant: float,
-) -> InitialDataGenerator:
-    return InitialDataGenerator(
-        kind="closed-form",
-        fn=fn,
-        envelope_exponent=float(envelope_exponent),
-        envelope_constant=float(envelope_constant),
-    )
+    return gen
 
 
 def _site_uniforms(seed: int, z: Site) -> tuple[float, float]:
@@ -273,7 +226,7 @@ def hashed_noise_generator(
     seed: int,
     envelope_exponent: float = 0.0,
     amplitude: float = 1.0,
-) -> InitialDataGenerator:
+) -> Generator:
     """Seeded site-hash noise with magnitude <= amplitude * <z>^p.
 
     The modulus is amplitude * <z>^p * sqrt(u) with u uniform, the phase is
@@ -283,26 +236,21 @@ def hashed_noise_generator(
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
     p = float(envelope_exponent)
+    if p < 0:
+        raise ValueError(f"envelope exponent must be >= 0, got {p}")
 
-    def fn(z: Site) -> complex:
+    def gen(z: Site) -> complex:
         u_phase, u_radial = _site_uniforms(seed, z)
         modulus = amplitude * regularized_abs(z) ** p * math.sqrt(u_radial)
         return modulus * complex(math.cos(2 * math.pi * u_phase), math.sin(2 * math.pi * u_phase))
 
-    return InitialDataGenerator(
-        kind="site-hash",
-        fn=fn,
-        envelope_exponent=p,
-        envelope_constant=float(amplitude),
-        seed=int(seed),
-    )
+    return gen
 
 
-def truncate(gen: InitialDataGenerator | Callable[[Site], complex], shape: LatticeShape) -> FieldL:
+def truncate(gen: Generator, shape: LatticeShape) -> FieldL:
     """Restrict a Z^d generator to the box: field(x) = gen(x) for x in the box."""
-    values = np.empty(shape.dims, dtype=np.complex128)
-    for site in shape.sites():
-        values[tuple(c + shape.L for c in site)] = complex(gen(site))
+    values = np.fromiter((complex(gen(site)) for site in shape.sites()),
+                         dtype=np.complex128, count=shape.volume)
     if not np.isfinite(values).all():
         raise DataError("generator produced non-finite values")
     return FieldL(shape, values)
@@ -326,8 +274,7 @@ def dump_field(field: FieldL, path) -> None:
     shape = field.shape
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{shape.d} {shape.L}\n")
-        for site in shape.sites():
-            v = field.values[tuple(c + shape.L for c in site)]
+        for site, v in zip(shape.sites(), field.values.flat):
             coords = " ".join(str(c) for c in site)
             fh.write(f"{coords} {float(v.real)!r} {float(v.imag)!r}\n")
 
@@ -342,15 +289,15 @@ def load_field(path) -> FieldL:
         # checked before the allocation, which a header alone can make huge
         if len(lines) < shape.volume:
             raise DataError(f"expected {shape.volume} sites, found {len(lines)}")
-        values = np.empty(shape.dims, dtype=np.complex128)
-        for line, site in zip(lines, shape.sites()):
+        values = np.empty(shape.volume, dtype=np.complex128)
+        for i, (line, site) in enumerate(zip(lines, shape.sites())):
             parts = line.split()
             if len(parts) != shape.d + 2:
                 raise DataError(f"bad field dump line: {line!r}")
             coords = tuple(int(c) for c in parts[: shape.d])
             if coords != site:
                 raise DataError(f"dump out of storage order: saw {coords}, expected {site}")
-            values[tuple(c + shape.L for c in coords)] = complex(
+            values[i] = complex(
                 float(parts[shape.d]), float(parts[shape.d + 1])
             )
     return FieldL(shape, values)

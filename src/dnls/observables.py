@@ -29,7 +29,7 @@ from .dynamics import Trajectory
 from .hopping import HoppingPotential, convolve_values, require_fits, stencil
 from .lattice import (
     FieldL,
-    InitialDataGenerator,
+    Generator,
     LatticeShape,
     Site,
     power_weight,
@@ -50,11 +50,6 @@ class LocalizationParams:
 
     eps: float
     center: Site
-
-    def validate_for(self, pot: HoppingPotential) -> None:
-        hi = 1.0 / (2.0 * pot.range)
-        if not (0.0 < self.eps < hi):
-            raise ValueError(f"eps must lie in (0, {hi}) for kernel range {pot.range}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,7 @@ def weight_normalization(shape: LatticeShape, eps: float) -> float:
     """S_eps: sum over the box of exp(-eps |x|_inf)."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    dist = torus_distance_grid(shape, (0,) * shape.d)
-    return float(np.sum(np.exp(-eps * dist)))
+    return float(np.sum(_local_weight(shape, eps, (0,) * shape.d)))
 
 
 def local_particle_number(field: FieldL, eps: float, x: Sequence[int]) -> float:
@@ -206,11 +200,7 @@ def _bound_ratios(
 class GrowthBoundReport:
     """Per-snapshot local-density growth ratios against the exponential bound."""
 
-    eps: float
-    center: Site
-    c_const: float
     eps_tilde: float
-    times: np.ndarray
     ratios: np.ndarray
     passed: bool
     fitted_rate: float
@@ -231,13 +221,10 @@ def growth_bound_report(
     eps_tilde = growth_rate_bound(pot, eps, c_const)
     center = traj.shape.require_site(x)
     q = _local_numbers(traj, eps, center) / weight_normalization(traj.shape, eps)
-    return _growth_report(traj, eps, center, c_const, eps_tilde, q)
+    return _growth_report(traj, eps_tilde, q)
 
 
-def _growth_report(
-    traj: Trajectory, eps: float, center: Site, c_const: float, eps_tilde: float,
-    q: np.ndarray,
-) -> GrowthBoundReport:
+def _growth_report(traj: Trajectory, eps_tilde: float, q: np.ndarray) -> GrowthBoundReport:
     """growth_bound_report from the local densities q of the snapshots."""
     ratios, passed = _bound_ratios(q, traj.times, eps_tilde, 1.0, "local density")
     positive = (traj.times > 0) & (q > 0)
@@ -245,16 +232,14 @@ def _growth_report(
         fitted_rate = float(np.max(np.log(q[positive] / q[0]) / traj.times[positive]))
     else:
         fitted_rate = 0.0
-    return GrowthBoundReport(
-        eps=eps, center=center, c_const=c_const, eps_tilde=eps_tilde,
-        times=traj.times.copy(), ratios=ratios, passed=passed, fitted_rate=fitted_rate,
-    )
+    return GrowthBoundReport(eps_tilde=eps_tilde, ratios=ratios, passed=passed,
+                             fitted_rate=fitted_rate)
 
 
 def _weight_grid(shape: LatticeShape, spec: WeightSpec) -> np.ndarray:
     """Phi(x) at the true coordinates of the box sites."""
     if spec.kind == "exponential":
-        return np.exp(-spec.parameter * torus_distance_grid(shape, (0,) * shape.d))
+        return _local_weight(shape, spec.parameter, (0,) * shape.d)
     return power_weight(shape, spec.parameter)
 
 
@@ -264,7 +249,7 @@ def weighted_norm(field: FieldL, spec: WeightSpec) -> float:
 
 
 def generator_weighted_norm(
-    gen: InitialDataGenerator,
+    gen: Generator,
     d: int,
     radius: int,
     spec: WeightSpec,
@@ -281,8 +266,7 @@ def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) 
     phi = _weight_grid(shape, spec)
     # exp(-(eps/2) dist(x, y)) depends on y - x only: site x reads it as the
     # window of the origin's grid, tiled twice per axis, starting at L - x
-    origin = torus_distance_grid(shape, (0,) * shape.d)
-    tiled = np.tile(np.exp(-0.5 * eps * origin), (2,) * shape.d)
+    tiled = np.tile(_local_weight(shape, 0.5 * eps, (0,) * shape.d), (2,) * shape.d)
     best = 0.0
     for idx in np.ndindex(shape.dims):
         starts = [(shape.L - i) % side for i in idx]
@@ -294,11 +278,8 @@ def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) 
 
 @dataclass(frozen=True)
 class WeightedBoundReport:
-    eps: float
-    spec: WeightSpec
     eps_tilde: float
     prefactor: float
-    times: np.ndarray
     ratios: np.ndarray
     passed: bool
 
@@ -320,10 +301,8 @@ def weighted_bound_check(
     axes = traj.shape.site_axes
     norms = np.concatenate([np.max(phi * np.abs(block), axis=axes) for _, block in traj.blocks()])
     ratios, passed = _bound_ratios(norms, traj.times, eps_tilde, prefactor, "weighted norm")
-    return WeightedBoundReport(
-        eps=eps, spec=spec, eps_tilde=eps_tilde, prefactor=prefactor,
-        times=traj.times.copy(), ratios=ratios, passed=passed,
-    )
+    return WeightedBoundReport(eps_tilde=eps_tilde, prefactor=prefactor, ratios=ratios,
+                               passed=passed)
 
 
 def observable_series(
@@ -341,14 +320,13 @@ def observable_series(
     header = ["t", "N_L", "H_L"]
     weights, local = [], []
     for loc in localizations:
-        loc.validate_for(pot)
         suffix = f"eps{loc.eps:g}_x{'_'.join(str(c) for c in loc.center)}"
         header += [f"N_{suffix}", f"Q_{suffix}", f"M_{suffix}", f"ratio_{suffix}"]
         eps_tilde = growth_rate_bound(pot, loc.eps, c_const)
         center = shape.require_site(loc.center)
         n_eps = _local_numbers(traj, loc.eps, center)
         q = n_eps / weight_normalization(shape, loc.eps)
-        rep = _growth_report(traj, loc.eps, center, c_const, eps_tilde, q)
+        rep = _growth_report(traj, eps_tilde, q)
         weights.append(_local_weight(shape, loc.eps, center))
         local.append((n_eps, q, rep.ratios))
     # columns N, H, then the flux sum M per localization; N and M are stacked

@@ -146,9 +146,6 @@ class GibbsSpec:
 class GibbsChain:
     """Record of one Metropolis run: retained samples plus acceptance counts."""
 
-    spec: GibbsSpec
-    shape: LatticeShape
-    seed: int
     samples: tuple[FieldL, ...]
     n_proposed: int
     n_accepted: int
@@ -231,16 +228,20 @@ def run_gibbs_chain(
     block = max(1, _DRAW_BLOCK // volume)
 
     for first in range(0, total_sweeps, block):
-        deltas = np.empty(block * volume, dtype=np.complex128)
-        deltas.real = sigma * rng.standard_normal(block * volume)
-        deltas.imag = sigma * rng.standard_normal(block * volume)
+        # whole blocks are drawn, for the prefix property; only the sweeps
+        # this chain runs are turned into deltas and thresholds
+        n_sweeps = min(block, total_sweeps - first)
+        used = n_sweeps * volume
+        deltas = np.empty(used, dtype=np.complex128)
+        deltas.real = sigma * rng.standard_normal(block * volume)[:used]
+        deltas.imag = sigma * rng.standard_normal(block * volume)[:used]
         with np.errstate(divide="ignore"):
             # accept iff dE < -log(u) / beta, i.e. u < exp(-beta dE)
-            thresholds = -np.log(rng.random(block * volume)) / beta
+            thresholds = -np.log(rng.random(block * volume)[:used]) / beta
         if n_loop:
-            delta_list = deltas.reshape(block, volume)[:, loop_positions].ravel().tolist()
-            threshold_list = thresholds.reshape(block, volume)[:, loop_positions].ravel().tolist()
-        for sweep in range(first, min(first + block, total_sweeps)):
+            delta_list = deltas.reshape(n_sweeps, volume)[:, loop_positions].ravel().tolist()
+            threshold_list = thresholds.reshape(n_sweeps, volume)[:, loop_positions].ravel().tolist()
+        for sweep in range(first, first + n_sweeps):
             s = sweep - first
             for start, sites, nbrs in plan:
                 if nbrs is None:
@@ -277,9 +278,6 @@ def run_gibbs_chain(
                 samples.append(FieldL(shape, values))
 
     return GibbsChain(
-        spec=spec,
-        shape=shape,
-        seed=int(seed),
         samples=tuple(samples),
         n_proposed=total_sweeps * volume,
         n_accepted=n_accepted,

@@ -145,11 +145,15 @@ class TestConfigHandling:
                              ("sampling.beta", "Infinity"), ("sampling.mu", "Infinity"))),
         ("simulate", ["--dynamics.lambda", "NaN"], "dynamics.lambda"),
         ("simulate", ["--dynamics.dt", "Infinity"], "dynamics.dt"),
+        ("sweep-L", ["--sweep.L_list", "[6, 8]", "--dynamics.scheme", "strang"],
+         "dynamics.scheme"),
+        ("simulate", ["--initial.type", "hashed", "--initial.p", "-0.5"], "exponent"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
         code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)
         err = capsys.readouterr().err
         assert code == 2
+        assert not (tmp_path / "r").exists()
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert key in err
 

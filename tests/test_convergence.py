@@ -14,7 +14,6 @@ from dnls.dynamics import SchemeConfig, integrate
 from dnls.hopping import standard_laplacian, zero_potential
 from dnls.lattice import (
     LatticeShape,
-    closed_form_generator,
     hashed_noise_generator,
     point_source,
     truncate,
@@ -95,13 +94,30 @@ class TestDrift:
 class TestSweep:
     def test_config_validation(self):
         gen = hashed_noise_generator(seed=0)
-        scheme = SchemeConfig(t_end=0.0)
+        scheme = SchemeConfig(scheme="rk4", t_end=0.0)
         with pytest.raises(ValueError):
             SweepConfig(generator=gen, L_list=(8, 8), k=2, scheme=scheme)
         with pytest.raises(ValueError):
             SweepConfig(generator=gen, L_list=(8, 12), k=9, scheme=scheme)
         with pytest.raises(ValueError):
             SweepConfig(generator=gen, L_list=(), k=0, scheme=scheme)
+
+    @pytest.mark.parametrize("d, L_list", [(1, (6, 7, 8, 9, 10)), (1, (6, 9, 12)), (2, (3, 4, 6))])
+    def test_entries_match_separate_truncations(self, d, L_list):
+        # one truncation sliced per box, each size run once, gives the bits of
+        # a truncation and a run per box
+        gen = hashed_noise_generator(seed=8, envelope_exponent=0.45)
+        pot = standard_laplacian(d)
+        scheme = SchemeConfig(scheme="rk4", dt=1e-2, t_end=0.3, snapshot_stride=1, lam=1.0)
+        report = run_box_sweep(SweepConfig(generator=gen, L_list=L_list, k=2, scheme=scheme), pot)
+        assert [e.L for e in report.entries] == list(L_list)
+        for e in report.entries:
+            small, big = (integrate(truncate(gen, LatticeShape(d, L)), pot, scheme)
+                          for L in (e.L, e.L + 1))
+            got = np.array([e.delta_bar, e.drift])
+            want = np.array([window_disagreement(big, small, 2, 0.3), drift(small, 0.3)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert e.error is None and e.delta_bar > 0.0
 
     def test_zero_time_sweep_vanishes(self):
         # generator supported inside the window, t_end = 0
@@ -126,7 +142,9 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_flags_partial_report(self):
-        blow = closed_form_generator(lambda z: 60.0 + 0.0j, 0.0, 60.0)
+        def blow(z):
+            return 60.0 + 0.0j
+
         scheme = SchemeConfig(scheme="rk4", dt=5.0, t_end=50.0, snapshot_stride=1, lam=1.0)
         cfg = SweepConfig(generator=blow, L_list=(4, 6), k=2, scheme=scheme)
         report = run_box_sweep(cfg, POT)
@@ -157,8 +175,7 @@ class TestLocalizedPerturbation:
             def bumped(z, m=m):
                 return base(z) + (2.0 if abs(z[0]) > m else 0.0)
 
-            gen = closed_form_generator(bumped, 0.0, 3.0)
-            traj = integrate(truncate(gen, shape), POT, scheme)
+            traj = integrate(truncate(bumped, shape), POT, scheme)
             sl = (slice(L - k, L + k + 1),)
             diff = max(
                 float(np.abs(a.values[sl] - b.values[sl]).max())
