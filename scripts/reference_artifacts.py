@@ -121,6 +121,19 @@ REFERENCE_RUNS = (
         "lattice.L": 64, "sampling.n_samples": 5, "sampling.proposal_sigma": 0.7,
         "dump_fields": True,
     }),
+    # the two other Z^d generators: a point source at the origin in d=2, and
+    # a constant field, whose zero-kernel evolution is checked exactly
+    ("simulate-peak-d2", "simulate", {
+        "lattice.d": 2, "lattice.L": 4, "initial.type": "peak", "initial.amplitude": 1.5,
+        "dynamics.dt": 0.01, "dynamics.t_end": 0.2, "dynamics.stride": 5,
+        "observables.eps": 0.2, "observables.centers": [[0, 0], [1, -2]],
+        "dump_fields": True,
+    }),
+    ("conserve-constant", "conserve", {
+        "lattice.L": 6, "kernel.type": "zero", "initial.type": "constant",
+        "initial.re": 0.6, "initial.im": -0.8, "dynamics.dt": 0.01, "dynamics.t_end": 0.5,
+        "dynamics.stride": 5,
+    }),
 )
 
 SEED = 7

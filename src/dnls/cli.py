@@ -258,7 +258,7 @@ class RunWriter:
         self._register(relpath)
 
     def write_json(self, relpath: str, payload) -> None:
-        self.write_text(relpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.write_text(relpath, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
     def write_csv(self, relpath: str, header: list[str], rows) -> None:
         lines = [",".join(header)]
@@ -409,7 +409,7 @@ def run_sweep(c: dict, writer: RunWriter) -> tuple[dict, dict]:
     )
     pot = build_potential(c)
     report = convergence.run_box_sweep(config, pot)
-    writer.write_json("sweep.json", _jsonable(report.as_dict()))
+    writer.write_json("sweep.json", report.as_dict())
     writer.write_csv("sweep.csv", ["L", "delta_bar"], [[e.L, e.delta_bar] for e in report.entries])
 
     checks = {}
@@ -427,7 +427,7 @@ def run_sweep(c: dict, writer: RunWriter) -> tuple[dict, dict]:
         "flagged": report.flagged,
         "kernel": pot.fingerprint(),
     }
-    return _jsonable(summary), checks
+    return summary, checks
 
 
 def run_uniqueness(c: dict, writer: RunWriter) -> tuple[dict, dict]:
@@ -509,7 +509,7 @@ def _stats_payload(samples, writer, c) -> dict:
         "violations_by_radius": dict(enumerate(by_radius)),
         "sites_by_radius": violations[0].sites_by_radius,
     }
-    writer.write_json("stats.json", _jsonable(payload))
+    writer.write_json("stats.json", payload)
     _dump_fields(writer, c, "sample", samples)
     return {"max_moment": stats.max_moment, "n_samples": len(samples)}
 
@@ -535,7 +535,6 @@ RUNNERS = {
     "sample-gibbs": run_sample_gibbs,
     "stats": run_stats,
 }
-EXPERIMENTS = tuple(RUNNERS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -544,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Lattice nonlinear Schrodinger simulator and verification harness",
     )
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--experiment", default=None, choices=EXPERIMENTS)
+    parser.add_argument("--experiment", default=None, help=f"one of {', '.join(RUNNERS)}")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     args, extra = parser.parse_known_args(argv)
@@ -559,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         c = resolve(cfg)
         if c["experiment"] not in RUNNERS:
             raise ConfigError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}; got {c['experiment']!r}"
+                f"experiment must be one of {', '.join(RUNNERS)}; got {c['experiment']!r}"
             )
         if not c["out"]:
             raise ConfigError("an output directory is required (--out or config 'out')")
@@ -575,14 +574,18 @@ def main(argv: list[str] | None = None) -> int:
         # are all configuration-level failures
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        # a lattice, kernel or field header too large to allocate
+        print(f"configuration error: not enough memory: {err}", file=sys.stderr)
+        return 2
 
     manifest = {
         "experiment": c["experiment"],
-        "config": _jsonable(cfg),
+        "config": cfg,
         "version": __version__,
         "seed": c["seed"],
         "wall_clock_s": time.perf_counter() - start,
-        "results": _jsonable(summary),
+        "results": summary,
         "checks": {k: bool(v) for k, v in checks.items()},
     }
     writer.write_manifest(manifest)

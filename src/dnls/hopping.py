@@ -231,10 +231,9 @@ def dispersion(pot: HoppingPotential, shape: LatticeShape) -> Dispersion:
     return Dispersion(shape=shape, values=omega)
 
 
-def convolve_fourier(pot: HoppingPotential, field: FieldL, disp: Dispersion | None = None) -> FieldL:
+def convolve_fourier(pot: HoppingPotential, field: FieldL) -> FieldL:
     """Convolution through the Fourier diagonalization; validation route."""
-    if disp is None:
-        disp = dispersion(pot, field.shape)
+    disp = dispersion(pot, field.shape)
     out = np.fft.ifftn(disp.values * np.fft.fftn(field.values))
     return FieldL(field.shape, out)
 
@@ -275,10 +274,7 @@ def load_potential(path) -> HoppingPotential:
         if len(header) != 2:
             raise KernelError(f"bad kernel header in {path}")
         d, rng = int(header[0]), int(header[1])
-        try:
-            coeffs = np.zeros((2 * rng + 1,) * d)
-        except MemoryError:
-            raise KernelError(f"kernel header '{d} {rng}' in {path} is too large") from None
+        coeffs = np.zeros((2 * rng + 1,) * d)
         for line in fh:
             parts = line.split()
             if not parts:

@@ -9,6 +9,9 @@ Initial data lives on the infinite lattice: a generator is a plain
 function from Z^d sites to amplitudes, pure in the site (and its seed), so
 that truncations to different box sizes agree on their overlap, which is
 what every cross-L experiment requires.
+
+A FieldL alone checks its values' size and finiteness and holds them
+read-only; it copies a writeable array, so the builders freeze theirs first.
 """
 
 from __future__ import annotations
@@ -199,17 +202,10 @@ def constant_generator(value: complex) -> Generator:
     return lambda z: value
 
 
-def point_source(amplitude: complex, site: Sequence[int] = ()) -> Generator:
-    """Amplitude at one Z^d site (origin by default), zero elsewhere."""
+def point_source(amplitude: complex) -> Generator:
+    """Amplitude at the origin of Z^d, zero elsewhere."""
     amplitude = complex(amplitude)
-    target = tuple(int(c) for c in site)
-
-    def gen(z: Sequence[int]) -> complex:
-        z = tuple(z)
-        probe = target if target else (0,) * len(z)
-        return amplitude if z == probe else 0.0j
-
-    return gen
+    return lambda z: 0.0j if any(z) else amplitude
 
 
 def _site_uniforms(seed: int, z: Site) -> tuple[float, float]:
@@ -251,8 +247,7 @@ def truncate(gen: Generator, shape: LatticeShape) -> FieldL:
     """Restrict a Z^d generator to the box: field(x) = gen(x) for x in the box."""
     values = np.fromiter((complex(gen(site)) for site in shape.sites()),
                          dtype=np.complex128, count=shape.volume)
-    if not np.isfinite(values).all():
-        raise DataError("generator produced non-finite values")
+    values.setflags(write=False)
     return FieldL(shape, values)
 
 
@@ -300,4 +295,5 @@ def load_field(path) -> FieldL:
             values[i] = complex(
                 float(parts[shape.d]), float(parts[shape.d + 1])
             )
+    values.setflags(write=False)
     return FieldL(shape, values)

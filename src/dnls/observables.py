@@ -113,9 +113,8 @@ def _local_weight(shape: LatticeShape, eps: float, x: Sequence[int]) -> np.ndarr
     return np.exp(-eps * torus_distance_grid(shape, x))
 
 
-def _local_numbers(traj: Trajectory, eps: float, x: Site) -> np.ndarray:
-    """local_particle_number of every snapshot, against one weight grid."""
-    weight = _local_weight(traj.shape, eps, x)
+def _local_numbers(traj: Trajectory, weight: np.ndarray) -> np.ndarray:
+    """local_particle_number of every snapshot, against one _local_weight grid."""
     axes = traj.shape.site_axes
     return np.concatenate([np.sum(weight * np.abs(block) ** 2, axis=axes)
                            for _, block in traj.blocks()])
@@ -219,8 +218,8 @@ def growth_bound_report(
     a zero start with a nonzero continuation is an undefined ratio.
     """
     eps_tilde = growth_rate_bound(pot, eps, c_const)
-    center = traj.shape.require_site(x)
-    q = _local_numbers(traj, eps, center) / weight_normalization(traj.shape, eps)
+    weight = _local_weight(traj.shape, eps, traj.shape.require_site(x))
+    q = _local_numbers(traj, weight) / weight_normalization(traj.shape, eps)
     return _growth_report(traj, eps_tilde, q)
 
 
@@ -323,11 +322,11 @@ def observable_series(
         suffix = f"eps{loc.eps:g}_x{'_'.join(str(c) for c in loc.center)}"
         header += [f"N_{suffix}", f"Q_{suffix}", f"M_{suffix}", f"ratio_{suffix}"]
         eps_tilde = growth_rate_bound(pot, loc.eps, c_const)
-        center = shape.require_site(loc.center)
-        n_eps = _local_numbers(traj, loc.eps, center)
+        weight = _local_weight(shape, loc.eps, shape.require_site(loc.center))
+        n_eps = _local_numbers(traj, weight)
         q = n_eps / weight_normalization(shape, loc.eps)
         rep = _growth_report(traj, eps_tilde, q)
-        weights.append(_local_weight(shape, loc.eps, center))
+        weights.append(weight)
         local.append((n_eps, q, rep.ratios))
     # columns N, H, then the flux sum M per localization; N and M are stacked
     # reductions, H sums each snapshot on its own, since a complex sum over

@@ -19,11 +19,12 @@ reads position p of the order from element s * volume + p.  So the stream
 depends only on the seed and the volume, and a chain is a prefix of any
 longer chain at its seed.  Each uniform u becomes a threshold -log(u) / beta
 and a proposal is accepted when its energy change is below it: the rule
-u < exp(-beta dE), with no exp to overflow.  Two kernels give the same bits:
-a class of at least _NUMPY_CLASS_MIN sites updates as numpy operations on
-index arrays, a smaller one (a one-site box, the one-site tail class of an
-odd ring) as a Python loop over each site's (coefficient, neighbour index)
-row, built once.
+u < exp(-beta dE), with no exp to overflow.  One neighbour table (per site
+x, the flat index of x - offset per clipped offset) drives the colouring
+and two kernels that give the same bits: a class of at least
+_NUMPY_CLASS_MIN sites updates as numpy operations on its index arrays, a
+smaller one (a one-site box, the one-site tail class of an odd ring) as a
+Python loop over its sites' (coefficient, neighbour index) rows.
 
 Two results back the checks on the samples: SampleStats (per-site moments,
 their standard errors and the largest) and PowerLawViolations (sites above
@@ -65,12 +66,12 @@ class MeasureError(ValueError):
 class GaussianSpec:
     """Mean-zero translation-invariant Gaussian law given by a spectral density.
 
-    density may be a nonnegative float (flat), a callable taking a stacked
+    density is a nonnegative number (flat) or a callable taking a stacked
     integer mode-coordinate array of shape (d, side, ..., side) in centered
-    representation, or a tabulated array in FFT index order.
+    representation.
     """
 
-    density: float | Callable[[np.ndarray], np.ndarray] | np.ndarray
+    density: float | Callable[[np.ndarray], np.ndarray]
 
     def density_grid(self, shape: LatticeShape) -> np.ndarray:
         if isinstance(self.density, (int, float)):
@@ -84,11 +85,7 @@ class GaussianSpec:
             if grid.shape != shape.dims:
                 raise MeasureError(f"density callable returned shape {grid.shape}")
         else:
-            grid = np.asarray(self.density, dtype=np.float64)
-            if grid.shape != shape.dims:
-                raise MeasureError(
-                    f"tabulated density has shape {grid.shape}, box needs {shape.dims}"
-                )
+            raise MeasureError("density must be a number or a callable")
         if not np.isfinite(grid).all() or np.any(grid < 0):
             raise MeasureError("spectral density must be finite and nonnegative")
         reflected = grid
@@ -110,6 +107,7 @@ def sample_gaussian(spec: GaussianSpec, shape: LatticeShape, seed: int) -> Field
     noise = (rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims)) / math.sqrt(2.0)
     modes = np.sqrt(rho) * noise
     values = math.sqrt(shape.volume) * np.fft.ifftn(modes)
+    values.setflags(write=False)
     return FieldL(shape, values)
 
 
@@ -151,24 +149,25 @@ class GibbsChain:
     n_accepted: int
 
 
-def _neighbor_rows(pot: HoppingPotential, shape: LatticeShape) -> list[tuple]:
-    """Per site x, its (coefficient, flat index of x - offset) pairs, in
-    clipped_offsets order; the zero kernel gives empty rows."""
+def _neighbor_table(pot: HoppingPotential, shape: LatticeShape) -> tuple[list[float], np.ndarray]:
+    """The clipped_offsets coefficients as Python floats, and the table whose
+    row x holds the flat index of x - offset per offset, in that order; the
+    zero kernel gives no coefficients and empty rows."""
     offsets = clipped_offsets(pot, shape)
     flat = np.arange(shape.volume).reshape(shape.dims)
-    columns = [np.roll(flat, off, axis=tuple(range(shape.d))).ravel().tolist()
-               for off, _ in offsets]
-    coeffs = [float(c) for _, c in offsets]
-    return [tuple(zip(coeffs, idx)) for idx in zip(*columns)] or [()] * shape.volume
+    table = np.empty((shape.volume, len(offsets)), dtype=np.intp)
+    for j, (off, _) in enumerate(offsets):
+        table[:, j] = np.roll(flat, off, axis=tuple(range(shape.d))).ravel()
+    return [float(c) for _, c in offsets], table
 
 
-def _colour_classes(rows: list[tuple]) -> list[np.ndarray]:
+def _colour_classes(table: np.ndarray) -> list[np.ndarray]:
     """Greedy colouring, in site order, of the graph joining each site x to
-    the x - offset of its row; the zero offset is x itself and no edge.
+    the x - offset of its table row; the zero offset is x itself and no edge.
     Returns the classes in colour order, each in site order."""
     colours: list[int] = []
-    for x, row in enumerate(rows):
-        taken = {colours[k] for _, k in row if k < x}
+    for x, row in enumerate(table.tolist()):
+        taken = {colours[k] for k in row if k < x}
         colours.append(min(set(range(len(taken) + 1)) - taken))
     colour = np.array(colours)
     return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
@@ -184,10 +183,9 @@ def run_gibbs_chain(
     """Metropolis chain for exp(-beta (H - mu N)); deterministic given seed."""
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    rows = _neighbor_rows(pot, shape)
-    classes = _colour_classes(rows)
+    coeffs, table = _neighbor_table(pot, shape)
+    classes = _colour_classes(table)
     alpha0 = pot.at((0,) * pot.d)
-    coeffs = [c for c, _ in rows[0]]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     volume = shape.volume
@@ -203,9 +201,7 @@ def run_gibbs_chain(
     # per class, in sweep order: where its draws start within one sweep's
     # draws, its sites, and its neighbour index arrays for the numpy kernel
     # or None for the Python loop, which reads only its own sites' draws,
-    # n_loop a sweep, as lists
-    table = np.array([[k for _, k in row] for row in rows], dtype=np.intp)
-    table = table.reshape(volume, len(coeffs))
+    # n_loop a sweep, as lists, and its sites' (coefficient, index) rows
     plan = []
     loop_positions: list[int] = []
     start = 0
@@ -213,7 +209,8 @@ def run_gibbs_chain(
         if idx.size >= _NUMPY_CLASS_MIN:
             plan.append((start, idx, list(table[idx].T)))
         else:
-            plan.append((len(loop_positions), [(int(i), rows[i]) for i in idx], None))
+            rows = [(int(i), tuple(zip(coeffs, table[i].tolist()))) for i in idx]
+            plan.append((len(loop_positions), rows, None))
             loop_positions.extend(range(start, start + idx.size))
         start += idx.size
     n_loop = len(loop_positions)

@@ -148,6 +148,11 @@ class TestConfigHandling:
         ("sweep-L", ["--sweep.L_list", "[6, 8]", "--dynamics.scheme", "strang"],
          "dynamics.scheme"),
         ("simulate", ["--initial.type", "hashed", "--initial.p", "-0.5"], "exponent"),
+        # L = 2^55 asks for more than 2^57 bytes, which numpy refuses at once
+        ("simulate", ["--lattice.L", "36028797018963968"], "memory"),
+        ("simulate", ["--lattice.L", "36028797018963968", "--initial.type", "hashed"], "memory"),
+        ("sample-gibbs", ["--lattice.L", "36028797018963968"], "memory"),
+        ("nope", [], "experiment"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
         code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)

@@ -1,11 +1,17 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dnls.lattice
 from dnls.lattice import (
     DataError,
     FieldL,
@@ -268,3 +274,15 @@ class TestDump:
         path.write_text("1 1\n0 0.0 0.0\n-1 0.0 0.0\n1 0.0 0.0\n")
         with pytest.raises(DataError):
             load_field(path)
+
+
+def test_import_loads_no_other_dnls_module():
+    env = dict(os.environ)
+    src = str(Path(dnls.lattice.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys, dnls.lattice; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'dnls')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["dnls", "dnls.lattice"]

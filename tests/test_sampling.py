@@ -32,7 +32,7 @@ from dnls.sampling import (
     two_point_function,
     weighted_sup,
     _colour_classes,
-    _neighbor_rows,
+    _neighbor_table,
 )
 
 POT = standard_laplacian(1)
@@ -330,9 +330,10 @@ class TestNeighborTables:
     def test_matches_per_site_loop(self, d, L, kernel):
         pot, shape = kernel(d), LatticeShape(d, L)
         nbr, coeffs = _per_site_table(pot, shape)
-        rows = _neighbor_rows(pot, shape)
-        assert rows == [tuple(zip(coeffs.tolist(), row.tolist())) for row in nbr]
-        assert all(type(c) is float and type(k) is int for row in rows for c, k in row)
+        got_coeffs, table = _neighbor_table(pot, shape)
+        assert got_coeffs == coeffs.tolist()
+        assert all(type(c) is float for c in got_coeffs)
+        assert table.shape == nbr.shape and np.array_equal(table, nbr)
 
 
 def _random_kernel(d, ell, zero, rng):
@@ -348,7 +349,7 @@ class TestColourClasses:
            zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_classes_partition_independent_sets(self, d, L, ell, zero, seed):
         pot, shape = _random_kernel(d, ell, zero, np.random.default_rng(seed)), LatticeShape(d, L)
-        classes = _colour_classes(_neighbor_rows(pot, shape))
+        classes = _colour_classes(_neighbor_table(pot, shape)[1])
         assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(shape.volume))
         assert all(np.all(np.diff(c) > 0) for c in classes)
         nbr, _ = _per_site_table(pot, shape)
