@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import FieldL, LatticeShape, Site, read_only, wrap_coord
+from .lattice import FieldL, LatticeShape, Site, frozen, read_only, wrap_coord
 
 
 Stencil = Callable[[np.ndarray], np.ndarray]
@@ -135,7 +135,7 @@ def require_fits(pot: HoppingPotential, shape: LatticeShape) -> None:
 def convolve(pot: HoppingPotential, field: FieldL) -> FieldL:
     """Wrapped convolution: out(x) = sum_y alpha(x - y) field(y)."""
     require_fits(pot, field.shape)
-    return FieldL(field.shape, convolve_values(pot, field.shape, field.values))
+    return FieldL(field.shape, frozen(convolve_values(pot, field.shape, field.values)))
 
 
 def convolve_values(pot: HoppingPotential, shape: LatticeShape, values: np.ndarray) -> np.ndarray:
@@ -235,7 +235,7 @@ def convolve_fourier(pot: HoppingPotential, field: FieldL) -> FieldL:
     """Convolution through the Fourier diagonalization; validation route."""
     disp = dispersion(pot, field.shape)
     out = np.fft.ifftn(disp.values * np.fft.fftn(field.values))
-    return FieldL(field.shape, out)
+    return FieldL(field.shape, frozen(out))
 
 
 def clipped_offsets(pot: HoppingPotential, shape: LatticeShape) -> list[tuple[Site, float]]:

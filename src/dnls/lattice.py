@@ -87,12 +87,16 @@ class LatticeShape:
             yield tuple(int(i) - self.L for i in idx)
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place; a function returning a new field
+    freezes the fresh array it wraps, so that FieldL stores it uncopied."""
+    arr.setflags(write=False)
+    return arr
+
+
 def read_only(arr: np.ndarray) -> np.ndarray:
     """arr itself if it is read-only, else a read-only copy of it."""
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
+    return frozen(arr.copy()) if arr.flags.writeable else arr
 
 
 def wrap_coord(c: int, side: int) -> int:
@@ -247,8 +251,7 @@ def truncate(gen: Generator, shape: LatticeShape) -> FieldL:
     """Restrict a Z^d generator to the box: field(x) = gen(x) for x in the box."""
     values = np.fromiter((complex(gen(site)) for site in shape.sites()),
                          dtype=np.complex128, count=shape.volume)
-    values.setflags(write=False)
-    return FieldL(shape, values)
+    return FieldL(shape, frozen(values))
 
 
 def embed_lookup(field: FieldL, z: Sequence[int]) -> complex:
@@ -295,5 +298,4 @@ def load_field(path) -> FieldL:
             values[i] = complex(
                 float(parts[shape.d]), float(parts[shape.d + 1])
             )
-    values.setflags(write=False)
-    return FieldL(shape, values)
+    return FieldL(shape, frozen(values))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import dense_propagator, hopping_matrix, naive_convolve, random_field
 import dnls.dynamics
 from dnls.dynamics import (
+    _fourier_passes,
     SCHEMES,
     BlowUpError,
     SchemeConfig,
@@ -26,7 +27,9 @@ from dnls.dynamics import (
 )
 from dnls.hopping import (
     HoppingPotential,
+    dispersion,
     standard_laplacian,
+    stencil,
     wrapped_difference,
     zero_potential,
 )
@@ -57,6 +60,48 @@ def naive_second_derivative(field, pot, lam, x):
     term4 = -lam * lam * abs(psi(x)) ** 4 * psi(x)
     term5 = lam * psi(x) ** 2 * sum(a((x, y)) * np.conj(psi(y)) for y in shape.sites())
     return term1 + term2 + term3 + term4 + term5
+
+
+def reference_stepper(scheme, pot, shape, lam, dt):
+    """One step as plain numpy expressions, with np.fft and fresh arrays per
+    step; a bit-level oracle for the buffered steppers below 2^14 sites."""
+    if scheme == "strang":
+        disp = dispersion(pot, shape).values
+        linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
+        half_rate = -0.5j * lam * dt
+        fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
+
+        def strang(values):
+            psi = values * np.exp(half_rate * np.abs(values) ** 2)
+            if linear_phase is not None:
+                psi = ifft(linear_phase * fft(psi))
+            return psi * np.exp(half_rate * np.abs(psi) ** 2)
+
+        return strang
+    apply = stencil(pot, shape)
+
+    def f(y):
+        return -1j * (apply(y) + lam * (np.abs(y) ** 2) * y)
+
+    def rk4(y):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return rk4
+
+
+def reference_snapshots(scheme, field, pot, lam, dt, stride, n_snap):
+    advance = reference_stepper(scheme, pot, field.shape, lam, dt)
+    psi = field.values
+    expected = [psi]
+    for k in range(1, stride * n_snap + 1):
+        psi = advance(psi)
+        if k % stride == 0:
+            expected.append(psi)
+    return np.stack(expected)
 
 
 class TestSchemeConfig:
@@ -315,6 +360,33 @@ class TestIntegrate:
             integrate(f, standard_laplacian(1), cfg)
         assert err.value.time > 0
 
+    # RK4 overshoots at a large dt; Strang keeps |psi| bounded, but its phase
+    # lam * dt * |psi(x)|^2 / 2 overflows once the flow gathers enough weight
+    # at one site.  Each first bad step lies inside a later snapshot block.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, lam, dt, scale, stride, steps", [
+        ("rk4", 1.0, 0.5, 1.0, 2, 10),
+        ("strang", 1e308, 1.0, 1.2, 3, 12),
+    ])
+    def test_blow_up_names_the_first_bad_step(self, scheme, lam, dt, scale, stride, steps):
+        f = random_field(LatticeShape(1, 4), 1, scale)
+        pot = standard_laplacian(1)
+        advance = reference_stepper(scheme, pot, f.shape, lam, dt)
+        psi, first_bad = f.values, None
+        for k in range(1, steps + 1):
+            psi = advance(psi)
+            if not np.isfinite(psi).all():
+                first_bad = k
+                break
+        # the replay starts from a stored snapshot after the first
+        assert first_bad is not None and first_bad > stride and first_bad % stride != 0
+        cfg = SchemeConfig(scheme=scheme, dt=dt, t_end=dt * steps, snapshot_stride=stride,
+                           lam=lam)
+        with pytest.raises(BlowUpError) as err:
+            integrate(f, pot, cfg)
+        assert err.value.step == first_bad
+        assert err.value.time == first_bad * dt
+
     def test_deterministic(self):
         f = random_field(LatticeShape(1, 8), 8)
         cfg = SchemeConfig(dt=1e-2, t_end=0.5, snapshot_stride=10)
@@ -346,16 +418,40 @@ class TestIntegrate:
         cfg = SchemeConfig(scheme=scheme, dt=dt, t_end=dt * stride * n_snap,
                            snapshot_stride=stride, lam=lam)
         traj = integrate(f, pot, cfg)
-        step = step_strang if scheme == "strang" else step_rk4
-        current = f
-        expected = [f]
-        for k in range(1, stride * n_snap + 1):
-            current = step(current, pot, lam, dt)
-            if k % stride == 0:
-                expected.append(current)
-        assert len(traj.snapshots) == len(expected)
-        for got, want in zip(traj.snapshots, expected):
-            assert np.array_equal(got.values, want.values)
+        expected = reference_snapshots(scheme, f, pot, lam, dt, stride, n_snap)
+        assert np.array_equal(traj.values, expected)
+        one_step = step_strang if scheme == "strang" else step_rk4
+        assert np.array_equal(one_step(f, pot, lam, dt).values,
+                              reference_snapshots(scheme, f, pot, lam, dt, 1, 1)[1])
+
+    # boxes below 2^14 sites are bit-equal to the reference; at 16,385 sites
+    # numpy elides the reference's temporaries and swaps the operands of its
+    # complex products, so Strang's last bits move (6.9e-15 here)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d, L, tol", [(1, 1000, 0.0), (2, 32, 0.0), (3, 8, 0.0),
+                                           (1, 8192, 1e-12)])
+    def test_larger_boxes_against_reference(self, scheme, d, L, tol):
+        shape = LatticeShape(d, L)
+        f = random_field(shape, 3)
+        pot = standard_laplacian(d)
+        cfg = SchemeConfig(scheme=scheme, dt=0.01, t_end=0.04, snapshot_stride=2, lam=1.0)
+        expected = reference_snapshots(scheme, f, pot, 1.0, 0.01, 2, 2)
+        assert np.max(np.abs(integrate(f, pot, cfg).values - expected)) <= tol
+
+
+class TestFourierPasses:
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 64), (2, 3), (2, 16), (3, 2), (3, 5)])
+    def test_gufunc_passes_equal_np_fft(self, d, L):
+        shape = LatticeShape(d, L)
+        values = random_field(shape, d * 100 + L).values
+        forward, inverse = _fourier_passes(shape)
+        spec = forward(values.copy(), np.empty_like(values))
+        back = inverse(values.copy(), np.empty_like(values))
+        assert np.array_equal(spec, np.fft.fftn(values))
+        assert np.array_equal(back, np.fft.ifftn(values))
+        if d == 1:
+            assert np.array_equal(spec, np.fft.fft(values))
+            assert np.array_equal(back, np.fft.ifft(values))
 
 
 class TestTrajectoryGradients:
