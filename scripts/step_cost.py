@@ -3,7 +3,7 @@
 
 For every (d, L) below, times `integrate` on Gaussian data with the
 standard Laplacian (lam = 1, dt = 1e-3, snapshots every 10 steps) and
-prints the best of --repeats runs as microseconds per site-step, with the
+prints the best of 5 runs as microseconds per site-step, with the
 per-step time beside it.  The step count per run shrinks with the volume,
 so that each run does about the same work; the whole table takes about
 15 s on a shared 2-core Xeon host.  To compare two checkouts, run it in
@@ -12,7 +12,6 @@ each:
     PYTHONPATH=src python3 scripts/step_cost.py
 """
 
-import argparse
 import time
 
 from dnls.dynamics import SchemeConfig, integrate
@@ -26,11 +25,12 @@ GRID = ((1, 32), (1, 64), (1, 1000), (2, 8), (2, 32), (2, 64), (3, 4), (3, 8), (
 SITE_STEPS = 400_000
 STRIDE = 10
 DT = 1e-3
+REPEATS = 5
 
 
-def best_seconds(field0, pot, cfg, repeats: int) -> float:
+def best_seconds(field0, pot, cfg) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         integrate(field0, pot, cfg)
         best = min(best, time.perf_counter() - start)
@@ -38,11 +38,6 @@ def best_seconds(field0, pot, cfg, repeats: int) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=5)
-    args = ap.parse_args()
-
     print(f"{'d':>2} {'L':>5} {'sites':>6} {'steps':>6}  "
           f"{'strang us/site-step':>19} {'us/step':>9}  {'rk4 us/site-step':>16} {'us/step':>9}")
     for d, L in GRID:
@@ -55,7 +50,7 @@ def main() -> None:
         for scheme in ("strang", "rk4"):
             cfg = SchemeConfig(scheme=scheme, dt=DT, t_end=steps * DT,
                                snapshot_stride=STRIDE, lam=1.0)
-            per_step = best_seconds(field0, pot, cfg, args.repeats) / steps * 1e6
+            per_step = best_seconds(field0, pot, cfg) / steps * 1e6
             row += [per_step / shape.volume, per_step]
         print(f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6}  "
               f"{row[0]:>19.4f} {row[1]:>9.1f}  {row[2]:>16.4f} {row[3]:>9.1f}")
