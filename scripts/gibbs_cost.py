@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Cost of one Metropolis proposal of the Gibbs sampler, on a fixed grid.
+
+For every (d, L) below, times `run_gibbs_chain` with the standard
+Laplacian at the acceptance criteria's equilibrium parameters (beta = 1,
+mu = -1, lam = 1, proposal sigma 0.7, no burn-in, a sample kept every 10
+sweeps) and prints the best of 5 runs as microseconds per proposal, the
+cost of keeping the samples included.  Each run makes about the same
+number of proposals.  The rows are criterion
+10's one-site chain (d = 1, L = 0), criterion 11's rings (d = 1, L = 64,
+128, 256), and a square and a cube.  Below them, the best of 5 calls of
+`tune_proposal_sigma` in milliseconds, at L = 0 and L = 8 in d = 1.  The
+whole table takes about 13 s on a shared 2-core Xeon host.  To compare
+two checkouts, run it in each:
+
+    PYTHONPATH=src python3 scripts/gibbs_cost.py
+"""
+
+import time
+
+from dnls.hopping import standard_laplacian
+from dnls.lattice import LatticeShape
+from dnls.sampling import GibbsSpec, run_gibbs_chain, tune_proposal_sigma
+
+GRID = ((1, 0), (1, 64), (1, 128), (1, 256), (2, 8), (3, 4))
+TUNE_GRID = ((1, 0), (1, 8))
+# proposals per timed run; the sample count is this over volume * THINNING,
+# rounded up
+PROPOSALS = 200_000
+THINNING = 10
+REPEATS = 5
+SPEC = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.7, burn_in=0, thinning=THINNING)
+SEED = 7
+
+
+def best_seconds(run) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main() -> None:
+    print(f"{'d':>2} {'L':>4} {'sites':>6} {'samples':>7} {'proposals':>9}  {'us/proposal':>11}")
+    for d, L in GRID:
+        shape = LatticeShape(d=d, L=L)
+        pot = standard_laplacian(d)
+        n_samples = -(-PROPOSALS // (shape.volume * THINNING))
+        proposals = n_samples * THINNING * shape.volume
+        seconds = best_seconds(lambda: run_gibbs_chain(SPEC, pot, shape, SEED, n_samples))
+        print(f"{d:>2} {L:>4} {shape.volume:>6} {n_samples:>7} {proposals:>9}  "
+              f"{seconds / proposals * 1e6:>11.3f}")
+    print(f"{'d':>2} {'L':>4} {'sites':>6}  {'tune_proposal_sigma ms':>22}")
+    for d, L in TUNE_GRID:
+        shape = LatticeShape(d=d, L=L)
+        pot = standard_laplacian(d)
+        seconds = best_seconds(lambda: tune_proposal_sigma(SPEC, pot, shape, SEED))
+        print(f"{d:>2} {L:>4} {shape.volume:>6}  {seconds * 1e3:>22.2f}")
+
+
+if __name__ == "__main__":
+    main()

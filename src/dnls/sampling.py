@@ -21,10 +21,19 @@ longer chain at its seed.  Each uniform u becomes a threshold -log(u) / beta
 and a proposal is accepted when its energy change is below it: the rule
 u < exp(-beta dE), with no exp to overflow.  One neighbour table (per site
 x, the flat index of x - offset per clipped offset) drives the colouring
-and two kernels that give the same bits: a class of at least
-_NUMPY_CLASS_MIN sites updates as numpy operations on its index arrays, a
-smaller one (a one-site box, the one-site tail class of an odd ring) as a
-Python loop over its sites' (coefficient, neighbour index) rows.
+and two kernels that give the same bits: a large class updates as numpy
+operations on its index arrays, a small one (a one-site box, the one-site
+tail class of an odd ring) as a Python loop over its sites' (coefficient,
+neighbour index) rows.  The loop works in real arithmetic on the state's
+real and imaginary parts: Python float lists when every class runs in the
+loop, else the real and imaginary views of the numpy kernel's complex state
+array.  Its real neighbour sums differ from complex ones only in the sign
+of a zero, which neither the acceptance test nor the state update can see.
+It keeps |psi|^2 of its sites cached, updated on accept, and both kernels
+read the term alpha0 |delta|^2 of each proposal from one numpy product per
+draw block.
+Each retained sample is a row of one (n_samples, volume) buffer, frozen
+once when the chain ends; the samples are FieldLs over its rows.
 
 Two results back the checks on the samples: SampleStats (per-site moments,
 their standard errors and the largest) and PowerLawViolations (sites above
@@ -50,10 +59,12 @@ _TUNE_TARGET = 0.3
 _TUNE_ROUNDS = 12
 _TUNE_SWEEPS = 20
 # a colour class of at least this many sites updates as numpy operations on
-# index arrays, a smaller one site by site in Python; both give the same bits.
-# The two cost the same per proposal at classes of about 16-22 sites (d=1
-# rings, standard Laplacian); at 24 the numpy kernel is 6-10% cheaper.
-_NUMPY_CLASS_MIN = 24
+# index arrays, a smaller one site by site in the Python loop; both give the
+# same bits.  Best of 5 per proposal, both kernels alternating, d=1 rings with
+# the standard Laplacian: against the loop, numpy costs 1.3-1.8x at classes of
+# 16-24 sites, about the same at 32-36, 0.84-0.87x at 40 and 0.5-0.76x at
+# 48-64.
+_NUMPY_CLASS_MIN = 36
 # the sweeps' draws come in blocks of max(1, _DRAW_BLOCK // volume) sweeps
 _DRAW_BLOCK = 2**14
 
@@ -194,14 +205,18 @@ def run_gibbs_chain(
     half_lam = 0.5 * spec.lam
     sigma = spec.proposal_sigma
 
-    # random-phase start of unit modulus, as flat python complex list
+    # random-phase start of unit modulus, as real and imaginary parts
     phases = rng.uniform(0.0, 2.0 * math.pi, size=volume)
-    state = [complex(math.cos(p), math.sin(p)) for p in phases]
+    re = [math.cos(p) for p in phases]
+    im = [math.sin(p) for p in phases]
+    # |psi|^2 per site; the Python loop reads and updates it at its own
+    # sites only, so the entries of numpy-kernel sites go stale
+    sq = [a * a + b * b for a, b in zip(re, im)]
 
     # per class, in sweep order: where its draws start within one sweep's
-    # draws, its sites, and its neighbour index arrays for the numpy kernel
-    # or None for the Python loop, which reads only its own sites' draws,
-    # n_loop a sweep, as lists, and its sites' (coefficient, index) rows
+    # draws, and either its sites and neighbour index arrays for the numpy
+    # kernel, or its sites' (coefficient, index) rows and None for the
+    # Python loop, which reads only its own sites' draws, n_loop a sweep
     plan = []
     loop_positions: list[int] = []
     start = 0
@@ -210,19 +225,29 @@ def run_gibbs_chain(
             plan.append((start, idx, list(table[idx].T)))
         else:
             rows = [(int(i), tuple(zip(coeffs, table[i].tolist()))) for i in idx]
-            plan.append((len(loop_positions), rows, None))
+            plan.append((start, rows, None))
             loop_positions.extend(range(start, start + idx.size))
         start += idx.size
     n_loop = len(loop_positions)
-    if n_loop < volume:
-        # the numpy kernel needs an array; the Python loop, fastest on the
-        # list, then reads numpy scalars with the same arithmetic
-        state = np.array(state)
-
-    samples: list[FieldL] = []
-    n_accepted = 0
     total_sweeps = spec.burn_in + n_samples * spec.thinning
     block = max(1, _DRAW_BLOCK // volume)
+    if n_loop < volume:
+        # the numpy kernel needs a complex array; the Python loop then reads
+        # and writes numpy scalars through its real and imaginary views, and
+        # gathers its draws from a block at these flat positions, sweep by
+        # sweep (when it runs every class, it takes a block's draws in order)
+        state = np.empty(volume, dtype=np.complex128)
+        state.real, state.imag = re, im
+        re, im = state.real, state.imag
+        loop_at = (np.arange(min(block, total_sweeps))[:, None] * volume
+                   + loop_positions).ravel()
+
+    n_accepted = 0
+    # sample r is row r, written after sweep burn_in + (r + 1) * thinning - 1
+    buffer = np.empty((n_samples, volume), dtype=np.complex128)
+    buffer_re, buffer_im = buffer.real, buffer.imag
+    kept = 0
+    keep_at = spec.burn_in + spec.thinning - 1
 
     for first in range(0, total_sweeps, block):
         # whole blocks are drawn, for the prefix property; only the sweeps
@@ -232,83 +257,74 @@ def run_gibbs_chain(
         deltas = np.empty(used, dtype=np.complex128)
         deltas.real = sigma * rng.standard_normal(block * volume)[:used]
         deltas.imag = sigma * rng.standard_normal(block * volume)[:used]
+        d_re, d_im = deltas.real, deltas.imag
+        quad = alpha0 * (d_re * d_re + d_im * d_im)
         with np.errstate(divide="ignore"):
             # accept iff dE < -log(u) / beta, i.e. u < exp(-beta dE)
             thresholds = -np.log(rng.random(block * volume)[:used]) / beta
         if n_loop:
-            delta_list = deltas.reshape(n_sweeps, volume)[:, loop_positions].ravel().tolist()
-            threshold_list = thresholds.reshape(n_sweeps, volume)[:, loop_positions].ravel().tolist()
+            # the loop's draws in the order it visits its sites; every
+            # loop class takes the next ones
+            mine = slice(None) if n_loop == volume else loop_at[:n_sweeps * n_loop]
+            draws = zip(d_re[mine].tolist(), d_im[mine].tolist(), quad[mine].tolist(),
+                        thresholds[mine].tolist())
         for sweep in range(first, first + n_sweeps):
-            s = sweep - first
             for start, sites, nbrs in plan:
                 if nbrs is None:
-                    at = s * n_loop + start
-                    for i, row in sites:
-                        delta = delta_list[at]
-                        h = 0.0j
+                    for (i, row), (dr, di, q, limit) in zip(sites, draws):
+                        hr = hi = 0.0
                         for c, k in row:
-                            h += c * state[k]
-                        old = state[i]
-                        old2 = old.real * old.real + old.imag * old.imag
-                        new = old + delta
-                        new2 = new.real * new.real + new.imag * new.imag
-                        d2 = delta.real * delta.real + delta.imag * delta.imag
-                        cross = delta.real * h.real + delta.imag * h.imag
-                        d_quad = 2.0 * cross + alpha0 * d2
-                        d_energy = (d_quad + half_lam * (new2 * new2 - old2 * old2)
+                            hr += c * re[k]
+                            hi += c * im[k]
+                        new_re = re[i] + dr
+                        new_im = im[i] + di
+                        old2 = sq[i]
+                        new2 = new_re * new_re + new_im * new_im
+                        d_energy = (2.0 * (dr * hr + di * hi) + q
+                                    + half_lam * (new2 * new2 - old2 * old2)
                                     - mu * (new2 - old2))
-                        if d_energy < threshold_list[at]:
-                            state[i] = new
+                        if d_energy < limit:
+                            re[i] = new_re
+                            im[i] = new_im
+                            sq[i] = new2
                             n_accepted += 1
-                        at += 1
                 else:
-                    at = s * volume + start
+                    at = (sweep - first) * volume + start
                     n_accepted += _update_class(
                         state, sites, nbrs, coeffs, deltas[at:at + sites.size],
-                        thresholds[at:at + sites.size], alpha0, half_lam, mu)
-            if sweep >= spec.burn_in and (sweep - spec.burn_in + 1) % spec.thinning == 0:
-                # a fresh array of the box's shape, not a view of a copy (a
-                # second array object per sample); frozen, stored uncopied
-                values = np.empty(shape.dims, dtype=np.complex128)
-                values.flat = state
-                values.setflags(write=False)
-                samples.append(FieldL(shape, values))
+                        quad[at:at + sites.size], thresholds[at:at + sites.size],
+                        half_lam, mu)
+            if sweep == keep_at:
+                buffer_re[kept] = re
+                buffer_im[kept] = im
+                kept += 1
+                keep_at += spec.thinning
 
+    # frozen once; each sample is a FieldL over its row, stored uncopied
+    buffer.setflags(write=False)
     return GibbsChain(
-        samples=tuple(samples),
+        samples=tuple(FieldL(shape, row) for row in buffer.reshape((n_samples,) + shape.dims)),
         n_proposed=total_sweeps * volume,
         n_accepted=n_accepted,
     )
 
 
-def _update_class(state, sites, nbrs, coeffs, delta, threshold, alpha0, half_lam, mu) -> int:
+def _update_class(state, sites, nbrs, coeffs, delta, quad, threshold, half_lam, mu) -> int:
     """One Metropolis step at every site of a colour class at once, in the
-    Python loop's arithmetic; returns the number accepted."""
+    Python loop's arithmetic; quad is alpha0 |delta|^2. Returns the number
+    accepted."""
     h = 0.0j
     for c, k in zip(coeffs, nbrs):
         h = h + c * state[k]
     old = state[sites]
     new = old + delta
-    d_re, d_im = delta.real, delta.imag
     old2 = old.real * old.real + old.imag * old.imag
     new2 = new.real * new.real + new.imag * new.imag
-    d2 = d_re * d_re + d_im * d_im
-    cross = d_re * h.real + d_im * h.imag
-    d_quad = 2.0 * cross + alpha0 * d2
-    d_energy = d_quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
+    cross = delta.real * h.real + delta.imag * h.imag
+    d_energy = 2.0 * cross + quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
     accept = d_energy < threshold
     state[sites[accept]] = new[accept]
     return int(np.count_nonzero(accept))
-
-
-def sample_gibbs(
-    spec: GibbsSpec,
-    pot: HoppingPotential,
-    shape: LatticeShape,
-    seed: int,
-    n_samples: int,
-) -> list[FieldL]:
-    return list(run_gibbs_chain(spec, pot, shape, seed, n_samples).samples)
 
 
 def acceptance_fraction(chain: GibbsChain) -> float:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,7 +25,6 @@ from dnls.sampling import (
     power_law_violations,
     run_gibbs_chain,
     sample_gaussian,
-    sample_gibbs,
     site_moments,
     site_uniformity_z,
     tune_proposal_sigma,
@@ -164,7 +163,7 @@ class TestGibbsChain:
 
     def test_sample_count_and_shape(self):
         spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.7, burn_in=5, thinning=3)
-        samples = sample_gibbs(spec, POT, LatticeShape(1, 3), 0, 4)
+        samples = run_gibbs_chain(spec, POT, LatticeShape(1, 3), 0, 4).samples
         assert len(samples) == 4
         assert all(s.shape == LatticeShape(1, 3) for s in samples)
 
@@ -199,7 +198,7 @@ class TestGibbsChain:
         oracle_se = np.std(resid, ddof=1) / (weights.mean() * np.sqrt(n))
 
         spec = GibbsSpec(beta=beta, mu=mu, lam=lam, proposal_sigma=0.7, burn_in=300, thinning=10)
-        samples = sample_gibbs(spec, POT, shape, 987, 20_000)
+        samples = run_gibbs_chain(spec, POT, shape, 987, 20_000).samples
         chain_vals = np.array([np.sum(np.abs(s.values) ** 2) for s in samples])
         chain_se = chain_vals.std(ddof=1) / np.sqrt(len(chain_vals))
         gap = abs(chain_vals.mean() - oracle)
@@ -210,14 +209,14 @@ class TestGibbsChain:
         means = []
         for beta in (1.0, 4.0):
             spec = GibbsSpec(beta=beta, mu=-1.0, lam=1.0, proposal_sigma=0.6, burn_in=100, thinning=3)
-            samples = sample_gibbs(spec, POT, shape, 11, 400)
+            samples = run_gibbs_chain(spec, POT, shape, 11, 400).samples
             means.append(np.mean([np.mean(np.abs(s.values) ** 2) for s in samples]))
         assert means[1] < means[0]
 
     def test_two_point_depends_on_offset_only(self):
         shape = LatticeShape(1, 8)
         spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.7, burn_in=200, thinning=5)
-        samples = sample_gibbs(spec, POT, shape, 12, 600)
+        samples = run_gibbs_chain(spec, POT, shape, 12, 600).samples
         # compare the per-pair estimate at offset 1 across positions
         stack = np.stack([s.values.ravel() for s in samples])
         prods = stack * np.conj(np.roll(stack, 1, axis=1))
@@ -230,7 +229,7 @@ class TestGibbsChain:
     def test_split_half_stationarity(self):
         shape = LatticeShape(1, 8)
         spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.7, burn_in=200, thinning=5)
-        samples = sample_gibbs(spec, POT, shape, 13, 600)
+        samples = run_gibbs_chain(spec, POT, shape, 13, 600).samples
         half = len(samples) // 2
         a = site_moments(samples[:half], 2.0)
         b = site_moments(samples[half:], 2.0)
@@ -369,6 +368,12 @@ class TestSweepBits:
     colour classes on both sides of the numpy kernel's size threshold."""
 
     @settings(max_examples=60, deadline=None)
+    # criterion 10's one-site box: every class in the loop, on float lists
+    @example(dim=(1, 0), ell=1, zero=False, burn_in=2, thinning=2, n_samples=3,
+             all_numpy=False, seed=31337)
+    # two 40-site numpy classes and a one-site loop class on the numpy views
+    @example(dim=(1, 40), ell=1, zero=False, burn_in=2, thinning=2, n_samples=3,
+             all_numpy=False, seed=1040)
     @given(dim=st.integers(1, 3).flatmap(
                lambda d: st.tuples(st.just(d), st.integers(0, 40 if d == 1 else 3))),
            ell=st.integers(1, 2), zero=st.booleans(), burn_in=st.integers(0, 3),
@@ -376,6 +381,8 @@ class TestSweepBits:
            all_numpy=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_chain_equals_reference_sweep(self, dim, ell, zero, burn_in, thinning,
                                           n_samples, all_numpy, seed):
+        # the pinned examples reach both loop states only while this holds
+        assert 1 < sampling._NUMPY_CLASS_MIN <= 40
         d, L = dim
         rng = np.random.default_rng(seed)
         pot = _random_kernel(d, ell, zero, rng)
