@@ -2,12 +2,15 @@
 """Cost of one Strang and one RK4 step per lattice site, on a fixed grid.
 
 For every (d, L) below, times `integrate` on Gaussian data with the
-standard Laplacian (lam = 1, dt = 1e-3, snapshots every 10 steps) and
-prints the best of 5 runs as microseconds per site-step, with the
-per-step time beside it.  The step count per run shrinks with the volume,
-so that each run does about the same work; the whole table takes about
-15 s on a shared 2-core Xeon host.  To compare two checkouts, run it in
-each:
+standard Laplacian (lam = 1, dt = 1e-3) and prints the best of 5 runs as
+microseconds per site-step, with the per-step time beside it.  Strang runs
+at snapshot strides 1 and 10: inside a snapshot block it merges each step's
+closing half rotation with the next step's opening one, so at stride 1
+every step pays both half rotations and the stride-10 column shows what
+merging saves.  RK4 runs at stride 10.  The step count per run shrinks with
+the volume, so that each run does about the same work; the whole table
+takes 15-20 s on a shared 2-core Xeon host.  To compare two checkouts, run
+it in each:
 
     PYTHONPATH=src python3 scripts/step_cost.py
 """
@@ -24,6 +27,8 @@ GRID = ((1, 32), (1, 64), (1, 1000), (2, 8), (2, 32), (2, 64), (3, 4), (3, 8), (
 # up to whole snapshot strides
 SITE_STEPS = 400_000
 STRIDE = 10
+# (scheme, snapshot stride) per column pair
+RUNS = (("strang", 1), ("strang", STRIDE), ("rk4", STRIDE))
 DT = 1e-3
 REPEATS = 5
 
@@ -38,22 +43,22 @@ def best_seconds(field0, pot, cfg) -> float:
 
 
 def main() -> None:
-    print(f"{'d':>2} {'L':>5} {'sites':>6} {'steps':>6}  "
-          f"{'strang us/site-step':>19} {'us/step':>9}  {'rk4 us/site-step':>16} {'us/step':>9}")
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'steps':>6}"
+          + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9}"
+                    for scheme, stride in RUNS))
     for d, L in GRID:
         shape = LatticeShape(d=d, L=L)
         pot = standard_laplacian(d)
         field0 = sample_gaussian(GaussianSpec(density=1.0), shape, 0)
         strides = max(1, -(-SITE_STEPS // (shape.volume * STRIDE)))
         steps = strides * STRIDE
-        row = []
-        for scheme in ("strang", "rk4"):
+        row = f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6}"
+        for scheme, stride in RUNS:
             cfg = SchemeConfig(scheme=scheme, dt=DT, t_end=steps * DT,
-                               snapshot_stride=STRIDE, lam=1.0)
+                               snapshot_stride=stride, lam=1.0)
             per_step = best_seconds(field0, pot, cfg) / steps * 1e6
-            row += [per_step / shape.volume, per_step]
-        print(f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6}  "
-              f"{row[0]:>19.4f} {row[1]:>9.1f}  {row[2]:>16.4f} {row[3]:>9.1f}")
+            row += f"  {per_step / shape.volume:>22.4f} {per_step:>9.1f}"
+        print(row)
 
 
 if __name__ == "__main__":

@@ -10,13 +10,16 @@ on the periodic box.  Two one-step methods are provided:
 * Classical RK4 on the raw right-hand side, kept as a structurally
   independent scheme for cross-validation of uniqueness.
 
-A stepper is built once per run and writes each step into an array its
-caller passes.  `integrate` passes the next snapshot row on every stride-th
-step and one of two spare arrays in between.  A Strang step allocates
-nothing: it works in arrays of its stepper and calls numpy's pocketfft
-gufuncs directly, with the bits of np.fft.  Finiteness is checked once per
-stored snapshot; a non-finite one replays its block from the snapshot
-before, step by step, to name the first non-finite step.  The snapshots
+A stepper is built once per run and advances a whole snapshot block into
+an array its caller passes.  Strang merges each step's closing half rotation
+with the next step's opening one into one full rotation, exact in exact
+arithmetic (the rotation keeps |psi|), so only blocks of more than one step
+differ from single steps, in rounding.  It allocates nothing: it works in
+arrays of its stepper and calls numpy's pocketfft gufuncs directly, with the
+bits of np.fft.  Finiteness is checked once per stored snapshot; a non-finite
+one replays its block one single step at a time and raises at the first
+non-finite step, or, ending finite, keeps the replayed row: a merged phase
+lam |psi|^2 dt can overflow where two half phases do not.  The snapshots
 form one read-only array (n, *dims) of a Trajectory; every computation over
 them runs on `Trajectory.blocks` of about 2^14 sites, so its temporaries
 stay small whatever n is.
@@ -39,9 +42,9 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
 from .lattice import DataError, FieldL, LatticeShape, frozen, read_only
 
-# a stepper advances one step from `values`, writing the result into `out`
-# (an array of the same shape that does not overlap `values`)
-Stepper = Callable[[np.ndarray, np.ndarray], None]
+# a stepper advances `steps` steps from `values`, writing the result into
+# `out` (an array of the same shape that does not overlap `values`)
+Stepper = Callable[[np.ndarray, np.ndarray, int], None]
 
 SCHEMES = ("strang", "rk4")
 
@@ -222,7 +225,8 @@ def _fourier_passes(shape: LatticeShape) -> tuple[Callable, Callable]:
 
 
 def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
-    """Strang step on raw values: half onsite rotation, full linear flow, half rotation.
+    """Strang steps on raw values: half onsite rotation, then per step the full
+    linear flow and a full rotation, the last one a half rotation.
 
     A vanishing dispersion makes the linear flow the identity; the Fourier
     round trip is skipped then, so purely onsite runs carry no FFT rounding.
@@ -233,35 +237,39 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     disp = dispersion(pot, shape).values
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
     half_rate = -0.5j * lam * dt
+    full_rate = 2 * half_rate
     forward, inverse = _fourier_passes(shape)
     mod = np.empty(shape.dims)
     rot = np.empty(shape.dims, dtype=np.complex128)
     field = np.empty(shape.dims, dtype=np.complex128)
     spare = np.empty(shape.dims, dtype=np.complex128)
 
-    def rotate(src: np.ndarray, out: np.ndarray) -> None:
-        # out = src * exp(half_rate * |src|^2)
+    def rotate(src: np.ndarray, out: np.ndarray, rate: complex) -> None:
+        # out = src * exp(rate * |src|^2); out may be src
         np.abs(src, out=mod)
         np.square(mod, out=mod)
-        np.multiply(half_rate, mod, out=rot)
+        np.multiply(rate, mod, out=rot)
         np.exp(rot, out=rot)
         np.multiply(src, rot, out=out)
 
-    def advance(values: np.ndarray, out: np.ndarray) -> None:
-        rotate(values, field)
-        psi = field
-        if linear_phase is not None:
-            spec = forward(field, spare)
-            np.multiply(linear_phase, spec, out=spec)
-            psi = inverse(spec, spare if spec is field else field)
-        rotate(psi, out)
+    def advance(values: np.ndarray, out: np.ndarray, steps: int) -> None:
+        rotate(values, field, half_rate)
+        for k in range(1, steps + 1):
+            psi = field
+            if linear_phase is not None:
+                spec = forward(field, spare)
+                np.multiply(linear_phase, spec, out=spec)
+                psi = inverse(spec, spare if spec is field else field)
+            last = k == steps
+            rotate(psi, out if last else field, half_rate if last else full_rate)
 
     return advance
 
 
 def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
-    """Classical fourth-order step on the raw right-hand side."""
+    """Classical fourth-order steps on the raw right-hand side, through two arrays of its own."""
     apply = _checked_stencil(pot, shape)
+    spares = np.empty((2, *shape.dims), dtype=np.complex128)
 
     def f(values: np.ndarray) -> np.ndarray:
         return -1j * _gradient_values(apply, lam, values)
@@ -272,14 +280,17 @@ def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: flo
     # against 77 minor faults a step at d = 3, L = 16, a step 10-30% slower)
     kept = [None]
 
-    def advance(y: np.ndarray, out: np.ndarray) -> None:
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        np.add(y, increment, out=out)
-        kept[0] = increment
+    def advance(y: np.ndarray, out: np.ndarray, steps: int) -> None:
+        for k in range(1, steps + 1):
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + 0.5 * dt * k2)
+            k4 = f(y + dt * k3)
+            increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = np.add(y, increment, out=out if k == steps else spares[k % 2])
+            kept[0] = increment
+            # free the stages before the next step: alive, they add to its peak memory
+            del k1, k2, k3, k4
 
     return advance
 
@@ -290,7 +301,7 @@ _STEPPERS = {"strang": _strang_stepper, "rk4": _rk4_stepper}
 def _one_step(make: Callable[..., Stepper], field: FieldL, pot: HoppingPotential, lam: float,
               dt: float) -> FieldL:
     out = np.empty(field.shape.dims, dtype=np.complex128)
-    make(pot, field.shape, lam, dt)(field.values, out)
+    make(pot, field.shape, lam, dt)(field.values, out, 1)
     return FieldL(field.shape, frozen(out))
 
 
@@ -305,12 +316,12 @@ def step_rk4(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> Fie
 
 
 def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Trajectory:
-    """Advance field0 to t_end, writing every stride-th step into one buffer.
+    """Advance field0 to t_end, one stepper call per snapshot row of one buffer.
 
-    Each step writes into the next snapshot row or, between two rows, into
-    one of two spare arrays.  Finiteness is checked once per stored row: a
-    non-finite row replays its block from the row before, checking every
-    step, and the run aborts with the first offending step and its time.
+    Finiteness is checked once per stored row: a non-finite row replays its
+    block from the row before, one checked single step at a time, and the
+    run aborts at the first offending step; a replay ending finite keeps its
+    row (the merged block overflowed) and the run goes on.
     """
     shape, dt, stride = field0.shape, config.dt, config.snapshot_stride
     advance = _STEPPERS[config.scheme](pot, shape, config.lam, dt)
@@ -318,25 +329,23 @@ def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Tr
     times = np.arange(0, steps + 1, stride) * dt
     values = np.empty((len(times), *shape.dims), dtype=np.complex128)
     values[0] = field0.values
-    spares = (np.empty(shape.dims, dtype=np.complex128), np.empty(shape.dims, dtype=np.complex128))
 
-    def run_block(j: int, checked: bool) -> None:
+    def replay(j: int) -> None:
         # steps (j-1)*stride+1 ... j*stride, from row j-1 into row j
         src = values[j - 1]
+        spares = np.empty((2, *shape.dims), dtype=np.complex128)
         for k in range(1, stride + 1):
             dst = values[j] if k == stride else spares[k % 2]
-            advance(src, dst)
-            if checked and not np.isfinite(dst).all():
+            advance(src, dst, 1)
+            if not np.isfinite(dst).all():
                 step = (j - 1) * stride + k
                 raise BlowUpError(time=step * dt, step=step)
             src = dst
 
     for j in range(1, len(times)):
-        run_block(j, checked=False)
+        advance(values[j - 1], values[j], stride)
         if not np.isfinite(values[j]).all():
-            # a step never turns a non-finite value finite, so the replay
-            # raises at the first bad step, at the latest the one writing row j
-            run_block(j, checked=True)
+            replay(j)
     # frozen, the buffer is stored uncopied
     return Trajectory(shape=shape, times=times, values=frozen(values), dt=dt, stride=stride)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,22 +64,28 @@ def naive_second_derivative(field, pot, lam, x):
     return term1 + term2 + term3 + term4 + term5
 
 
+def _reference_strang(pot, shape, lam, dt):
+    """(rotate, linear, half_rate): the onsite rotation at a rate and the
+    linear flow as plain numpy expressions, with np.fft and fresh arrays."""
+    disp = dispersion(pot, shape).values
+    linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
+
+    def rotate(values, rate):
+        return values * np.exp(rate * np.abs(values) ** 2)
+
+    def linear(values):
+        return values if linear_phase is None else ifft(linear_phase * fft(values))
+
+    return rotate, linear, -0.5j * lam * dt
+
+
 def reference_stepper(scheme, pot, shape, lam, dt):
     """One step as plain numpy expressions, with np.fft and fresh arrays per
     step; a bit-level oracle for the buffered steppers below 2^14 sites."""
     if scheme == "strang":
-        disp = dispersion(pot, shape).values
-        linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
-        half_rate = -0.5j * lam * dt
-        fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
-
-        def strang(values):
-            psi = values * np.exp(half_rate * np.abs(values) ** 2)
-            if linear_phase is not None:
-                psi = ifft(linear_phase * fft(psi))
-            return psi * np.exp(half_rate * np.abs(psi) ** 2)
-
-        return strang
+        rotate, linear, half_rate = _reference_strang(pot, shape, lam, dt)
+        return lambda values: rotate(linear(rotate(values, half_rate)), half_rate)
     apply = stencil(pot, shape)
 
     def f(y):
@@ -94,13 +102,28 @@ def reference_stepper(scheme, pot, shape, lam, dt):
 
 
 def reference_snapshots(scheme, field, pot, lam, dt, stride, n_snap):
-    advance = reference_stepper(scheme, pot, field.shape, lam, dt)
-    psi = field.values
-    expected = [psi]
-    for k in range(1, stride * n_snap + 1):
-        psi = advance(psi)
-        if k % stride == 0:
-            expected.append(psi)
+    """Snapshots every stride steps.  Strang merges the closing half rotation
+    of each step with the opening one of the next, within a snapshot block:
+    half rotation, then per step the linear flow and a full rotation, the
+    last one a half rotation."""
+    if scheme == "strang":
+        rotate, linear, half_rate = _reference_strang(pot, field.shape, lam, dt)
+
+        def advance_block(psi):
+            psi = rotate(psi, half_rate)
+            for k in range(1, stride + 1):
+                psi = rotate(linear(psi), half_rate if k == stride else 2 * half_rate)
+            return psi
+    else:
+        step = reference_stepper(scheme, pot, field.shape, lam, dt)
+
+        def advance_block(psi):
+            for _ in range(stride):
+                psi = step(psi)
+            return psi
+    expected = [field.values]
+    for _ in range(n_snap):
+        expected.append(advance_block(expected[-1]))
     return np.stack(expected)
 
 
@@ -387,6 +410,39 @@ class TestIntegrate:
         assert err.value.step == first_bad
         assert err.value.time == first_bad * dt
 
+    # the blow-up case above, ended before its first bad single step (10):
+    # the merged phase lam * dt * |psi|^2 overflows where two half phases do
+    # not, so each of the three blocks replays one single step at a time,
+    # ends finite, keeps its row, and the run goes on
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_replay_keeps_its_row(self):
+        f = random_field(LatticeShape(1, 4), 1, 1.2)
+        pot = standard_laplacian(1)
+        lam, dt, stride, steps = 1e308, 1.0, 3, 9
+        cfg = SchemeConfig(scheme="strang", dt=dt, t_end=dt * steps, snapshot_stride=stride,
+                           lam=lam)
+        traj = integrate(f, pot, cfg)
+        advance = reference_stepper("strang", pot, f.shape, lam, dt)
+        expected = [f.values]
+        for _ in range(steps):
+            expected.append(advance(expected[-1]))
+        assert np.array_equal(traj.values, np.stack(expected[::stride]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), ell=st.integers(1, 2), extra=st.integers(0, 2),
+           zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("stride", [2, 10, 100])
+    def test_merged_strang_stays_near_single_steps(self, stride, d, ell, extra, zero, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((2 * ell + 1,) * d)
+        coeffs = np.zeros_like(coeffs) if zero else coeffs + np.flip(coeffs)
+        pot = HoppingPotential(d=d, range=ell, coeffs=coeffs)
+        f = random_field(LatticeShape(d, ell + extra), seed)
+        cfg = SchemeConfig(scheme="strang", dt=0.01, t_end=1.0, snapshot_stride=stride, lam=1.0)
+        merged = integrate(f, pot, cfg)
+        single = subsample(integrate(f, pot, replace(cfg, snapshot_stride=1)), stride)
+        assert np.max(np.abs(merged.values - single.values)) <= 1e-11
+
     def test_deterministic(self):
         f = random_field(LatticeShape(1, 8), 8)
         cfg = SchemeConfig(dt=1e-2, t_end=0.5, snapshot_stride=10)
@@ -422,7 +478,7 @@ class TestIntegrate:
         assert np.array_equal(traj.values, expected)
         one_step = step_strang if scheme == "strang" else step_rk4
         assert np.array_equal(one_step(f, pot, lam, dt).values,
-                              reference_snapshots(scheme, f, pot, lam, dt, 1, 1)[1])
+                              reference_stepper(scheme, pot, f.shape, lam, dt)(f.values))
 
     # boxes below 2^14 sites are bit-equal to the reference; at 16,385 sites
     # numpy elides the reference's temporaries and swaps the operands of its
