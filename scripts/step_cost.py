@@ -7,10 +7,12 @@ microseconds per site-step, with the per-step time beside it.  Strang runs
 at snapshot strides 1 and 10: inside a snapshot block it merges each step's
 closing half rotation with the next step's opening one, so at stride 1
 every step pays both half rotations and the stride-10 column shows what
-merging saves.  RK4 runs at stride 10.  The step count per run shrinks with
-the volume, so that each run does about the same work; the whole table
-takes 15-20 s on a shared 2-core Xeon host.  To compare two checkouts, run
-it in each:
+merging saves.  RK4 runs at strides 1 and 10 too: stride 1 is the box
+sweep's (acceptance criterion 7), where each step is one stepper call, and
+stride 10 advances whole blocks through the stepper's own arrays.  The step
+count per run shrinks with the volume, so that each run does about the same
+work; the whole table takes 20-30 s on a shared 2-core Xeon host.  To
+compare two checkouts, run it in each:
 
     PYTHONPATH=src python3 scripts/step_cost.py
 """
@@ -28,7 +30,7 @@ GRID = ((1, 32), (1, 64), (1, 1000), (2, 8), (2, 32), (2, 64), (3, 4), (3, 8), (
 SITE_STEPS = 400_000
 STRIDE = 10
 # (scheme, snapshot stride) per column pair
-RUNS = (("strang", 1), ("strang", STRIDE), ("rk4", STRIDE))
+RUNS = (("strang", 1), ("strang", STRIDE), ("rk4", 1), ("rk4", STRIDE))
 DT = 1e-3
 REPEATS = 5
 

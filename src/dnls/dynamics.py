@@ -14,11 +14,13 @@ A stepper is built once per run and advances a whole snapshot block into
 an array its caller passes.  Strang merges each step's closing half rotation
 with the next step's opening one into one full rotation, exact in exact
 arithmetic (the rotation keeps |psi|), so only blocks of more than one step
-differ from single steps, in rounding.  It allocates nothing: it works in
-arrays of its stepper and calls numpy's pocketfft gufuncs directly, with the
-bits of np.fft.  Finiteness is checked once per stored snapshot; a non-finite
-one replays its block one single step at a time and raises at the first
-non-finite step, or, ending finite, keeps the replayed row: a merged phase
+differ from single steps, in rounding.  Neither stepper allocates an array
+per step: each works in arrays it allocates once, Strang calling numpy's
+pocketfft gufuncs directly, with the bits of np.fft, and RK4 applying the
+stencil through its buffered form, with the bits of the plain expressions.
+Finiteness is checked once per stored snapshot; a non-finite one replays
+its block one single step at a time and raises at the first non-finite
+step, or, ending finite, keeps the replayed row: a merged phase
 lam |psi|^2 dt can overflow where two half phases do not.  The snapshots
 form one read-only array (n, *dims) of a Trajectory; every computation over
 them runs on `Trajectory.blocks` of about 2^14 sites, so its temporaries
@@ -230,30 +232,43 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
 
     A vanishing dispersion makes the linear flow the identity; the Fourier
     round trip is skipped then, so purely onsite runs carry no FFT rounding.
-    Every substep writes into arrays allocated here once.  The products keep
-    the operand order of values * rotation and linear_phase * spectrum: the
-    last bit of a complex product depends on it.
+    Every substep writes into arrays allocated here once.  A rotation by
+    exp(rate |psi|^2) at an imaginary rate is computed from its real phase
+    theta: cos theta and sin theta go into the real and imaginary parts of
+    one array, the bits numpy's complex exp gives for a zero real part, with
+    no complex cast and no complex exp.  The products keep the operand order
+    of values * rotation and linear_phase * spectrum: the last bit of a
+    complex product depends on it.
     """
     disp = dispersion(pot, shape).values
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
     half_rate = -0.5j * lam * dt
-    full_rate = 2 * half_rate
+    # per rate: rate.imag and the signed zero rate.real * 0, which the phase
+    # below adds; 0-d arrays, which numpy takes faster than Python floats
+    half, full = ((np.array(rate.imag), np.array(rate.real * 0.0))
+                  for rate in (half_rate, 2 * half_rate))
     forward, inverse = _fourier_passes(shape)
     mod = np.empty(shape.dims)
     rot = np.empty(shape.dims, dtype=np.complex128)
+    cos, sin = rot.real, rot.imag
     field = np.empty(shape.dims, dtype=np.complex128)
     spare = np.empty(shape.dims, dtype=np.complex128)
 
-    def rotate(src: np.ndarray, out: np.ndarray, rate: complex) -> None:
-        # out = src * exp(rate * |src|^2); out may be src
+    def rotate(src: np.ndarray, out: np.ndarray, rate: tuple[np.ndarray, np.ndarray]) -> None:
+        # out = src * exp(rate * |src|^2); out may be src.  The phase is the
+        # imaginary part of that complex product, rate.imag |src|^2 plus
+        # rate.real * 0: a signed zero that can turn a -0 phase into +0
+        scale, zero = rate
         np.abs(src, out=mod)
         np.square(mod, out=mod)
-        np.multiply(rate, mod, out=rot)
-        np.exp(rot, out=rot)
+        np.multiply(scale, mod, out=mod)
+        np.add(mod, zero, out=mod)
+        np.cos(mod, out=cos)
+        np.sin(mod, out=sin)
         np.multiply(src, rot, out=out)
 
     def advance(values: np.ndarray, out: np.ndarray, steps: int) -> None:
-        rotate(values, field, half_rate)
+        rotate(values, field, half)
         for k in range(1, steps + 1):
             psi = field
             if linear_phase is not None:
@@ -261,36 +276,65 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
                 np.multiply(linear_phase, spec, out=spec)
                 psi = inverse(spec, spare if spec is field else field)
             last = k == steps
-            rotate(psi, out if last else field, half_rate if last else full_rate)
+            rotate(psi, out if last else field, half if last else full)
 
     return advance
 
 
 def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
-    """Classical fourth-order steps on the raw right-hand side, through two arrays of its own."""
-    apply = _checked_stencil(pot, shape)
-    spares = np.empty((2, *shape.dims), dtype=np.complex128)
+    """Classical fourth-order steps on the raw right-hand side, in arrays
+    allocated here once.
 
-    def f(values: np.ndarray) -> np.ndarray:
-        return -1j * _gradient_values(apply, lam, values)
+    The stencil runs through its buffered form.  The stages are gradients g
+    with the -i of the right-hand side folded into the step scalars -i dt/2,
+    -i dt and -i dt/6; multiplying by -i only swaps and negates components,
+    so that is exact but for the sign of a zero, which y + increment absorbs.
+    The increment ((g1 + 2 g2) + 2 g3) + g4 accumulates in one array, and a
+    block's intermediate steps are written into out.  Every product runs
+    with out= in the operand order of the plain expressions, so the bits
+    equal theirs whatever temporaries numpy would elide.
+    """
+    apply = _checked_stencil(pot, shape).buffered()
+    grad, stage, increment = np.empty((3, *shape.dims), dtype=np.complex128)
+    # lam |psi|^2 in the real parts of a complex array whose imaginary parts
+    # stay +0: the value a product with psi would cast it to, without the
+    # cast buffer numpy allocates on every such call
+    weight = np.zeros(shape.dims, dtype=np.complex128)
+    mod = weight.real
+    # the scalars as 0-d arrays, which numpy takes faster than Python
+    # numbers, with the same bits
+    half, full, sixth = np.array(-0.5j * dt), np.array(-1j * dt), np.array(-1j * dt / 6.0)
+    two, lam = np.array(2.0 + 0j), np.array(lam)
 
-    # each step's increment is kept until the next step ends: were all of a
-    # step's temporaries freed at once, glibc would hand the top of the heap
-    # back to the system and the next step would fault it in again (1267
-    # against 77 minor faults a step at d = 3, L = 16, a step 10-30% slower)
-    kept = [None]
+    def gradient(psi: np.ndarray, out: np.ndarray) -> None:
+        # out = apply(psi) + lam |psi|^2 psi, as _gradient_values
+        np.abs(psi, out=mod)
+        np.square(mod, out=mod)
+        np.multiply(lam, mod, out=mod)
+        np.multiply(weight, psi, out=out)
+        np.add(apply(psi), out, out=out)
 
-    def advance(y: np.ndarray, out: np.ndarray, steps: int) -> None:
-        for k in range(1, steps + 1):
-            k1 = f(y)
-            k2 = f(y + 0.5 * dt * k1)
-            k3 = f(y + 0.5 * dt * k2)
-            k4 = f(y + dt * k3)
-            increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y = np.add(y, increment, out=out if k == steps else spares[k % 2])
-            kept[0] = increment
-            # free the stages before the next step: alive, they add to its peak memory
-            del k1, k2, k3, k4
+    def advance(values: np.ndarray, out: np.ndarray, steps: int) -> None:
+        y = values
+        for _ in range(steps):
+            gradient(y, increment)
+            np.multiply(half, increment, out=stage)
+            np.add(y, stage, out=stage)
+            gradient(stage, grad)
+            np.multiply(two, grad, out=stage)
+            np.add(increment, stage, out=increment)
+            np.multiply(half, grad, out=stage)
+            np.add(y, stage, out=stage)
+            gradient(stage, grad)
+            np.multiply(two, grad, out=stage)
+            np.add(increment, stage, out=increment)
+            np.multiply(full, grad, out=stage)
+            np.add(y, stage, out=stage)
+            gradient(stage, grad)
+            np.add(increment, grad, out=increment)
+            np.multiply(sixth, increment, out=increment)
+            np.add(y, increment, out=out)
+            y = out
 
     return advance
 

@@ -10,22 +10,22 @@ fixes the row-major nonzero offsets once, so no caller checks it again.
 
 In position space the kernel acts through one stencil, resolved once per
 (kernel, box) by `stencil`: the box-restricted offsets and coefficients are
-fixed then, and every call applies them over the trailing d axes of its
-argument, so a stack of fields of shape (n, *dims) is convolved in one call.
+fixed then.  A call applies them over the trailing d axes of its argument,
+so a stack of fields of shape (n, *dims) is convolved in one call; a time
+stepper applies them through `Stencil.buffered`, in arrays it allocates once,
+with the same bits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
 
 from .lattice import FieldL, LatticeShape, Site, frozen, read_only, wrap_coord
-
-
-Stencil = Callable[[np.ndarray], np.ndarray]
 
 
 class KernelError(ValueError):
@@ -143,16 +143,80 @@ def convolve_values(pot: HoppingPotential, shape: LatticeShape, values: np.ndarr
     return stencil(pot, shape)(values)
 
 
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """A kernel's action on one box, out(x) = sum_y alpha(y) values(x - y),
+    in the layout `stencil` resolved.
+
+    Called on an array, it acts on the trailing d axes and returns a new
+    array, so a stack of fields of shape (n, *dims) is convolved slice by
+    slice.  `buffered` gives the same action, with the same bits, on one
+    field of the box through work arrays allocated once.  Either way the
+    values are copied into a wrap-padded array, an accumulator is zeroed,
+    and every term coeff * slice is written into one term array and added
+    to it.
+    """
+
+    d: int
+    side: int
+    width: int
+    span: int
+    used: int
+    blocks: tuple[tuple[tuple, tuple], ...]
+    terms: tuple[tuple[np.ndarray, int], ...]
+
+    def _bind(self, lead: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+        """The action on arrays of shape lead + dims, through work arrays and
+        views of them fixed here; it returns a contiguous one of them, which
+        the next call overwrites."""
+        d, used = self.d, self.used
+        padded = np.empty(lead + (self.width,) * d, dtype=np.complex128)
+        out = np.empty(lead + (self.span,), dtype=np.complex128)
+        term = np.empty(lead + (used,), dtype=np.complex128)
+        blocks = [(padded[target], source) for target, source in self.blocks]
+        flat = padded.reshape(lead + (-1,))
+        products = [(coeff, flat[..., start:start + used]) for coeff, start in self.terms]
+        acc = out[..., :used]
+        if d == 1:
+            box = result = out
+        else:
+            # the box sites are strided in out; copied into a contiguous
+            # result, they cost callers' ufuncs no buffer
+            box = out.reshape(lead + (self.side,) + (self.width,) * (d - 1))[
+                (Ellipsis, slice(None), *(slice(0, self.side),) * (d - 1))]
+            result = np.empty(lead + (self.side,) * d, dtype=np.complex128)
+
+        def apply(values: np.ndarray) -> np.ndarray:
+            # copied from values, never from padded itself: a copy between
+            # interleaved views of one array would go through a temporary
+            for target, source in blocks:
+                np.copyto(target, values[source])
+            acc.fill(0.0)
+            for coeff, view in products:
+                np.multiply(coeff, view, out=term)
+                np.add(acc, term, out=acc)
+            if result is not out:
+                np.copyto(result, box)
+            return result
+
+        return apply
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return self._bind(values.shape[: values.ndim - self.d])(values)
+
+    def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The action on one field of the box, in work arrays allocated here
+        once; it returns one of them, which the next call overwrites."""
+        return self._bind(())
+
+
 def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
     """The box-restricted kernel's action, resolved once for (pot, shape).
 
-    The returned function acts on the trailing d axes of its argument, so a
-    stack of fields of shape (n, *dims) is convolved slice by slice.  It
-    wrap-pads those axes by reach = min(range, L), and then every offset of
-    clipped_offsets, in that order, adds coeff times the shifted padded
-    array into a zeroed output: out(x) = sum_y alpha(y) values(x - y).
-    Shifts are taken on the flattened padded array, so each term is one
-    contiguous slice; the output keeps the rows that hold box sites.
+    The layout is fixed here: the wrap-padding of the trailing d axes by
+    reach = min(range, L), and per offset of clipped_offsets, in that order,
+    the start of its shifted slice of the flattened padded array, so each
+    term is one contiguous slice.  The returned Stencil applies it.
     """
     d, side = shape.d, shape.side
     reach = min(pot.range, shape.L)
@@ -164,41 +228,23 @@ def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
     first = reach * sum(strides)
     span = side * strides[0]
     used = span - (width - side) * sum(strides[1:])
-    full = (slice(None),) * d
-
-    def along(axis: int, sl: slice) -> tuple:
-        return (Ellipsis, *full[:axis], sl, *full[axis + 1:])
-
-    # the box, then per axis two wrap slabs (target, source): the low pad
-    # copies the box's last `reach` rows and the high pad its first; each
-    # slab spans the axes padded before it, which fills the corners
-    center = (Ellipsis, *(slice(reach, reach + side),) * d)
-    low = (slice(0, reach), slice(side, side + reach))
-    high = (slice(side + reach, width), slice(reach, 2 * reach))
-    wraps = [(along(axis, target), along(axis, source))
-             for axis in range(d) for target, source in (low, high)]
-    terms = [
-        (coeff, first - sum(c * s for c, s in zip(offset, strides)))
+    # per axis the (padded, values) ranges of the box, the low pad and the
+    # high pad: the low pad holds the box's last `reach` rows and the high
+    # pad its first; their products, 3^d blocks, fill the whole padded
+    # array, corners included
+    ranges = [(slice(reach, reach + side), slice(0, side)),
+              (slice(0, reach), slice(side - reach, side)),
+              (slice(side + reach, width), slice(0, reach))]
+    blocks = tuple(tuple((Ellipsis, *part) for part in zip(*combo))
+                   for combo in itertools.product(ranges, repeat=d))
+    # each coefficient as a 0-d complex array: the value numpy casts a Python
+    # float to, which numpy takes with less overhead
+    terms = tuple(
+        (np.array(coeff, dtype=np.complex128), first - sum(c * s for c, s in zip(offset, strides)))
         for offset, coeff in clipped_offsets(pot, shape)
-    ]
-    crop = (Ellipsis, slice(None), *(slice(0, side),) * (d - 1))
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        lead = values.shape[: values.ndim - d]
-        padded = np.empty(lead + (width,) * d, dtype=values.dtype)
-        padded[center] = values
-        for target, source in wraps:
-            padded[target] = padded[source]
-        flat = padded.reshape(lead + (-1,))
-        out = np.zeros(lead + (span,), dtype=np.complex128)
-        acc = out[..., :used]
-        for coeff, start in terms:
-            acc += coeff * flat[..., start:start + used]
-        if d == 1:
-            return out
-        return out.reshape(lead + (side,) + (width,) * (d - 1))[crop].copy()
-
-    return apply
+    )
+    return Stencil(d=d, side=side, width=width, span=span, used=used, blocks=blocks,
+                   terms=terms)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,11 @@ def dense_propagator(pot: HoppingPotential, shape: LatticeShape, t: float) -> np
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bits, so -0.0 differs from +0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def random_field(shape: LatticeShape, seed: int, scale: float = 1.0) -> FieldL:
     rng = np.random.default_rng(seed)
     values = scale * (rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims))

@@ -1,11 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_propagator, hopping_matrix, naive_convolve, random_field
+from conftest import dense_propagator, hopping_matrix, naive_convolve, random_field, same_bits
 import dnls.dynamics
 from dnls.dynamics import (
     _fourier_passes,
@@ -456,29 +457,54 @@ class TestIntegrate:
         ell=st.integers(1, 2),
         extra=st.integers(0, 2),
         scheme=st.sampled_from(SCHEMES),
-        zero_kernel=st.booleans(),
+        kernel=st.sampled_from(("random", "zero", "negative")),
+        zero_field=st.booleans(),
         lam=st.floats(-2.0, 2.0),
         stride=st.integers(1, 3),
         n_snap=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a zero field; an all-negative kernel; lam 0 and lam < 0, where every
+    # phase is +-0 or positive; RK4 blocks of several steps, which run in
+    # the stepper's own arrays and write their inner steps into out
+    @example(d=1, ell=1, extra=2, scheme="strang", kernel="zero", zero_field=True, lam=1.0,
+             stride=2, n_snap=2, seed=1).via("zero field")
+    @example(d=1, ell=1, extra=2, scheme="rk4", kernel="random", zero_field=True, lam=1.0,
+             stride=2, n_snap=2, seed=1).via("zero field")
+    @example(d=2, ell=1, extra=1, scheme="strang", kernel="negative", zero_field=False, lam=1.0,
+             stride=3, n_snap=2, seed=2).via("all-negative kernel")
+    @example(d=2, ell=1, extra=1, scheme="rk4", kernel="negative", zero_field=False, lam=1.0,
+             stride=3, n_snap=2, seed=2).via("all-negative kernel")
+    @example(d=1, ell=2, extra=1, scheme="strang", kernel="random", zero_field=False, lam=0.0,
+             stride=3, n_snap=2, seed=3).via("lam 0")
+    @example(d=3, ell=1, extra=0, scheme="strang", kernel="zero", zero_field=False, lam=-1.5,
+             stride=2, n_snap=3, seed=4).via("lam < 0")
+    @example(d=1, ell=1, extra=2, scheme="rk4", kernel="random", zero_field=False, lam=-1.5,
+             stride=3, n_snap=3, seed=5).via("lam < 0, RK4 blocks")
+    @example(d=3, ell=1, extra=1, scheme="rk4", kernel="random", zero_field=False, lam=1.0,
+             stride=3, n_snap=2, seed=6).via("RK4 blocks")
     def test_snapshots_equal_iterated_steps(
-        self, d, ell, extra, scheme, zero_kernel, lam, stride, n_snap, seed
+        self, d, ell, extra, scheme, kernel, zero_field, lam, stride, n_snap, seed
     ):
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((2 * ell + 1,) * d)
-        coeffs = np.zeros_like(coeffs) if zero_kernel else coeffs + np.flip(coeffs)
+        coeffs = coeffs + np.flip(coeffs)
+        if kernel == "zero":
+            coeffs = np.zeros_like(coeffs)
+        elif kernel == "negative":
+            coeffs = -np.abs(coeffs)
         pot = HoppingPotential(d=d, range=ell, coeffs=coeffs)
-        f = random_field(LatticeShape(d, ell + extra), seed)
+        f = random_field(LatticeShape(d, ell + extra), seed, 0.0 if zero_field else 1.0)
         dt = 0.01
         cfg = SchemeConfig(scheme=scheme, dt=dt, t_end=dt * stride * n_snap,
                            snapshot_stride=stride, lam=lam)
         traj = integrate(f, pot, cfg)
         expected = reference_snapshots(scheme, f, pot, lam, dt, stride, n_snap)
-        assert np.array_equal(traj.values, expected)
+        # bit for bit, signed zeros included
+        assert same_bits(traj.values, expected)
         one_step = step_strang if scheme == "strang" else step_rk4
-        assert np.array_equal(one_step(f, pot, lam, dt).values,
-                              reference_stepper(scheme, pot, f.shape, lam, dt)(f.values))
+        assert same_bits(one_step(f, pot, lam, dt).values,
+                         reference_stepper(scheme, pot, f.shape, lam, dt)(f.values))
 
     # boxes below 2^14 sites are bit-equal to the reference; at 16,385 sites
     # numpy elides the reference's temporaries and swaps the operands of its
@@ -493,6 +519,91 @@ class TestIntegrate:
         cfg = SchemeConfig(scheme=scheme, dt=0.01, t_end=0.04, snapshot_stride=2, lam=1.0)
         expected = reference_snapshots(scheme, f, pot, 1.0, 0.01, 2, 2)
         assert np.max(np.abs(integrate(f, pot, cfg).values - expected)) <= tol
+
+
+class TestStrangRotation:
+    """The stepper's rotation, cos and sin of a real phase theta, against the
+    plain values * np.exp(rate * np.abs(values) ** 2) bit for bit.  With the
+    zero kernel a Strang block is rotations only: a half rotation, full ones
+    between steps, and a closing half one."""
+
+    SHAPE = LatticeShape(1, 16)
+
+    def rotations(self, lam, dt, values, steps):
+        pot = zero_potential(1)
+        rotate, _, half_rate = _reference_strang(pot, self.SHAPE, lam, dt)
+        expected = rotate(values, half_rate)
+        for k in range(1, steps + 1):
+            expected = rotate(expected, half_rate if k == steps else 2 * half_rate)
+        out = np.empty_like(values)
+        dnls.dynamics._STEPPERS["strang"](pot, self.SHAPE, lam, dt)(values, out, steps)
+        return out, expected
+
+    def field(self, scale, zeros):
+        values = random_field(self.SHAPE, 7, scale).values.copy()
+        if zeros:
+            # exact zeros of either sign, and a |psi|^2 that underflows to 0
+            values[::4] = complex(-0.0, 0.0)
+            values[1::4] = complex(0.0, -0.0)
+            values[2::8] = 1e-170 - 1e-170j
+        return values
+
+    # theta = -0 at zero sites (lam > 0), theta = +-0 everywhere (lam 0, and
+    # a zero field of signed zeros), theta >= 0 (lam < 0), |theta| >= 1e6
+    @pytest.mark.parametrize("lam, dt, scale, zeros", [
+        (1.0, 0.01, 1.0, True),
+        (1.0, 0.01, 0.0, False),
+        (0.0, 0.01, 1.0, True),
+        (-0.0, 0.01, 1.0, False),
+        (-1.3, 0.01, 1.0, True),
+        (1.0, 1.0, 3e3, False),
+        (-2.0, 0.5, 3e3, True),
+    ])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_bits_equal_complex_exp(self, lam, dt, scale, zeros, steps):
+        values = self.field(scale, zeros)
+        if scale > 1.0:
+            assert np.max(np.abs(0.5 * lam * dt) * np.abs(values) ** 2) >= 1e6
+        out, expected = self.rotations(lam, dt, values, steps)
+        assert same_bits(out, expected)
+
+    # lam dt |psi|^2 / 2 overflows to -inf at the large sites: exp of an
+    # infinite imaginary part and cos and sin of an infinite phase are NaN,
+    # so both forms give non-finite rows, non-finite at the same sites
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_overflowing_phase_gives_non_finite_rows(self, steps):
+        values = self.field(1.0, True)
+        values[5] = 4.0
+        out, expected = self.rotations(1e308, 1.0, values, steps)
+        finite = np.isfinite(out)
+        assert not finite.all()
+        assert np.array_equal(finite, np.isfinite(expected))
+        assert same_bits(out[finite], expected[finite])
+
+
+class TestStepperAllocation:
+    # tracemalloc traces numpy's array buffers, its ufuncs' cast buffers
+    # included, so an array allocated per step would lift the peak of a block
+    # by about one field each; Python's small objects stay far below a
+    # quarter of one
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d, L", [(1, 1000), (3, 8)])
+    def test_advance_allocates_no_array_per_step(self, scheme, d, L):
+        shape = LatticeShape(d, L)
+        values = random_field(shape, 11).values
+        out = np.empty_like(values)
+        advance = dnls.dynamics._STEPPERS[scheme](standard_laplacian(d), shape, 1.0, 1e-3)
+        advance(values, out, 2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            advance(values, out, 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes // 4
 
 
 class TestFourierPasses:

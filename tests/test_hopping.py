@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_convolve, random_field
+from conftest import naive_convolve, random_field, same_bits
 from dnls.hopping import (
     HoppingPotential,
     KernelError,
@@ -281,10 +281,6 @@ def roll_convolve(pot, shape, values):
     return out
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestStencil:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 4), st.booleans(),
@@ -305,5 +301,8 @@ class TestStencil:
         stack = np.stack([values, 2.0 * values - 1j, np.conj(values)])
         out = apply(stack)
         assert out.shape == stack.shape
+        # the buffered form, which a time stepper applies to one field a call
+        buffered = apply.buffered()
         for layer, row in zip(stack, out):
             assert same_bits(row, apply(layer))
+            assert same_bits(buffered(layer), row)
