@@ -42,7 +42,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
-from .lattice import DataError, FieldL, LatticeShape, frozen, read_only
+from .lattice import DataError, FieldL, LatticeShape, field_rows, frozen, read_only
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
@@ -146,7 +146,7 @@ class Trajectory:
     @cached_property
     def snapshots(self) -> tuple[FieldL, ...]:
         """Every snapshot as a FieldL over its row of values."""
-        return tuple(FieldL(self.shape, row) for row in self.values)
+        return field_rows(self.shape, self.values)
 
     @property
     def final(self) -> FieldL:

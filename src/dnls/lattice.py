@@ -10,8 +10,10 @@ function from Z^d sites to amplitudes, pure in the site (and its seed), so
 that truncations to different box sizes agree on their overlap, which is
 what every cross-L experiment requires.
 
-A FieldL alone checks its values' size and finiteness and holds them
-read-only; it copies a writeable array, so the builders freeze theirs first.
+A FieldL checks its values' size and finiteness and holds them read-only;
+it copies a writeable array, so the builders freeze theirs first.  The one
+other way to make FieldLs is field_rows, which checks a whole stack of fields
+once and wraps its rows without checking each again.
 """
 
 from __future__ import annotations
@@ -194,6 +196,26 @@ class FieldL:
     @classmethod
     def zero(cls, shape: LatticeShape) -> "FieldL":
         return cls(shape, np.zeros(shape.dims, dtype=np.complex128))
+
+
+def field_rows(shape: LatticeShape, stack: np.ndarray) -> tuple[FieldL, ...]:
+    """The rows of an (n, *shape.dims) stack as n FieldLs over its memory.
+
+    The stack's shape and finiteness are checked once, as FieldL checks one
+    field, and a writeable stack is copied first; no row is checked again.
+    """
+    stack = read_only(np.asarray(stack, dtype=np.complex128))
+    if stack.shape[1:] != shape.dims:
+        raise DataError(f"expected a stack of fields of shape {shape.dims}, got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise DataError("field contains non-finite values")
+    fields = []
+    for row in stack:
+        field = object.__new__(FieldL)
+        object.__setattr__(field, "shape", shape)
+        object.__setattr__(field, "values", row)
+        fields.append(field)
+    return tuple(fields)
 
 
 def regularized_abs(z: Sequence[int]) -> float:

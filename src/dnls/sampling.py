@@ -32,8 +32,12 @@ of a zero, which neither the acceptance test nor the state update can see.
 It keeps |psi|^2 of its sites cached, updated on accept, and both kernels
 read the term alpha0 |delta|^2 of each proposal from one numpy product per
 draw block.
-Each retained sample is a row of one (n_samples, volume) buffer, frozen
-once when the chain ends; the samples are FieldLs over its rows.
+There is one copy of the loop's update.  When every class runs in the loop,
+it runs the sweeps up to the next retained sample or the end of the draw
+block as one pass over the sweep's rows, repeated; otherwise it takes one
+loop class of a sweep at a time.  Each retained sample is a row of one
+(n_samples, volume) buffer, frozen once when the chain ends and checked once
+by lattice.field_rows, which wraps its rows as the samples.
 
 Two results back the checks on the samples: SampleStats (per-site moments,
 their standard errors and the largest) and PowerLawViolations (sites above
@@ -51,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hopping import HoppingPotential, clipped_offsets
-from .lattice import FieldL, LatticeShape, Site, power_weight, torus_distance_grid
+from .lattice import FieldL, LatticeShape, Site, field_rows, power_weight, torus_distance_grid
 
 
 # tune_proposal_sigma: target acceptance, rounds and sweeps per round
@@ -241,13 +245,16 @@ def run_gibbs_chain(
         re, im = state.real, state.imag
         loop_at = (np.arange(min(block, total_sweeps))[:, None] * volume
                    + loop_positions).ravel()
+    else:
+        # every class runs in the loop: one sweep's rows in visiting order
+        order = [row for _, rows, _ in plan for row in rows]
 
     n_accepted = 0
-    # sample r is row r, written after sweep burn_in + (r + 1) * thinning - 1
+    # sample r is row r, written once burn_in + (r + 1) * thinning sweeps ran
     buffer = np.empty((n_samples, volume), dtype=np.complex128)
     buffer_re, buffer_im = buffer.real, buffer.imag
     kept = 0
-    keep_at = spec.burn_in + spec.thinning - 1
+    keep_after = spec.burn_in + spec.thinning
 
     for first in range(0, total_sweeps, block):
         # whole blocks are drawn, for the prefix property; only the sweeps
@@ -268,45 +275,67 @@ def run_gibbs_chain(
             mine = slice(None) if n_loop == volume else loop_at[:n_sweeps * n_loop]
             draws = zip(d_re[mine].tolist(), d_im[mine].tolist(), quad[mine].tolist(),
                         thresholds[mine].tolist())
-        for sweep in range(first, first + n_sweeps):
-            for start, sites, nbrs in plan:
-                if nbrs is None:
-                    for (i, row), (dr, di, q, limit) in zip(sites, draws):
-                        hr = hi = 0.0
-                        for c, k in row:
-                            hr += c * re[k]
-                            hi += c * im[k]
-                        new_re = re[i] + dr
-                        new_im = im[i] + di
-                        old2 = sq[i]
-                        new2 = new_re * new_re + new_im * new_im
-                        d_energy = (2.0 * (dr * hr + di * hi) + q
-                                    + half_lam * (new2 * new2 - old2 * old2)
-                                    - mu * (new2 - old2))
-                        if d_energy < limit:
-                            re[i] = new_re
-                            im[i] = new_im
-                            sq[i] = new2
-                            n_accepted += 1
-                else:
-                    at = (sweep - first) * volume + start
-                    n_accepted += _update_class(
-                        state, sites, nbrs, coeffs, deltas[at:at + sites.size],
-                        quad[at:at + sites.size], thresholds[at:at + sites.size],
-                        half_lam, mu)
-            if sweep == keep_at:
+        sweep = first
+        end = first + n_sweeps
+        while sweep < end:
+            if n_loop == volume:
+                # the sweeps up to the next retained sample or the block's
+                # end, as one run of the loop
+                stop = min(keep_after, end)
+                n_accepted += _update_loop(order * (stop - sweep), draws, re, im, sq,
+                                           half_lam, mu)
+            else:
+                stop = sweep + 1
+                for start, sites, nbrs in plan:
+                    if nbrs is None:
+                        n_accepted += _update_loop(sites, draws, re, im, sq, half_lam, mu)
+                    else:
+                        at = (sweep - first) * volume + start
+                        n_accepted += _update_class(
+                            state, sites, nbrs, coeffs, deltas[at:at + sites.size],
+                            quad[at:at + sites.size], thresholds[at:at + sites.size],
+                            half_lam, mu)
+            sweep = stop
+            if sweep == keep_after:
                 buffer_re[kept] = re
                 buffer_im[kept] = im
                 kept += 1
-                keep_at += spec.thinning
+                keep_after += spec.thinning
 
-    # frozen once; each sample is a FieldL over its row, stored uncopied
+    # frozen once, so the samples are FieldLs over its rows, checked once
     buffer.setflags(write=False)
     return GibbsChain(
-        samples=tuple(FieldL(shape, row) for row in buffer.reshape((n_samples,) + shape.dims)),
+        samples=field_rows(shape, buffer.reshape((n_samples,) + shape.dims)),
         n_proposed=total_sweeps * volume,
         n_accepted=n_accepted,
     )
+
+
+def _update_loop(rows, draws, re, im, sq, half_lam, mu) -> int:
+    """One Metropolis step per entry (i, row) of rows, in order: site i, with
+    row its (coefficient, neighbour index) pairs, takes the next (delta re,
+    delta im, alpha0 |delta|^2, threshold) of draws.  Updates the state's
+    real and imaginary parts re and im and its |psi|^2 cache sq in place;
+    returns the number accepted."""
+    accepted = 0
+    for (i, row), (dr, di, q, limit) in zip(rows, draws):
+        hr = hi = 0.0
+        for c, k in row:
+            hr += c * re[k]
+            hi += c * im[k]
+        new_re = re[i] + dr
+        new_im = im[i] + di
+        old2 = sq[i]
+        new2 = new_re * new_re + new_im * new_im
+        d_energy = (2.0 * (dr * hr + di * hi) + q
+                    + half_lam * (new2 * new2 - old2 * old2)
+                    - mu * (new2 - old2))
+        if d_energy < limit:
+            re[i] = new_re
+            im[i] = new_im
+            sq[i] = new2
+            accepted += 1
+    return accepted
 
 
 def _update_class(state, sites, nbrs, coeffs, delta, quad, threshold, half_lam, mu) -> int:

@@ -21,6 +21,7 @@ from dnls.lattice import (
     constant_generator,
     dump_field,
     embed_lookup,
+    field_rows,
     hashed_noise_generator,
     load_field,
     point_source,
@@ -175,6 +176,64 @@ class TestFieldL:
         f = FieldL(shape, np.arange(5, dtype=complex))
         assert f.at((-2,)) == 0
         assert f.at((2,)) == 4
+
+
+class TestFieldRows:
+    @staticmethod
+    def frozen_stack(shape, n, seed=0):
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_normal((n, *shape.dims))
+                  + 1j * rng.standard_normal((n, *shape.dims)))
+        values.setflags(write=False)
+        return values
+
+    @pytest.mark.parametrize("d, L", [(1, 0), (1, 3), (2, 2), (3, 1)])
+    def test_rows_equal_checked_fields(self, d, L):
+        shape = LatticeShape(d, L)
+        stack = self.frozen_stack(shape, 4)
+        rows = field_rows(shape, stack)
+        assert len(rows) == 4
+        for row, values in zip(rows, stack):
+            want = FieldL(shape, values)
+            assert row.shape == want.shape
+            assert row.values.shape == shape.dims
+            assert np.array_equal(row.values.view(np.uint64), want.values.view(np.uint64))
+
+    def test_rows_frozen_views_of_the_stack(self):
+        shape = LatticeShape(2, 1)
+        stack = self.frozen_stack(shape, 3)
+        for row in field_rows(shape, stack):
+            assert np.shares_memory(row.values, stack)
+            with pytest.raises(ValueError):
+                row.values[0, 0] = 1.0
+
+    def test_writeable_stack_copied(self):
+        shape = LatticeShape(1, 2)
+        stack = np.ones((2, 5), dtype=complex)
+        rows = field_rows(shape, stack)
+        stack[0, 0] = 2.0
+        assert rows[0].values[0] == 1.0
+        assert not any(np.shares_memory(row.values, stack) for row in rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, np.inf)])
+    @pytest.mark.parametrize("row, site", [(0, 0), (2, 4)])
+    def test_nonfinite_anywhere_rejected(self, bad, row, site):
+        shape = LatticeShape(1, 2)
+        stack = np.zeros((3, 5), dtype=complex)
+        stack[row, site] = bad
+        with pytest.raises(DataError):
+            field_rows(shape, stack)
+
+    @pytest.mark.parametrize("dims", [(3, 4), (3, 5, 1), (5,), (15,), (3, 1, 5)])
+    def test_wrong_trailing_shape_rejected(self, dims):
+        with pytest.raises(DataError):
+            field_rows(LatticeShape(1, 2), np.zeros(dims, dtype=complex))
+
+    @pytest.mark.parametrize("d, L", [(1, 0), (2, 3)])
+    def test_empty_stack(self, d, L):
+        shape = LatticeShape(d, L)
+        assert field_rows(shape, np.empty((0, *shape.dims), dtype=complex)) == ()
 
 
 class TestGenerators:

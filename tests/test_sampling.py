@@ -374,6 +374,16 @@ class TestSweepBits:
     # two 40-site numpy classes and a one-site loop class on the numpy views
     @example(dim=(1, 40), ell=1, zero=False, burn_in=2, thinning=2, n_samples=3,
              all_numpy=False, seed=1040)
+    # an all-loop box runs up to each retained sample or draw block end at
+    # once: samples on both sides of the first block boundary, 2^14 sweeps
+    # into the one-site box and 399 into the 41-site ring (classes of 20, 20
+    # and 1), and a chain that keeps none
+    @example(dim=(1, 0), ell=1, zero=False, burn_in=2**14 - 1, thinning=1, n_samples=3,
+             all_numpy=False, seed=16383)
+    @example(dim=(1, 20), ell=1, zero=False, burn_in=16384 // 41 - 1, thinning=1,
+             n_samples=3, all_numpy=False, seed=398)
+    @example(dim=(1, 0), ell=1, zero=False, burn_in=3, thinning=2, n_samples=0,
+             all_numpy=False, seed=7)
     @given(dim=st.integers(1, 3).flatmap(
                lambda d: st.tuples(st.just(d), st.integers(0, 40 if d == 1 else 3))),
            ell=st.integers(1, 2), zero=st.booleans(), burn_in=st.integers(0, 3),
