@@ -18,13 +18,19 @@ differ from single steps, in rounding.  Neither stepper allocates an array
 per step: each works in arrays it allocates once, Strang calling numpy's
 pocketfft gufuncs directly, with the bits of np.fft, and RK4 applying the
 stencil through its buffered form, with the bits of the plain expressions.
+At the 65- and 129-site boxes of the d = 1 checks a gufunc call costs more
+in per-call setup than in arithmetic, so Strang's Fourier calls are bound
+once to their arrays and to 0-d float64 scales, which need no conversion
+per call, and the last axis, the gufunc's default core axis, gets no axes
+argument.
 Finiteness is checked once per stored snapshot; a non-finite one replays
 its block one single step at a time and raises at the first non-finite
 step, or, ending finite, keeps the replayed row: a merged phase
 lam |psi|^2 dt can overflow where two half phases do not.  The snapshots
 form one read-only array (n, *dims) of a Trajectory; every computation over
 them runs on `Trajectory.blocks` of about 2^14 sites, so its temporaries
-stay small whatever n is.
+stay small whatever n is.  The stack is checked once: row by row in
+integrate, or whole by the constructor for outside data.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation; they mix
@@ -34,15 +40,15 @@ the scheme's own defect, and refinement studies separate the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
-from .lattice import DataError, FieldL, LatticeShape, field_rows, frozen, read_only
+from .lattice import DataError, FieldL, LatticeShape, frozen, read_only, wrap_rows
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
@@ -98,7 +104,8 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshots of one run on the uniform grid t_j = j * dt * stride; snapshot
-    j is values[j], one read-only array (len(times), *dims) checked here once."""
+    j is values[j], one read-only array (len(times), *dims) checked once: here,
+    or row by row by the integrate call that made it."""
 
     shape: LatticeShape
     times: np.ndarray
@@ -143,10 +150,19 @@ class Trajectory:
         for j in range(0, count, b):
             yield j, self.values[j:min(j + b, count)]
 
+    @classmethod
+    def _checked(cls, shape: LatticeShape, times: np.ndarray, values: np.ndarray, dt: float,
+                 stride: int) -> Trajectory:
+        """A Trajectory over read-only times and values that already hold what
+        the constructor checks, built without scanning them again."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(shape=shape, times=times, values=values, dt=dt, stride=stride)
+        return traj
+
     @cached_property
     def snapshots(self) -> tuple[FieldL, ...]:
-        """Every snapshot as a FieldL over its row of values."""
-        return field_rows(self.shape, self.values)
+        """Every snapshot as a FieldL over its row of the checked values."""
+        return wrap_rows(self.shape, self.values)
 
     @property
     def final(self) -> FieldL:
@@ -204,79 +220,93 @@ def p_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -
     return complex(second_time_derivative(field, pot, lam)[field.shape.index(x)])
 
 
-def _fourier_passes(shape: LatticeShape) -> tuple[Callable, Callable]:
-    """fftn and ifftn over the box as numpy's pocketfft gufunc calls.
+def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
+                    ) -> tuple[list[Callable[[], None]], np.ndarray, list[Callable[[], None]]]:
+    """fftn and ifftn over the box as numpy's pocketfft gufunc calls on two
+    arrays, bound once: (forward, spec, inverse).
 
-    Like np.fft.fftn and ifftn they make one call per axis, last axis first,
-    the inverse scaled by 1/side on each, and give the same bits without the
-    per-call wrapper.  A pass (src, spare) ping-pongs between its two
-    arrays, overwriting both, and returns the one holding the result.
+    Running the forward calls in order transforms src into spec, which is src
+    or spare; the inverse calls then transform spec back into src; each pass
+    overwrites the other array.  Like np.fft.fftn and ifftn they make one
+    call per axis, last axis first, the inverse scaled by 1/side on each, and
+    give the same bits, without the np.fft wrapper: the scales are 0-d
+    float64 arrays built here, and the last axis, the gufunc's default core
+    axis, takes no axes argument.
     """
-    axes = [[(axis,), (), (axis,)] for axis in reversed(range(shape.d))]
+    def calls(ufunc, scale: np.ndarray, src: np.ndarray, dst: np.ndarray):
+        bound = []
+        for axis in reversed(range(shape.d)):
+            where = {} if axis == shape.d - 1 else {"axes": [(axis,), (), (axis,)]}
+            bound.append(partial(ufunc, src, scale, dst, **where))
+            src, dst = dst, src
+        return bound, src, dst
 
-    def passes(ufunc, scale) -> Callable:
-        def run(src: np.ndarray, spare: np.ndarray) -> np.ndarray:
-            for ax in axes:
-                ufunc(src, scale, axes=ax, out=spare)
-                src, spare = spare, src
-            return src
-        return run
-
-    return (passes(_pocketfft.fft, 1),
-            passes(_pocketfft.ifft, np.reciprocal(shape.side, dtype=np.float64)))
+    forward, spec, other = calls(_pocketfft.fft, np.array(1.0), src, spare)
+    inverse, _, _ = calls(_pocketfft.ifft, np.array(1.0 / shape.side), spec, other)
+    return forward, spec, inverse
 
 
 def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
     """Strang steps on raw values: half onsite rotation, then per step the full
     linear flow and a full rotation, the last one a half rotation.
 
-    A vanishing dispersion makes the linear flow the identity; the Fourier
-    round trip is skipped then, so purely onsite runs carry no FFT rounding.
-    Every substep writes into arrays allocated here once.  A rotation by
-    exp(rate |psi|^2) at an imaginary rate is computed from its real phase
-    theta: cos theta and sin theta go into the real and imaginary parts of
-    one array, the bits numpy's complex exp gives for a zero real part, with
-    no complex cast and no complex exp.  The products keep the operand order
-    of values * rotation and linear_phase * spectrum: the last bit of a
-    complex product depends on it.
+    The linear flow is a fixed list of calls bound to two arrays allocated
+    here once: the Fourier passes around the product linear_phase * spectrum.
+    At the small boxes of the d = 1 checks each numpy call costs more in
+    setup than in arithmetic, so a step adds as little as it can around the
+    calls its arithmetic needs: the passes run with no Python frame of their
+    own, their scales are 0-d float64 arrays built once, the last axis is
+    the gufunc's default core axis, and out is passed positionally.  A
+    vanishing dispersion makes the list empty, so purely onsite runs carry
+    no FFT rounding.
+
+    A rotation by exp(rate |psi|^2) at an imaginary rate is computed from
+    its real phase theta: cos theta and sin theta go into the real and
+    imaginary parts of one array, the bits numpy's complex exp gives for a
+    zero real part, with no complex cast and no complex exp.  The products
+    keep the operand order of values * rotation and linear_phase * spectrum:
+    the last bit of a complex product depends on it.
     """
     disp = dispersion(pot, shape).values
+    # before the work arrays, which then reuse its temporary's freed memory
+    # instead of leaving it as a hole in the heap for the stepper's lifetime
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
     half_rate = -0.5j * lam * dt
     # per rate: rate.imag and the signed zero rate.real * 0, which the phase
     # below adds; 0-d arrays, which numpy takes faster than Python floats
     half, full = ((np.array(rate.imag), np.array(rate.real * 0.0))
                   for rate in (half_rate, 2 * half_rate))
-    forward, inverse = _fourier_passes(shape)
     mod = np.empty(shape.dims)
     rot = np.empty(shape.dims, dtype=np.complex128)
     cos, sin = rot.real, rot.imag
     field = np.empty(shape.dims, dtype=np.complex128)
-    spare = np.empty(shape.dims, dtype=np.complex128)
+    linear: list[Callable[[], None]] = []
+    if linear_phase is not None:
+        forward, spec, inverse = _fourier_passes(shape, field, np.empty_like(field))
+        linear = [*forward, partial(np.multiply, linear_phase, spec, spec), *inverse]
 
     def rotate(src: np.ndarray, out: np.ndarray, rate: tuple[np.ndarray, np.ndarray]) -> None:
         # out = src * exp(rate * |src|^2); out may be src.  The phase is the
         # imaginary part of that complex product, rate.imag |src|^2 plus
         # rate.real * 0: a signed zero that can turn a -0 phase into +0
         scale, zero = rate
-        np.abs(src, out=mod)
-        np.square(mod, out=mod)
-        np.multiply(scale, mod, out=mod)
-        np.add(mod, zero, out=mod)
-        np.cos(mod, out=cos)
-        np.sin(mod, out=sin)
-        np.multiply(src, rot, out=out)
+        np.abs(src, mod)
+        np.square(mod, mod)
+        np.multiply(scale, mod, mod)
+        np.add(mod, zero, mod)
+        np.cos(mod, cos)
+        np.sin(mod, sin)
+        np.multiply(src, rot, out)
 
     def advance(values: np.ndarray, out: np.ndarray, steps: int) -> None:
         rotate(values, field, half)
-        for k in range(1, steps + 1):
-            psi = field
-            if linear_phase is not None:
-                spec = forward(field, spare)
-                np.multiply(linear_phase, spec, out=spec)
-                psi = inverse(spec, spare if spec is field else field)
-            last = k == steps
-            rotate(psi, out if last else field, half if last else full)
+        for _ in range(steps - 1):
+            for call in linear:
+                call()
+            rotate(field, field, full)
+        for call in linear:
+            call()
+        rotate(field, out, half)
 
     return advance
 
@@ -390,8 +420,8 @@ def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Tr
         advance(values[j - 1], values[j], stride)
         if not np.isfinite(values[j]).all():
             replay(j)
-    # frozen, the buffer is stored uncopied
-    return Trajectory(shape=shape, times=times, values=frozen(values), dt=dt, stride=stride)
+    # every row is checked above, and the frozen buffer is stored uncopied
+    return Trajectory._checked(shape, frozen(times), frozen(values), dt, stride)
 
 
 def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
@@ -461,11 +491,11 @@ def duhamel_residual_second(traj: Trajectory, pot: HoppingPotential, lam: float,
 
 def subsample(traj: Trajectory, factor: int) -> Trajectory:
     """Coarser snapshot view of the same run (every factor-th snapshot);
-    its times and values are views of traj's.
+    its times and values are views of traj's, not checked again.
 
     Requires the snapshot count to cover t_end at the coarser spacing.
     """
     if factor < 1 or (len(traj) - 1) % factor != 0:
         raise ValueError(f"cannot subsample {len(traj)} snapshots by {factor}")
-    return replace(traj, times=traj.times[::factor], values=traj.values[::factor],
-                   stride=traj.stride * factor)
+    return Trajectory._checked(traj.shape, traj.times[::factor], traj.values[::factor], traj.dt,
+                               traj.stride * factor)

@@ -12,13 +12,14 @@ what every cross-L experiment requires.
 
 A FieldL checks its values' size and finiteness and holds them read-only;
 it copies a writeable array, so the builders freeze theirs first.  The one
-other way to make FieldLs is field_rows, which checks a whole stack of fields
-once and wraps its rows without checking each again.
+other way to make FieldLs is wrap_rows, which wraps the rows of a whole stack
+of fields checked once: by field_rows, or by the Trajectory holding it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -85,8 +86,7 @@ class LatticeShape:
 
     def sites(self) -> Iterator[Site]:
         """All sites in storage order (row-major over shifted coordinates)."""
-        for idx in np.ndindex(self.dims):
-            yield tuple(int(i) - self.L for i in idx)
+        return itertools.product(range(-self.L, self.L + 1), repeat=self.d)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -209,6 +209,12 @@ def field_rows(shape: LatticeShape, stack: np.ndarray) -> tuple[FieldL, ...]:
         raise DataError(f"expected a stack of fields of shape {shape.dims}, got {stack.shape}")
     if not np.isfinite(stack).all():
         raise DataError("field contains non-finite values")
+    return wrap_rows(shape, stack)
+
+
+def wrap_rows(shape: LatticeShape, stack: np.ndarray) -> tuple[FieldL, ...]:
+    """The rows of a read-only complex (n, *shape.dims) stack, already checked
+    as field_rows checks one, as n FieldLs over its memory, checked no more."""
     fields = []
     for row in stack:
         field = object.__new__(FieldL)

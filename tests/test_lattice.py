@@ -57,6 +57,17 @@ class TestLatticeShape:
         assert sites[-1] == (1, 1)
         assert len(sites) == 9
 
+    # the row-major walk over the storage indices, shifted by L: the order of
+    # the field values, the text dump and truncate
+    @pytest.mark.parametrize("d, L", [(1, 128), (3, 16), (2, 5), (1, 0), (3, 0)])
+    def test_sites_equal_shifted_ndindex(self, d, L):
+        shape = LatticeShape(d=d, L=L)
+        sites = list(shape.sites())
+        expected = [tuple(int(i) - L for i in idx) for idx in np.ndindex(shape.dims)]
+        assert sites == expected
+        assert all(type(c) is int for site in sites for c in site)
+        assert all(type(site) is tuple for site in sites)
+
     def test_require_site(self):
         shape = LatticeShape(d=1, L=2)
         assert shape.require_site([2]) == (2,)
