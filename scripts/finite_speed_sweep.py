@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Box-size sweep: window disagreement between consecutive periodizations.
 
-Prints the per-size disagreement against the 2^-L reference line and the
-fitted decay parameters.
+Prints the per-size disagreement against the 2^-L reference line, the
+fitted decay parameters and the runtime of the one packed integration that
+runs every size.
 """
 
 import argparse
@@ -36,11 +37,11 @@ def main() -> None:
     )
     report = run_box_sweep(config, standard_laplacian(1))
 
-    print(f"{'L':>4}  {'delta_bar':>12}  {'2^-L':>10}  {'drift':>8}  {'runtime':>8}")
+    print(f"{'L':>4}  {'delta_bar':>12}  {'2^-L':>10}  {'drift':>8}")
     for e in report.entries:
-        print(f"{e.L:>4}  {e.delta_bar:>12.3e}  {2.0 ** -e.L:>10.3e}  "
-              f"{e.drift:>8.3f}  {e.runtime:>7.2f}s")
+        print(f"{e.L:>4}  {e.delta_bar:>12.3e}  {2.0 ** -e.L:>10.3e}  {e.drift:>8.3f}")
     print(f"fit: A={report.fit_A}  L0={report.fit_L0}  flagged={report.flagged}")
+    print(f"runtime: {report.entries[0].runtime:.2f}s")
 
 
 if __name__ == "__main__":

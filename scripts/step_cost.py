@@ -7,22 +7,35 @@ microseconds per site-step, with the per-step time beside it.  Strang runs
 at snapshot strides 1 and 10: inside a snapshot block it merges each step's
 closing half rotation with the next step's opening one, so at stride 1
 every step pays both half rotations and the stride-10 column shows what
-merging saves.  RK4 runs at strides 1 and 10 too: stride 1 is the box
-sweep's (acceptance criterion 7), where each step is one stepper call, and
-stride 10 advances whole blocks through the stepper's own arrays.  The step
+merging saves.  RK4 runs at strides 1 and 10 too: at stride 1 each step is
+one stepper call, as in the box sweep of acceptance criterion 7 (which
+steps all its boxes as one packed state), and stride 10 advances whole
+blocks through the stepper's own arrays.  The step
 count per run shrinks with the volume, so that each run does about the same
-work; the whole table takes 20-30 s on a shared 2-core Xeon host.  To
-compare two checkouts, run it in each:
+work; the whole table takes 20-30 s on a shared 2-core Xeon host.
+
+A host whose speed swings in phases moves the raw columns with the phase,
+not with the code, so each row also prints its host speed factor, the
+mean of bench/speed.py's `probe_factor()` just before and just after the
+row (1.0 at the benchmark's reference speed), and each per-step time
+divided by it, which is comparable across runs and checkouts.  To compare
+two checkouts, run it in each:
 
     PYTHONPATH=src python3 scripts/step_cost.py
 """
 
+import sys
 import time
+from pathlib import Path
 
-from dnls.dynamics import SchemeConfig, integrate
-from dnls.hopping import standard_laplacian
-from dnls.lattice import LatticeShape
-from dnls.sampling import GaussianSpec, sample_gaussian
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from speed import probe_factor  # noqa: E402
+
+from dnls.dynamics import SchemeConfig, integrate  # noqa: E402
+from dnls.hopping import standard_laplacian  # noqa: E402
+from dnls.lattice import LatticeShape  # noqa: E402
+from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
 
 GRID = ((1, 32), (1, 64), (1, 1000), (2, 8), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16))
 # site-steps per timed run; the step count is this over the volume, rounded
@@ -45,8 +58,8 @@ def best_seconds(field0, pot, cfg) -> float:
 
 
 def main() -> None:
-    print(f"{'d':>2} {'L':>5} {'sites':>6} {'steps':>6}"
-          + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9}"
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'steps':>6} {'factor':>6}"
+          + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9} {'scaled':>9}"
                     for scheme, stride in RUNS))
     for d, L in GRID:
         shape = LatticeShape(d=d, L=L)
@@ -54,13 +67,16 @@ def main() -> None:
         field0 = sample_gaussian(GaussianSpec(density=1.0), shape, 0)
         strides = max(1, -(-SITE_STEPS // (shape.volume * STRIDE)))
         steps = strides * STRIDE
-        row = f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6}"
+        before = probe_factor()
+        per_steps = []
         for scheme, stride in RUNS:
             cfg = SchemeConfig(scheme=scheme, dt=DT, t_end=steps * DT,
                                snapshot_stride=stride, lam=1.0)
-            per_step = best_seconds(field0, pot, cfg) / steps * 1e6
-            row += f"  {per_step / shape.volume:>22.4f} {per_step:>9.1f}"
-        print(row)
+            per_steps.append(best_seconds(field0, pot, cfg) / steps * 1e6)
+        factor = (before + probe_factor()) / 2
+        print(f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6} {factor:>6.2f}"
+              + "".join(f"  {t / shape.volume:>22.4f} {t:>9.1f} {t / factor:>9.1f}"
+                        for t in per_steps))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,13 @@ Sites are identified across lattices by their literal coordinates; the
 observation window is contained in both boxes as-is.  A sweep truncates
 its generator once, to the largest box it needs, and takes every smaller
 box as the centred slice of that field; the generator is pure, so the
-values are those of a truncation per box.  Each trajectory is freed as
-soon as the pairs that read it are done.
+values are those of a truncation per box.  It then steps every distinct
+box size at once, as one packed RK4 state, where a box per call would pay
+a step's numpy call overhead once per box, and streams its reductions:
+each pair's window sup and each size's drift are updated at every
+snapshot, with the subtraction, abs and max of the reductions over stored
+trajectories below, so no trajectory is stored and every entry has the
+bits of two separate runs.
 
 A sweep runs the RK4/stencil scheme only: its arithmetic at a window site
 is a pure function of values in the site's dependency cone, so the only
@@ -29,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import BlowUpError, SchemeConfig, Trajectory, integrate
+from .dynamics import SchemeConfig, Trajectory, integrate_packed
 from .hopping import HoppingPotential
-from .lattice import FieldL, Generator, LatticeShape, truncate
+from .lattice import FieldL, Generator, LatticeShape, box_starts, truncate
 
 
 def _require_common_grid(a: Trajectory, b: Trajectory) -> None:
@@ -144,6 +149,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """One pair (L, L+1): the window disagreement and the small box's drift
+    over the run, or NaN and the error of the first of its boxes to blow up.
+    runtime is the wall time of the sweep's one packed integration, which
+    all its entries share."""
+
     L: int
     delta_bar: float
     drift: float
@@ -199,45 +209,67 @@ def _fit_threshold(entries: Sequence[SweepEntry]) -> int | None:
 def run_box_sweep(config: SweepConfig, pot: HoppingPotential) -> DisagreementReport:
     """Run consecutive-size pairs (L, L+1) for each listed L and report decay.
 
-    Each size runs once: when L+1 is listed too, a pair's big box is the next
-    pair's small box.  An entry's runtime is the integration time of its two
-    sizes.
+    Every distinct size runs once, all of them together as one packed RK4
+    state (dynamics.integrate_packed), and each pair's window sup and each
+    listed size's drift are updated at every snapshot, so no trajectory is
+    stored.  An entry is that of two separate runs, bit for bit, with the
+    error of the first of its two boxes to blow up; its runtime is the wall
+    time of the one packed run, the same in every entry.
     """
-    t_end = config.scheme.t_end
-    top = truncate(config.generator, LatticeShape(d=pot.d, L=max(config.L_list) + 1))
+    d, k = pot.d, config.k
+    sizes = sorted({L + e for L in config.L_list for e in (0, 1)})
+    top = truncate(config.generator, LatticeShape(d=d, L=sizes[-1]))
+    shapes = [LatticeShape(d=d, L=L) for L in sizes]
+    fields = [FieldL(shape, top.values[_window_slices(top.shape, shape.L)]) for shape in shapes]
+    box = {L: i for i, L in enumerate(sizes)}
+    starts = box_starts(shapes)
 
-    def run(L: int) -> tuple[Trajectory | BlowUpError, float]:
-        shape = LatticeShape(d=pot.d, L=L)
-        field0 = FieldL(shape, top.values[_window_slices(top.shape, L)])
-        start = time.perf_counter()
-        try:
-            traj = integrate(field0, pot, config.scheme)
-        except BlowUpError as err:
-            traj = err
-        return traj, time.perf_counter() - start
+    def sites(L: int, k: int | None = None) -> np.ndarray:
+        # flat indices, in the packed state, of box L's sites, or of those in
+        # its window of half-width k
+        shape = shapes[box[L]]
+        window = () if k is None else _window_slices(shape, k)
+        return starts[box[L]] + np.arange(shape.volume).reshape(shape.dims)[window].ravel()
 
+    # segments of a - b: per pair, big minus small over the window; per
+    # listed size, the state minus the initial one over the whole box
+    bigs = [sites(L + 1, k) for L in config.L_list]
+    smalls = [sites(L, k) for L in config.L_list]
+    boxes = [sites(L) for L in config.L_list]
+    lengths = [len(s) for s in bigs + boxes]
+    a_index = np.concatenate(bigs + boxes)
+    b_index = np.concatenate(smalls)
+    a = np.empty(len(a_index), dtype=np.complex128)
+    b = np.empty_like(a)
+    b_rows = b[:len(b_index)]
+    b[len(b_index):] = np.concatenate([fields[box[L]].values.ravel() for L in config.L_list])
+    mod = np.empty(len(a))
+    segments = np.cumsum([0] + lengths[:-1])
+    row_sup = np.empty(len(lengths))
+    sup = np.zeros(len(lengths))
+
+    def on_row(row: np.ndarray) -> None:
+        # _sup_difference's subtraction, abs and max, one row at a time
+        np.take(row, a_index, out=a, mode="clip")
+        np.take(row, b_index, out=b_rows, mode="clip")
+        np.subtract(a, b, out=a)
+        np.abs(a, out=mod)
+        np.maximum.reduceat(mod, segments, out=row_sup)
+        np.maximum(sup, row_sup, out=sup)
+
+    start = time.perf_counter()
+    errors = integrate_packed(fields, pot, config.scheme, on_row)
+    runtime = time.perf_counter() - start
     entries = []
-    shared = None  # the last pair's big run, when it is this pair's small one
-    for L, next_L in zip(config.L_list, config.L_list[1:] + (None,)):
-        small, small_time = shared if shared is not None else run(L)
-        big, big_time = run(L + 1)
-        runtime = small_time + big_time
-        if isinstance(small, BlowUpError) or isinstance(big, BlowUpError):
-            err = small if isinstance(small, BlowUpError) else big
+    n = len(config.L_list)
+    for i, L in enumerate(config.L_list):
+        err = errors[box[L]] if errors[box[L]] is not None else errors[box[L + 1]]
+        if err is not None:
             entries.append(SweepEntry(L=L, delta_bar=float("nan"), drift=float("nan"),
                                       runtime=runtime, error=str(err)))
         else:
-            entries.append(
-                SweepEntry(
-                    L=L,
-                    delta_bar=window_disagreement(big, small, config.k, t_end),
-                    drift=drift(small, t_end),
-                    runtime=runtime,
-                )
-            )
-        shared = (big, big_time) if next_L == L + 1 else None
-        # no run outlives the pairs that read it
-        del small, big
+            entries.append(SweepEntry(L=L, delta_bar=float(sup[i]), drift=float(sup[n + i]),
+                                      runtime=runtime))
     return DisagreementReport(
         entries=tuple(entries),
         fit_A=_fit_decay_base(entries),

@@ -21,8 +21,8 @@ stencil through its buffered form, with the bits of the plain expressions.
 At the 65- and 129-site boxes of the d = 1 checks a gufunc call costs more
 in per-call setup than in arithmetic, so Strang's Fourier calls are bound
 once to their arrays and to 0-d float64 scales, which need no conversion
-per call, and the last axis, the gufunc's default core axis, gets no axes
-argument.
+per call, and each runs over the last axis, the gufunc's default core
+axis, of views that move its axis there, with no axes argument.
 Finiteness is checked once per stored snapshot; a non-finite one replays
 its block one single step at a time and raises at the first non-finite
 step, or, ending finite, keeps the replayed row: a merged phase
@@ -31,6 +31,12 @@ form one read-only array (n, *dims) of a Trajectory; every computation over
 them runs on `Trajectory.blocks` of about 2^14 sites, so its temporaries
 stay small whatever n is.  The stack is checked once: row by row in
 integrate, or whole by the constructor for outside data.
+
+Several boxes of one dimension can step together with RK4 as one packed
+state (integrate_packed): one step body serves one box or many, and each
+box gets the bits integrate gives it, while a step costs about as many
+numpy calls as one box's.  Nothing is stored; a callback reads each
+snapshot.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation; they mix
@@ -47,8 +53,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
-from .lattice import DataError, FieldL, LatticeShape, frozen, read_only, wrap_rows
+from .hopping import (HoppingPotential, Stencil, dispersion, packed_stencil, require_fits,
+                      stencil)
+from .lattice import DataError, FieldL, LatticeShape, box_starts, frozen, read_only, wrap_rows
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
@@ -230,14 +237,16 @@ def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
     overwrites the other array.  Like np.fft.fftn and ifftn they make one
     call per axis, last axis first, the inverse scaled by 1/side on each, and
     give the same bits, without the np.fft wrapper: the scales are 0-d
-    float64 arrays built here, and the last axis, the gufunc's default core
-    axis, takes no axes argument.
+    float64 arrays built here, and each pass runs on views of the two arrays
+    that move its axis last, the gufunc's default core axis, so that no call
+    takes an axes argument, whose keyword costs a slower call and an
+    allocation per call.
     """
     def calls(ufunc, scale: np.ndarray, src: np.ndarray, dst: np.ndarray):
         bound = []
         for axis in reversed(range(shape.d)):
-            where = {} if axis == shape.d - 1 else {"axes": [(axis,), (), (axis,)]}
-            bound.append(partial(ufunc, src, scale, dst, **where))
+            bound.append(partial(ufunc, np.moveaxis(src, axis, -1), scale,
+                                 np.moveaxis(dst, axis, -1)))
             src, dst = dst, src
         return bound, src, dst
 
@@ -255,10 +264,10 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     At the small boxes of the d = 1 checks each numpy call costs more in
     setup than in arithmetic, so a step adds as little as it can around the
     calls its arithmetic needs: the passes run with no Python frame of their
-    own, their scales are 0-d float64 arrays built once, the last axis is
-    the gufunc's default core axis, and out is passed positionally.  A
-    vanishing dispersion makes the list empty, so purely onsite runs carry
-    no FFT rounding.
+    own, their scales are 0-d float64 arrays built once, each runs over the
+    gufunc's default core axis, the last, of views that move its axis there,
+    and out is passed positionally.  A vanishing dispersion makes the list
+    empty, so purely onsite runs carry no FFT rounding.
 
     A rotation by exp(rate |psi|^2) at an imaginary rate is computed from
     its real phase theta: cos theta and sin theta go into the real and
@@ -311,25 +320,27 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     return advance
 
 
-def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
-    """Classical fourth-order steps on the raw right-hand side, in arrays
-    allocated here once.
+def _rk4(apply: Callable[[np.ndarray], np.ndarray], dims: tuple[int, ...], lam: float,
+         dt: float) -> Stepper:
+    """Classical fourth-order steps on the raw right-hand side of states of
+    shape dims, in arrays allocated here once; apply is the hopping action on
+    such a state, returning an array of its own that the next call
+    overwrites.
 
-    The stencil runs through its buffered form.  The stages are gradients g
-    with the -i of the right-hand side folded into the step scalars -i dt/2,
-    -i dt and -i dt/6; multiplying by -i only swaps and negates components,
-    so that is exact but for the sign of a zero, which y + increment absorbs.
+    The stages are gradients g with the -i of the right-hand side folded
+    into the step scalars -i dt/2, -i dt and -i dt/6; multiplying by -i only
+    swaps and negates components, so that is exact but for the sign of a
+    zero, which y + increment absorbs.
     The increment ((g1 + 2 g2) + 2 g3) + g4 accumulates in one array, and a
     block's intermediate steps are written into out.  Every product runs
     with out= in the operand order of the plain expressions, so the bits
     equal theirs whatever temporaries numpy would elide.
     """
-    apply = _checked_stencil(pot, shape).buffered()
-    grad, stage, increment = np.empty((3, *shape.dims), dtype=np.complex128)
+    grad, stage, increment = np.empty((3, *dims), dtype=np.complex128)
     # lam |psi|^2 in the real parts of a complex array whose imaginary parts
     # stay +0: the value a product with psi would cast it to, without the
     # cast buffer numpy allocates on every such call
-    weight = np.zeros(shape.dims, dtype=np.complex128)
+    weight = np.zeros(dims, dtype=np.complex128)
     mod = weight.real
     # the scalars as 0-d arrays, which numpy takes faster than Python
     # numbers, with the same bits
@@ -369,6 +380,18 @@ def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: flo
     return advance
 
 
+def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
+    """RK4 steps on one box, the stencil running through its buffered form."""
+    return _rk4(_checked_stencil(pot, shape).buffered(), shape.dims, lam, dt)
+
+
+def _packed_rk4_stepper(pot: HoppingPotential, shapes: Sequence[LatticeShape], lam: float,
+                        dt: float) -> Stepper:
+    """RK4 steps on several boxes at once, their values laid end to end in one
+    flat array (lattice.box_starts); each box gets the bits of _rk4_stepper."""
+    return _rk4(packed_stencil(pot, shapes), (int(box_starts(shapes)[-1]),), lam, dt)
+
+
 _STEPPERS = {"strang": _strang_stepper, "rk4": _rk4_stepper}
 
 
@@ -404,24 +427,70 @@ def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Tr
     values = np.empty((len(times), *shape.dims), dtype=np.complex128)
     values[0] = field0.values
 
-    def replay(j: int) -> None:
-        # steps (j-1)*stride+1 ... j*stride, from row j-1 into row j
-        src = values[j - 1]
-        spares = np.empty((2, *shape.dims), dtype=np.complex128)
-        for k in range(1, stride + 1):
-            dst = values[j] if k == stride else spares[k % 2]
-            advance(src, dst, 1)
-            if not np.isfinite(dst).all():
-                step = (j - 1) * stride + k
-                raise BlowUpError(time=step * dt, step=step)
-            src = dst
-
     for j in range(1, len(times)):
         advance(values[j - 1], values[j], stride)
         if not np.isfinite(values[j]).all():
-            replay(j)
+            _replay(advance, values[j - 1], values[j], stride, (j - 1) * stride, dt)
     # every row is checked above, and the frozen buffer is stored uncopied
     return Trajectory._checked(shape, frozen(times), frozen(values), dt, stride)
+
+
+def _replay(advance: Stepper, src: np.ndarray, dst: np.ndarray, steps: int, done: int,
+            dt: float) -> None:
+    """Advance src by steps single steps into dst, steps done + 1 ... done +
+    steps of a run, checking each: raises BlowUpError at the first
+    non-finite one."""
+    spares = np.empty((2, *src.shape), dtype=np.complex128)
+    for k in range(1, steps + 1):
+        out = dst if k == steps else spares[k % 2]
+        advance(src, out, 1)
+        if not np.isfinite(out).all():
+            step = done + k
+            raise BlowUpError(time=step * dt, step=step)
+        src = out
+
+
+def integrate_packed(fields: Sequence[FieldL], pot: HoppingPotential, config: SchemeConfig,
+                     on_row: Callable[[np.ndarray], None]) -> list[BlowUpError | None]:
+    """Advance several fields of one dimension to t_end with RK4, as one
+    packed state, and return per field the BlowUpError integrate would raise
+    on it, or None.
+
+    The state is the fields' values laid end to end, each row-major at its
+    offset of lattice.box_starts; every box gets the bits integrate gives it.
+    Nothing is stored: on_row is called on the state at t = 0 and at every
+    snapshot time, in an array that the run then overwrites.  Finiteness is
+    checked per box at each snapshot: a box gone non-finite is replayed alone
+    from the snapshot before, with integrate's stepper and checks, and, when
+    the replay raises, zeroed for the rest of the run, where it stays zero
+    and raises no warning.
+    """
+    if config.scheme != "rk4":
+        raise ValueError(f"a packed run needs scheme rk4, got {config.scheme!r}")
+    shapes = [field.shape for field in fields]
+    starts = box_starts(shapes)
+    dt, stride = config.dt, config.snapshot_stride
+    advance = _packed_rk4_stepper(pot, shapes, config.lam, dt)
+    steps = config.n_steps()
+    rows = np.empty((2, starts[-1]), dtype=np.complex128)
+    np.concatenate([field.values.ravel() for field in fields], out=rows[0])
+    errors: list[BlowUpError | None] = [None] * len(fields)
+    on_row(rows[0])
+    for j in range(1, steps // stride + 1):
+        prev, row = rows[(j - 1) % 2], rows[j % 2]
+        advance(prev, row, stride)
+        if not np.isfinite(row).all():
+            finite = np.logical_and.reduceat(np.isfinite(row), starts[:-1])
+            for b in np.flatnonzero(~finite):
+                shape, box = shapes[b], slice(starts[b], starts[b + 1])
+                try:
+                    _replay(_rk4_stepper(pot, shape, config.lam, dt), prev[box].reshape(shape.dims),
+                            row[box].reshape(shape.dims), stride, (j - 1) * stride, dt)
+                except BlowUpError as err:
+                    errors[b] = err
+                    row[box] = 0.0
+        on_row(row)
+    return errors
 
 
 def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
@@ -438,30 +507,31 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
     return w * spacing
 
 
-def _duhamel_terms(traj: Trajectory, apply: Stencil, lam: float, x: Sequence[int], t: float,
-                   values_of):
-    """psi_t(x) - psi_0(x), the quadrature weights over snapshots j <= m, where
-    t = t_m, and values_of(apply, lam, .) of those snapshots at x, one call per
-    block; values_of is _gradient_values or _second_values.  None at t = 0."""
+def _duhamel_terms(traj: Trajectory, x: Sequence[int], t: float):
+    """(m, idx, increment, weights): t = t_m, x's array index, psi_t(x) -
+    psi_0(x) and the quadrature weights over snapshots j <= m.  None at t = 0."""
     m = traj.time_index(t)
     idx = traj.shape.index(x)
     if m == 0:
         return None
-    samples = np.empty(m + 1, dtype=np.complex128)
-    for j, block in traj.blocks(m + 1):
-        # copied out: a view would keep the whole evaluated block alive
-        samples[j:j + len(block)] = values_of(apply, lam, block)[(slice(None), *idx)]
     increment = traj.values[(m, *idx)] - traj.values[(0, *idx)]
-    return increment, _quadrature_weights(m, traj.spacing), samples
+    return m, idx, increment, _quadrature_weights(m, traj.spacing)
 
 
 def duhamel_defect_first(traj: Trajectory, pot: HoppingPotential, lam: float,
                          x: Sequence[int], t: float) -> complex:
-    """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed."""
-    terms = _duhamel_terms(traj, _checked_stencil(pot, traj.shape), lam, x, t, _gradient_values)
+    """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed.
+
+    G_x is evaluated on the kernel's neighbourhood of x alone, over all
+    snapshots j <= m at once, with the bits of _gradient_values at x.
+    """
+    terms = _duhamel_terms(traj, x, t)
     if terms is None:
         return 0.0j
-    increment, weights, g = terms
+    m, idx, increment, weights = terms
+    stack = traj.values[:m + 1]
+    psi = stack[(slice(None), *idx)]
+    g = _checked_stencil(pot, traj.shape).at(stack, idx) + lam * (np.abs(psi) ** 2) * psi
     return complex(increment + 1j * np.sum(weights * g))
 
 
@@ -474,12 +544,16 @@ def duhamel_residual_first(traj: Trajectory, pot: HoppingPotential, lam: float,
 def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
                           x: Sequence[int], t: float) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds."""
-    apply = _checked_stencil(pot, traj.shape)
-    terms = _duhamel_terms(traj, apply, lam, x, t, _second_values)
+    terms = _duhamel_terms(traj, x, t)
     if terms is None:
         return 0.0j
-    increment, weights, p = terms
-    g0 = _gradient_values(apply, lam, traj.values[0])[traj.shape.index(x)]
+    m, idx, increment, weights = terms
+    apply = _checked_stencil(pot, traj.shape)
+    p = np.empty(m + 1, dtype=np.complex128)
+    for j, block in traj.blocks(m + 1):
+        # copied out: a view would keep the whole evaluated block alive
+        p[j:j + len(block)] = _second_values(apply, lam, block)[(slice(None), *idx)]
+    g0 = _gradient_values(apply, lam, traj.values[0])[idx]
     return complex(increment + 1j * t * g0 - np.sum(weights * ((t - traj.times[:len(p)]) * p)))
 
 

@@ -13,19 +13,22 @@ In position space the kernel acts through one stencil, resolved once per
 fixed then.  A call applies them over the trailing d axes of its argument,
 so a stack of fields of shape (n, *dims) is convolved in one call; a time
 stepper applies them through `Stencil.buffered`, in arrays it allocates once,
-with the same bits.
+with the same bits.  `packed_stencil` applies the same terms, with each
+box's bits, to several boxes of one dimension laid end to end in one flat
+array, so that one call serves them all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import FieldL, LatticeShape, Site, frozen, read_only, wrap_coord
+from .lattice import FieldL, LatticeShape, Site, box_starts, frozen, read_only, wrap_coord
 
 
 class KernelError(ValueError):
@@ -191,10 +194,7 @@ class Stencil:
             # interleaved views of one array would go through a temporary
             for target, source in blocks:
                 np.copyto(target, values[source])
-            acc.fill(0.0)
-            for coeff, view in products:
-                np.multiply(coeff, view, out=term)
-                np.add(acc, term, out=acc)
+            _accumulate(acc, term, products)
             if result is not out:
                 np.copyto(result, box)
             return result
@@ -203,6 +203,25 @@ class Stencil:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self._bind(values.shape[: values.ndim - self.d])(values)
+
+    def at(self, values: np.ndarray, site: tuple[int, ...]) -> np.ndarray:
+        """The action at one box site, given by its array index, over the
+        leading axes of values: a call's terms, in its order and with its
+        bits, read from the site's neighbourhood alone."""
+        reach = (self.width - self.side) // 2
+        padded = (self.width,) * self.d
+        flat = values.reshape(values.shape[:values.ndim - self.d] + (-1,))
+        # a call sums term (coeff, start) at the site from padded point
+        # start + k, k the site's entry of out, which holds box site
+        # (point - reach) mod side per axis
+        k = np.ravel_multi_index(site, padded)
+        acc = np.zeros(flat.shape[:-1], dtype=np.complex128)
+        for coeff, start in self.terms:
+            point = np.unravel_index(start + k, padded)
+            source = np.ravel_multi_index([(c - reach) % self.side for c in point],
+                                          (self.side,) * self.d)
+            acc += coeff * flat[..., source]
+        return acc
 
     def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
         """The action on one field of the box, in work arrays allocated here
@@ -237,14 +256,82 @@ def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
               (slice(side + reach, width), slice(0, reach))]
     blocks = tuple(tuple((Ellipsis, *part) for part in zip(*combo))
                    for combo in itertools.product(ranges, repeat=d))
+    return Stencil(d=d, side=side, width=width, span=span, used=used, blocks=blocks,
+                   terms=_terms(pot, shape, strides, first))
+
+
+def _terms(pot: HoppingPotential, shape: LatticeShape, strides: list[int], first: int
+           ) -> tuple[tuple[np.ndarray, int], ...]:
+    """Per offset of clipped_offsets, in that order: its coefficient and the
+    start of its shifted slice of a flat padded array with the given strides
+    whose point `first` is box site 0."""
     # each coefficient as a 0-d complex array: the value numpy casts a Python
     # float to, which numpy takes with less overhead
-    terms = tuple(
+    return tuple(
         (np.array(coeff, dtype=np.complex128), first - sum(c * s for c, s in zip(offset, strides)))
         for offset, coeff in clipped_offsets(pot, shape)
     )
-    return Stencil(d=d, side=side, width=width, span=span, used=used, blocks=blocks,
-                   terms=terms)
+
+
+def _accumulate(acc: np.ndarray, term: np.ndarray,
+                products: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """acc = sum of coeff * view over products, in order, from zero."""
+    acc.fill(0.0)
+    for coeff, view in products:
+        np.multiply(coeff, view, out=term)
+        np.add(acc, term, out=acc)
+
+
+def packed_stencil(pot: HoppingPotential, shapes: Sequence[LatticeShape]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel's action on several boxes of dimension pot.d at once, in
+    work arrays allocated here once; it takes and returns their values laid
+    end to end in one flat array, each box row-major at its offset of
+    `box_starts(shapes)`, and the array it returns is overwritten by the next
+    call.
+
+    Each box sits in a padded frame, side + 2 range points along its first
+    axis and the widest box's padded width along the others, every point
+    holding the box site it wraps to.  The frames lie end to end in one flat
+    array, so all boxes share strides and each offset is one shift of that
+    array.  One precomputed gather fills the frames, the terms of `stencil`
+    accumulate over all of them at once, and one more gather reads the box
+    sites back.  Every box must fit the kernel, so all boxes share one term
+    list, and each box site sums the terms `stencil` of its box sums, in the
+    same order, with the same bits.
+    """
+    for shape in shapes:
+        require_fits(pot, shape)
+    d, reach = pot.d, pot.range
+    width = max(shape.side for shape in shapes) + 2 * reach
+    strides = [width ** (d - 1 - a) for a in range(d)]
+    fill, read, size = [], [], 0
+    for shape, start in zip(shapes, box_starts(shapes)):
+        frame = (shape.side + 2 * reach,) + (width,) * (d - 1)
+        wrapped = np.ix_(*((np.arange(n) - reach) % shape.side for n in frame))
+        fill.append(start + np.ravel_multi_index(wrapped, shape.dims).ravel())
+        # box site i is frame point i + reach, whose sum lands at i . strides
+        sites = np.indices(shape.dims).reshape(d, -1)
+        read.append(size + np.ravel_multi_index(tuple(sites), frame))
+        size += math.prod(frame)
+    fill, read = np.concatenate(fill), np.concatenate(read)
+    first = reach * sum(strides)
+    used = size - 2 * first
+    padded = np.empty(size, dtype=np.complex128)
+    acc, term = np.empty((2, used), dtype=np.complex128)
+    result = np.empty(len(read), dtype=np.complex128)
+    products = [(coeff, padded[start:start + used])
+                for coeff, start in _terms(pot, shapes[0], strides, first)]
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        # mode "clip": the indices are in range, and the default mode would
+        # buffer out on every call
+        np.take(values, fill, out=padded, mode="clip")
+        _accumulate(acc, term, products)
+        np.take(acc, read, out=result, mode="clip")
+        return result
+
+    return apply
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,13 @@ class LatticeShape:
         return itertools.product(range(-self.L, self.L + 1), repeat=self.d)
 
 
+def box_starts(shapes: Sequence[LatticeShape]) -> np.ndarray:
+    """Where each box's sites start when the values of several boxes lie end
+    to end in one flat array, each row-major, in the order given; the total
+    site count last."""
+    return np.cumsum([0] + [shape.volume for shape in shapes])
+
+
 def frozen(arr: np.ndarray) -> np.ndarray:
     """arr, made read-only in place; a function returning a new field
     freezes the fresh array it wraps, so that FieldL stores it uncopied."""

@@ -66,6 +66,12 @@ def random_field(shape: LatticeShape, seed: int, scale: float = 1.0) -> FieldL:
     return FieldL(shape, values)
 
 
+def random_kernel(d: int, ell: int, seed: int, scale: float = 1.0) -> HoppingPotential:
+    """A random symmetric kernel of range ell: c + flip(c) for Gaussian c."""
+    coeffs = scale * np.random.default_rng(seed).standard_normal((2 * ell + 1,) * d)
+    return HoppingPotential(d=d, range=ell, coeffs=coeffs + np.flip(coeffs))
+
+
 @pytest.fixture
 def shape_1d() -> LatticeShape:
     return LatticeShape(d=1, L=8)

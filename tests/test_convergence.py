@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_field
+from conftest import random_field, random_kernel, same_bits
 from dnls.convergence import (
     SweepConfig,
     drift,
@@ -10,7 +12,7 @@ from dnls.convergence import (
     scheme_disagreement,
     window_disagreement,
 )
-from dnls.dynamics import SchemeConfig, integrate
+from dnls.dynamics import BlowUpError, SchemeConfig, integrate
 from dnls.hopping import standard_laplacian, zero_potential
 from dnls.lattice import (
     LatticeShape,
@@ -102,22 +104,74 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(generator=gen, L_list=(), k=0, scheme=scheme)
 
-    @pytest.mark.parametrize("d, L_list", [(1, (6, 7, 8, 9, 10)), (1, (6, 9, 12)), (2, (3, 4, 6))])
-    def test_entries_match_separate_truncations(self, d, L_list):
-        # one truncation sliced per box, each size run once, gives the bits of
-        # a truncation and a run per box
+    @pytest.mark.parametrize("d, L_list, kernel, stride, k", [
+        (1, (6, 7, 8, 9, 10), None, 1, 2),
+        (1, (6, 9, 12), None, 1, 2),
+        (2, (3, 4, 6), None, 1, 2),
+        (3, (2, 3), 2, 3, 0),
+    ], ids=["1-L_list0", "1-L_list1", "2-L_list2", "3-L_list3-range2-stride3-k0"])
+    def test_entries_match_separate_truncations(self, d, L_list, kernel, stride, k):
+        # one truncation sliced per box, all sizes run as one packed state,
+        # gives the bits of a truncation and a run per box; kernel is the
+        # range of a random symmetric one, or None for the standard Laplacian
         gen = hashed_noise_generator(seed=8, envelope_exponent=0.45)
-        pot = standard_laplacian(d)
-        scheme = SchemeConfig(scheme="rk4", dt=1e-2, t_end=0.3, snapshot_stride=1, lam=1.0)
-        report = run_box_sweep(SweepConfig(generator=gen, L_list=L_list, k=2, scheme=scheme), pot)
+        pot = standard_laplacian(d) if kernel is None else random_kernel(d, kernel, 3, scale=0.1)
+        scheme = SchemeConfig(scheme="rk4", dt=1e-2, t_end=0.3, snapshot_stride=stride, lam=1.0)
+        report = run_box_sweep(SweepConfig(generator=gen, L_list=L_list, k=k, scheme=scheme), pot)
         assert [e.L for e in report.entries] == list(L_list)
         for e in report.entries:
             small, big = (integrate(truncate(gen, LatticeShape(d, L)), pot, scheme)
                           for L in (e.L, e.L + 1))
             got = np.array([e.delta_bar, e.drift])
-            want = np.array([window_disagreement(big, small, 2, 0.3), drift(small, 0.3)])
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            want = np.array([window_disagreement(big, small, k, 0.3), drift(small, 0.3)])
+            assert same_bits(got, want)
             assert e.error is None and e.delta_bar > 0.0
+        assert len({e.runtime for e in report.entries}) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_partial_blow_up(self):
+        # the generator is large only at |z| = 6 and 7, so box 6 blows up at
+        # step 3, in its second snapshot block, and box 7 at step 2; the
+        # others run on as if alone, and an errored entry carries the error
+        # of its small box if that fails, else of its big one
+        def far(z):
+            return {6: 4.0 + 0.0j, 7: 6.0 + 0.0j}.get(abs(z[0]), 0.1 + 0.05j * z[0])
+
+        scheme = SchemeConfig(scheme="rk4", dt=0.1, t_end=3.0, snapshot_stride=2, lam=1.0)
+        L_list = (3, 4, 5, 6)
+        report = run_box_sweep(SweepConfig(generator=far, L_list=L_list, k=2, scheme=scheme), POT)
+        assert report.flagged
+        runs = {}
+        for L in range(3, 8):
+            try:
+                runs[L] = integrate(truncate(far, LatticeShape(1, L)), POT, scheme)
+            except BlowUpError as err:
+                runs[L] = str(err)
+        assert [runs[6][-8:], runs[7][-8:]] == ["(step 3)", "(step 2)"]
+        for e in report.entries:
+            small, big = runs[e.L], runs[e.L + 1]
+            if isinstance(small, str) or isinstance(big, str):
+                assert e.error == (small if isinstance(small, str) else big)
+                assert np.isnan(e.delta_bar) and np.isnan(e.drift)
+            else:
+                want = np.array([window_disagreement(big, small, 2, 3.0), drift(small, 3.0)])
+                assert e.error is None and same_bits(np.array([e.delta_bar, e.drift]), want)
+        assert [e.error is None for e in report.entries] == [True, True, False, False]
+
+    def test_stores_no_trajectory(self):
+        # criterion 7's sweep: its traced peak stays below one stored
+        # trajectory of its largest box, 1001 snapshots of 83 sites
+        gen = hashed_noise_generator(seed=2024, envelope_exponent=0.45, amplitude=1.0)
+        scheme = SchemeConfig(scheme="rk4", dt=1e-3, t_end=1.0, snapshot_stride=1, lam=1.0)
+        cfg = SweepConfig(generator=gen, L_list=tuple(range(8, 41, 4)), k=4, scheme=scheme)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_box_sweep(cfg, POT)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1001 * 83 * 16
 
     def test_zero_time_sweep_vanishes(self):
         # generator supported inside the window, t_end = 0

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_propagator, hopping_matrix, naive_convolve, random_field, same_bits
+from conftest import (dense_propagator, hopping_matrix, naive_convolve, random_field, random_kernel,
+                      same_bits)
 import dnls.dynamics
 from dnls.dynamics import (
     _fourier_passes,
+    _packed_rk4_stepper,
     SCHEMES,
     BlowUpError,
     SchemeConfig,
@@ -21,6 +23,7 @@ from dnls.dynamics import (
     energy_gradient,
     g_site,
     integrate,
+    integrate_packed,
     p_site,
     rhs,
     second_time_derivative,
@@ -36,7 +39,7 @@ from dnls.hopping import (
     wrapped_difference,
     zero_potential,
 )
-from dnls.lattice import DataError, FieldL, LatticeShape, point_source, truncate
+from dnls.lattice import DataError, FieldL, LatticeShape, box_starts, point_source, truncate
 from dnls.observables import hamiltonian, particle_number
 
 
@@ -535,6 +538,31 @@ class TestIntegrate:
         assert np.max(np.abs(integrate(f, pot, cfg).values - expected)) <= tol
 
 
+class TestIntegratePacked:
+    @pytest.mark.parametrize("d, sizes, ell, stride", [
+        (1, (3, 8, 5, 8), 1, 1), (2, (2, 4, 3), 2, 3), (3, (2, 3), 1, 2),
+    ])
+    def test_rows_equal_separate_runs(self, d, sizes, ell, stride):
+        # every box of every row, in any order of sizes, repeats included
+        pot = random_kernel(d, ell, 5, scale=0.2)
+        fields = [random_field(LatticeShape(d, L), seed) for seed, L in enumerate(sizes)]
+        cfg = SchemeConfig(scheme="rk4", dt=1e-2, t_end=0.06, snapshot_stride=stride, lam=1.0)
+        rows = []
+        errors = integrate_packed(fields, pot, cfg, lambda row: rows.append(row.copy()))
+        assert errors == [None] * len(fields)
+        starts = box_starts([field.shape for field in fields])
+        for field, lo, hi in zip(fields, starts, starts[1:]):
+            traj = integrate(field, pot, cfg)
+            got = np.stack([row[lo:hi] for row in rows]).reshape(traj.values.shape)
+            assert same_bits(got, traj.values)
+
+    def test_strang_rejected(self):
+        cfg = SchemeConfig(scheme="strang", dt=1e-2, t_end=0.1)
+        with pytest.raises(ValueError, match="rk4"):
+            integrate_packed([random_field(LatticeShape(1, 3), 0)], standard_laplacian(1), cfg,
+                             lambda row: None)
+
+
 class TestStrangRotation:
     """The stepper's rotation, cos and sin of a real phase theta, against the
     plain values * np.exp(rate * np.abs(values) ** 2) bit for bit.  With the
@@ -601,27 +629,41 @@ class TestStepperAllocation:
     # included, so an array allocated per step would lift the peak of a block
     # by about one field each; Python's small objects stay far below a
     # quarter of one
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("d, L", [(1, 64), (1, 1000), (3, 8)])
-    def test_advance_allocates_no_array_per_step(self, scheme, d, L):
-        shape = LatticeShape(d, L)
-        values = random_field(shape, 11).values
+    @staticmethod
+    def _block_peak(advance, values):
         out = np.empty_like(values)
-        advance = dnls.dynamics._STEPPERS[scheme](standard_laplacian(d), shape, 1.0, 1e-3)
         advance(values, out, 2)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             advance(values, out, 50)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < values.nbytes // 4
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d, L", [(1, 64), (1, 1000), (2, 16), (3, 8)])
+    def test_advance_allocates_no_array_per_step(self, scheme, d, L):
+        shape = LatticeShape(d, L)
+        values = random_field(shape, 11).values
+        advance = dnls.dynamics._STEPPERS[scheme](standard_laplacian(d), shape, 1.0, 1e-3)
+        assert self._block_peak(advance, values) < values.nbytes // 4
+
+    @pytest.mark.parametrize("d, sizes", [(1, (8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29, 32,
+                                                 33, 36, 37, 40, 41)),
+                                          (2, (2, 3, 5)), (3, (2, 3))])
+    def test_packed_advance_allocates_no_array_per_step(self, d, sizes):
+        # criterion 7's 18 boxes in d = 1, as its sweep packs them
+        shapes = [LatticeShape(d, L) for L in sizes]
+        values = np.concatenate([random_field(shape, L).values.ravel()
+                                 for shape, L in zip(shapes, sizes)])
+        advance = _packed_rk4_stepper(standard_laplacian(d), shapes, 1.0, 1e-3)
+        assert self._block_peak(advance, values) < values.nbytes // 4
 
 
 class TestFourierPasses:
-    @pytest.mark.parametrize("d, L", [(1, 4), (1, 64), (2, 3), (2, 16), (3, 2), (3, 5)])
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 64), (2, 3), (2, 16), (3, 2), (3, 4), (3, 5)])
     def test_gufunc_passes_equal_np_fft(self, d, L):
         shape = LatticeShape(d, L)
         values = random_field(shape, d * 100 + L).values
@@ -745,14 +787,21 @@ class TestDuhamel:
         r_fine = duhamel_residual_second(fine, pot, 0.0, (1,), 1.0)
         assert r_coarse / r_fine >= 4.0
 
-    @pytest.mark.parametrize("d, L, t_end", [(1, 64, 0.3), (2, 10, 0.1)])
-    def test_first_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end):
-        # 301 snapshots of 129 sites, or 101 of 441, span several stacked blocks
+    @pytest.mark.parametrize("d, L, t_end, kernel", [
+        (1, 64, 0.3, None), (2, 10, 0.1, None),
+        (1, 5, 0.3, 2), (2, 4, 0.1, 2), (3, 3, 0.05, 1), (3, 2, 0.05, 2),
+    ], ids=["1-64-0.3", "2-10-0.1", "1-5-0.3-range2", "2-4-0.1-range2", "3-3-0.05-range1",
+            "3-2-0.05-range2"])
+    def test_first_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end, kernel):
+        # the full-box gradient per snapshot as a reference for the one
+        # evaluated at x alone; 301 snapshots of 129 sites, or 101 of 441,
+        # span several stacked blocks; kernel is the range of a random
+        # symmetric one, or None for the standard Laplacian
         shape = LatticeShape(d, L)
-        pot = standard_laplacian(d)
+        pot = standard_laplacian(d) if kernel is None else random_kernel(d, kernel, d, scale=0.2)
         cfg = SchemeConfig(scheme="strang", dt=1e-3, t_end=t_end, snapshot_stride=1, lam=1.0)
         traj = integrate(random_field(shape, 18, scale=0.7), pot, cfg)
-        for x in [(0,) * d, (L,) + (-3,) * (d - 1)]:
+        for x in [(0,) * d, (L,) + (-min(3, L),) * (d - 1)]:
             idx = shape.index(x)
             m = len(traj) - 1
             weights = _simpson_weights(m, traj.spacing)

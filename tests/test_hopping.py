@@ -14,12 +14,13 @@ from dnls.hopping import (
     dispersion,
     load_potential,
     nearest_neighbor_laplacian,
+    packed_stencil,
     save_potential,
     standard_laplacian,
     stencil,
     zero_potential,
 )
-from dnls.lattice import FieldL, LatticeShape, point_source, truncate
+from dnls.lattice import FieldL, LatticeShape, box_starts, point_source, truncate
 from dnls.observables import hamiltonian
 from dnls.sampling import GibbsSpec, run_gibbs_chain
 
@@ -306,3 +307,27 @@ class TestStencil:
         for layer, row in zip(stack, out):
             assert same_bits(row, apply(layer))
             assert same_bits(buffered(layer), row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2),
+           st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    def test_packed_boxes_equal_their_stencils(self, d, kernel_range, extras, seed):
+        # boxes of any sizes, in any order, repeats included, each get the
+        # bits of their own stencil
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((2 * kernel_range + 1,) * d)
+        pot = HoppingPotential(d=d, range=kernel_range, coeffs=coeffs + np.flip(coeffs))
+        shapes = [LatticeShape(d, kernel_range + extra) for extra in extras]
+        boxes = []
+        for shape in shapes:
+            values = rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims)
+            values[rng.random(shape.dims) < 0.2] = 0.0
+            boxes.append(values)
+        out = packed_stencil(pot, shapes)(np.concatenate([v.ravel() for v in boxes]))
+        starts = box_starts(shapes)
+        for shape, values, lo, hi in zip(shapes, boxes, starts, starts[1:]):
+            assert same_bits(out[lo:hi].reshape(shape.dims), stencil(pot, shape)(values))
+
+    def test_packed_boxes_must_fit(self):
+        with pytest.raises(KernelError):
+            packed_stencil(standard_laplacian(1), [LatticeShape(1, 2), LatticeShape(1, 0)])
