@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cost of one Strang and one RK4 step per lattice site, on a fixed grid.
+"""Cost of one Strang and one RK4 step per lattice site, on a fixed grid,
+and of one stencil apply.
 
 For every (d, L) below, times `integrate` on Gaussian data with the
 standard Laplacian (lam = 1, dt = 1e-3) and prints the best of 5 runs as
@@ -13,6 +14,13 @@ steps all its boxes as one packed state), and stride 10 advances whole
 blocks through the stepper's own arrays.  The step
 count per run shrinks with the volume, so that each run does about the same
 work; the whole table takes 20-30 s on a shared 2-core Xeon host.
+
+A second table times the hopping stencil alone, with the standard
+Laplacian, at the sizes where the RK4 step and the energies spend most of
+their time: microseconds per apply of a buffered stencil (`Stencil.buffered`,
+resolved once, as the RK4 stepper applies it) and per one-shot
+`convolve_values` call, which resolves the stencil and binds its work arrays
+on every call, as `hamiltonian` and the flux do; it takes about 5 s more.
 
 A host whose speed swings in phases moves the raw columns with the phase,
 not with the code, so each row also prints its host speed factor, the
@@ -33,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from speed import probe_factor  # noqa: E402
 
 from dnls.dynamics import SchemeConfig, integrate  # noqa: E402
-from dnls.hopping import standard_laplacian  # noqa: E402
+from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
 
@@ -46,15 +54,25 @@ STRIDE = 10
 RUNS = (("strang", 1), ("strang", STRIDE), ("rk4", 1), ("rk4", STRIDE))
 DT = 1e-3
 REPEATS = 5
+STENCIL_GRID = ((1, 64), (2, 64), (3, 16))
+# sites applied per timed stencil run; the call count is this over the volume
+STENCIL_SITES = 2_000_000
 
 
-def best_seconds(field0, pot, cfg) -> float:
+def best_seconds(run) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        integrate(field0, pot, cfg)
+        run()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def repeated(call, values, calls):
+    def run():
+        for _ in range(calls):
+            call(values)
+    return run
 
 
 def main() -> None:
@@ -72,11 +90,28 @@ def main() -> None:
         for scheme, stride in RUNS:
             cfg = SchemeConfig(scheme=scheme, dt=DT, t_end=steps * DT,
                                snapshot_stride=stride, lam=1.0)
-            per_steps.append(best_seconds(field0, pot, cfg) / steps * 1e6)
+            per_steps.append(best_seconds(lambda: integrate(field0, pot, cfg)) / steps * 1e6)
         factor = (before + probe_factor()) / 2
         print(f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6} {factor:>6.2f}"
               + "".join(f"  {t / shape.volume:>22.4f} {t:>9.1f} {t / factor:>9.1f}"
                         for t in per_steps))
+
+    print()
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'calls':>6} {'factor':>6}"
+          + "".join(f"  {f'{name} us/call':>26} {'scaled':>9}"
+                    for name in ("buffered stencil", "convolve_values")))
+    for d, L in STENCIL_GRID:
+        shape = LatticeShape(d=d, L=L)
+        pot = standard_laplacian(d)
+        values = sample_gaussian(GaussianSpec(density=1.0), shape, 0).values
+        calls = max(1, STENCIL_SITES // shape.volume)
+        before = probe_factor()
+        per_call = [best_seconds(repeated(call, values, calls)) / calls * 1e6
+                    for call in (stencil(pot, shape).buffered(),
+                                 lambda v: convolve_values(pot, shape, v))]
+        factor = (before + probe_factor()) / 2
+        print(f"{d:>2} {L:>5} {shape.volume:>6} {calls:>6} {factor:>6.2f}"
+              + "".join(f"  {t:>26.1f} {t / factor:>9.1f}" for t in per_call))
 
 
 if __name__ == "__main__":

@@ -10,12 +10,18 @@ fixes the row-major nonzero offsets once, so no caller checks it again.
 
 In position space the kernel acts through one stencil, resolved once per
 (kernel, box) by `stencil`: the box-restricted offsets and coefficients are
-fixed then.  A call applies them over the trailing d axes of its argument,
-so a stack of fields of shape (n, *dims) is convolved in one call; a time
-stepper applies them through `Stencil.buffered`, in arrays it allocates once,
-with the same bits.  `packed_stencil` applies the same terms, with each
-box's bits, to several boxes of one dimension laid end to end in one flat
-array, so that one call serves them all.
+fixed then, the offsets grouped by coefficient value.  A call applies them
+over the trailing d axes of its argument, so a stack of fields of shape
+(n, *dims) is convolved in one call; a time stepper applies them through
+`Stencil.buffered`, in arrays it allocates once, with the same bits.
+`packed_stencil` applies the same terms, with each box's bits, to several
+boxes of one dimension laid end to end in one flat array, so that one call
+serves them all.  Either way the padded field is scaled once per distinct
+coefficient, not once per offset, and each offset's term is a shifted slice
+of its coefficient's scaled field.  So the work arrays hold one padded-size
+array per distinct coefficient, the padded field itself scaled in place for
+the last one: two for the Laplacians, about half the offset count for a
+kernel whose values repeat only as y and -y.
 """
 
 from __future__ import annotations
@@ -155,9 +161,12 @@ class Stencil:
     array, so a stack of fields of shape (n, *dims) is convolved slice by
     slice.  `buffered` gives the same action, with the same bits, on one
     field of the box through work arrays allocated once.  Either way the
-    values are copied into a wrap-padded array, an accumulator is zeroed,
-    and every term coeff * slice is written into one term array and added
-    to it.
+    values are copied into a wrap-padded array, which is multiplied once by
+    each distinct coefficient of `coeffs`, into a padded-size array of its
+    own for each but the last and in place for the last, so the work arrays
+    hold one padded-size array per coefficient; an accumulator is zeroed,
+    and every term, a shifted slice of its coefficient's array, is added to
+    it in `terms` order.
     """
 
     d: int
@@ -166,19 +175,21 @@ class Stencil:
     span: int
     used: int
     blocks: tuple[tuple[tuple, tuple], ...]
-    terms: tuple[tuple[np.ndarray, int], ...]
+    coeffs: tuple[np.ndarray, ...]
+    terms: tuple[tuple[int, int], ...]
 
     def _bind(self, lead: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
         """The action on arrays of shape lead + dims, through work arrays and
         views of them fixed here; it returns a contiguous one of them, which
         the next call overwrites."""
         d, used = self.d, self.used
-        padded = np.empty(lead + (self.width,) * d, dtype=np.complex128)
+        scaled = _scaled(self.coeffs, lead + (self.width ** d,))
+        flat = scaled[-1]
+        padded = flat.reshape(lead + (self.width,) * d)
         out = np.empty(lead + (self.span,), dtype=np.complex128)
-        term = np.empty(lead + (used,), dtype=np.complex128)
         blocks = [(padded[target], source) for target, source in self.blocks]
-        flat = padded.reshape(lead + (-1,))
-        products = [(coeff, flat[..., start:start + used]) for coeff, start in self.terms]
+        scales = list(zip(self.coeffs, scaled))
+        views = [scaled[group][..., start:start + used] for group, start in self.terms]
         acc = out[..., :used]
         if d == 1:
             box = result = out
@@ -194,7 +205,7 @@ class Stencil:
             # interleaved views of one array would go through a temporary
             for target, source in blocks:
                 np.copyto(target, values[source])
-            _accumulate(acc, term, products)
+            _accumulate(acc, flat, scales, views)
             if result is not out:
                 np.copyto(result, box)
             return result
@@ -216,11 +227,11 @@ class Stencil:
         # (point - reach) mod side per axis
         k = np.ravel_multi_index(site, padded)
         acc = np.zeros(flat.shape[:-1], dtype=np.complex128)
-        for coeff, start in self.terms:
+        for group, start in self.terms:
             point = np.unravel_index(start + k, padded)
             source = np.ravel_multi_index([(c - reach) % self.side for c in point],
                                           (self.side,) * self.d)
-            acc += coeff * flat[..., source]
+            acc += self.coeffs[group] * flat[..., source]
         return acc
 
     def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -233,9 +244,11 @@ def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
     """The box-restricted kernel's action, resolved once for (pot, shape).
 
     The layout is fixed here: the wrap-padding of the trailing d axes by
-    reach = min(range, L), and per offset of clipped_offsets, in that order,
-    the start of its shifted slice of the flattened padded array, so each
-    term is one contiguous slice.  The returned Stencil applies it.
+    reach = min(range, L), the distinct coefficients, and per offset of
+    clipped_offsets, in that order, its coefficient's index and the start of
+    its shifted slice of the flattened padded array, so each term is one
+    contiguous slice of its coefficient's scaled copy of that array.  The
+    returned Stencil applies it.
     """
     d, side = shape.d, shape.side
     reach = min(pot.range, shape.L)
@@ -256,30 +269,48 @@ def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
               (slice(side + reach, width), slice(0, reach))]
     blocks = tuple(tuple((Ellipsis, *part) for part in zip(*combo))
                    for combo in itertools.product(ranges, repeat=d))
+    coeffs, terms = _terms(pot, shape, strides, first)
     return Stencil(d=d, side=side, width=width, span=span, used=used, blocks=blocks,
-                   terms=_terms(pot, shape, strides, first))
+                   coeffs=coeffs, terms=terms)
 
 
 def _terms(pot: HoppingPotential, shape: LatticeShape, strides: list[int], first: int
-           ) -> tuple[tuple[np.ndarray, int], ...]:
-    """Per offset of clipped_offsets, in that order: its coefficient and the
-    start of its shifted slice of a flat padded array with the given strides
-    whose point `first` is box site 0."""
-    # each coefficient as a 0-d complex array: the value numpy casts a Python
-    # float to, which numpy takes with less overhead
-    return tuple(
-        (np.array(coeff, dtype=np.complex128), first - sum(c * s for c, s in zip(offset, strides)))
+           ) -> tuple[tuple[np.ndarray, ...], tuple[tuple[int, int], ...]]:
+    """The distinct coefficients, in order of first use, and per offset of
+    clipped_offsets, in that order: its coefficient's index and the start of
+    its shifted slice of a flat padded array with the given strides whose
+    point `first` is box site 0."""
+    index: dict[float, int] = {}
+    terms = tuple(
+        (index.setdefault(coeff, len(index)),
+         first - sum(c * s for c, s in zip(offset, strides)))
         for offset, coeff in clipped_offsets(pot, shape)
     )
+    # each coefficient as a 0-d complex array: the value numpy casts a Python
+    # float to, which numpy takes with less overhead
+    return tuple(np.array(coeff, dtype=np.complex128) for coeff in index), terms
 
 
-def _accumulate(acc: np.ndarray, term: np.ndarray,
-                products: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """acc = sum of coeff * view over products, in order, from zero."""
+def _scaled(coeffs: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Per coefficient, in order, the array of the given shape that takes
+    its multiple of the padded values, from one allocation; the last array
+    (there is one even with no coefficient) is the padded array itself,
+    scaled in place after the others have read it, so an apply must refill
+    it first."""
+    return list(np.empty((max(len(coeffs), 1),) + shape, dtype=np.complex128))
+
+
+def _accumulate(acc: np.ndarray, padded: np.ndarray,
+                scales: list[tuple[np.ndarray, np.ndarray]], views: list[np.ndarray]) -> None:
+    """scaled = coeff * padded over scales, in order, then acc = sum of
+    views, in order, from zero; each view is a shifted slice of its
+    coefficient's scaled array, so it holds the bits of that coefficient
+    times the same slice of padded."""
+    for coeff, scaled in scales:
+        np.multiply(coeff, padded, out=scaled)
     acc.fill(0.0)
-    for coeff, view in products:
-        np.multiply(coeff, view, out=term)
-        np.add(acc, term, out=acc)
+    for view in views:
+        np.add(acc, view, out=acc)
 
 
 def packed_stencil(pot: HoppingPotential, shapes: Sequence[LatticeShape]
@@ -298,7 +329,9 @@ def packed_stencil(pot: HoppingPotential, shapes: Sequence[LatticeShape]
     accumulate over all of them at once, and one more gather reads the box
     sites back.  Every box must fit the kernel, so all boxes share one term
     list, and each box site sums the terms `stencil` of its box sums, in the
-    same order, with the same bits.
+    same order, with the same bits.  As in `Stencil`, the frames are scaled
+    once per distinct coefficient, so the work arrays hold one array of the
+    frames' size per coefficient.
     """
     for shape in shapes:
         require_fits(pot, shape)
@@ -317,17 +350,19 @@ def packed_stencil(pot: HoppingPotential, shapes: Sequence[LatticeShape]
     fill, read = np.concatenate(fill), np.concatenate(read)
     first = reach * sum(strides)
     used = size - 2 * first
-    padded = np.empty(size, dtype=np.complex128)
-    acc, term = np.empty((2, used), dtype=np.complex128)
+    coeffs, terms = _terms(pot, shapes[0], strides, first)
+    scaled = _scaled(coeffs, (size,))
+    padded = scaled[-1]
+    acc = np.empty(used, dtype=np.complex128)
     result = np.empty(len(read), dtype=np.complex128)
-    products = [(coeff, padded[start:start + used])
-                for coeff, start in _terms(pot, shapes[0], strides, first)]
+    scales = list(zip(coeffs, scaled))
+    views = [scaled[group][start:start + used] for group, start in terms]
 
     def apply(values: np.ndarray) -> np.ndarray:
         # mode "clip": the indices are in range, and the default mode would
         # buffer out on every call
         np.take(values, fill, out=padded, mode="clip")
-        _accumulate(acc, term, products)
+        _accumulate(acc, padded, scales, views)
         np.take(acc, read, out=result, mode="clip")
         return result
 

@@ -247,14 +247,7 @@ def point_source(amplitude: complex) -> Generator:
     return lambda z: 0.0j if any(z) else amplitude
 
 
-def _site_uniforms(seed: int, z: Site) -> tuple[float, float]:
-    """Two uniforms in [0, 1) derived from a keyed hash of the coordinates."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    payload = b",".join(str(c).encode("ascii") for c in z)
-    digest = hashlib.blake2b(payload, digest_size=16, key=key).digest()
-    a = int.from_bytes(digest[:8], "little")
-    b = int.from_bytes(digest[8:], "little")
-    return a / 2.0**64, b / 2.0**64
+_LOW64 = 2**64 - 1
 
 
 def hashed_noise_generator(
@@ -273,11 +266,19 @@ def hashed_noise_generator(
     p = float(envelope_exponent)
     if p < 0:
         raise ValueError(f"envelope exponent must be >= 0, got {p}")
+    # the seed-keyed hash state, built once; each site hashes a copy of it
+    keyed = hashlib.blake2b(digest_size=16, key=(seed & _LOW64).to_bytes(8, "little"))
+    two_pi = 2 * math.pi
 
     def gen(z: Site) -> complex:
-        u_phase, u_radial = _site_uniforms(seed, z)
-        modulus = amplitude * regularized_abs(z) ** p * math.sqrt(u_radial)
-        return modulus * complex(math.cos(2 * math.pi * u_phase), math.sin(2 * math.pi * u_phase))
+        # the keyed hash of the coordinates, read as two uniforms in [0, 1):
+        # its low 8 bytes (little-endian) the phase, its high 8 the radius
+        h = keyed.copy()
+        h.update(",".join(map(str, z)).encode("ascii"))
+        bits = int.from_bytes(h.digest(), "little")
+        modulus = amplitude * regularized_abs(z) ** p * math.sqrt((bits >> 64) / 2.0**64)
+        angle = two_pi * ((bits & _LOW64) / 2.0**64)
+        return modulus * complex(math.cos(angle), math.sin(angle))
 
     return gen
 

@@ -284,18 +284,30 @@ def roll_convolve(pot, shape, values):
 
 class TestStencil:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 4), st.booleans(),
-           st.integers(0, 2**32 - 1))
-    def test_bit_identical_to_roll_and_slicewise_on_stacks(self, d, kernel_range, L, zero, seed):
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 4),
+           st.sampled_from(("zero", "random", "repeated")), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_roll_and_slicewise_on_stacks(self, d, kernel_range, L, kind, seed):
         rng = np.random.default_rng(seed)
         coeffs = np.zeros((2 * kernel_range + 1,) * d)
-        if not zero:
+        if kind == "random":
             coeffs = rng.standard_normal(coeffs.shape) * (rng.random(coeffs.shape) < 0.7)
             coeffs = 0.5 * (coeffs + coeffs[(slice(None, None, -1),) * d])
+        elif kind == "repeated":
+            # two or three values, each at many offsets, as in the Laplacians;
+            # offset -y takes the value drawn for y
+            drawn = rng.choice(rng.standard_normal(rng.integers(2, 4)), coeffs.size)
+            drawn[rng.random(coeffs.size) < 0.2] = 0.0
+            mirrored = np.arange(coeffs.size) > (coeffs.size - 1) // 2
+            drawn[mirrored] = drawn[::-1][mirrored]
+            coeffs = drawn.reshape(coeffs.shape)
         pot = HoppingPotential(d=d, range=kernel_range, coeffs=coeffs)
         shape = LatticeShape(d, L)
         values = rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims)
         values[rng.random(shape.dims) < 0.2] = 0.0
+        # signed zeros: 0.0 + -0.0 is +0.0, so a site's sign shows whether its
+        # sum started from a zeroed accumulator, as the oracle's does
+        values.real[rng.random(shape.dims) < 0.15] = -0.0
+        values.imag[rng.random(shape.dims) < 0.15] = -0.0
         assert same_bits(convolve_values(pot, shape, values), roll_convolve(pot, shape, values))
 
         apply = stencil(pot, shape)
@@ -313,7 +325,7 @@ class TestStencil:
            st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
     def test_packed_boxes_equal_their_stencils(self, d, kernel_range, extras, seed):
         # boxes of any sizes, in any order, repeats included, each get the
-        # bits of their own stencil
+        # bits of their own stencil and of the np.roll oracle
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((2 * kernel_range + 1,) * d)
         pot = HoppingPotential(d=d, range=kernel_range, coeffs=coeffs + np.flip(coeffs))
@@ -326,7 +338,9 @@ class TestStencil:
         out = packed_stencil(pot, shapes)(np.concatenate([v.ravel() for v in boxes]))
         starts = box_starts(shapes)
         for shape, values, lo, hi in zip(shapes, boxes, starts, starts[1:]):
-            assert same_bits(out[lo:hi].reshape(shape.dims), stencil(pot, shape)(values))
+            box = out[lo:hi].reshape(shape.dims)
+            assert same_bits(box, stencil(pot, shape)(values))
+            assert same_bits(box, roll_convolve(pot, shape, values))
 
     def test_packed_boxes_must_fit(self):
         with pytest.raises(KernelError):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -30,6 +31,24 @@ from dnls.lattice import (
     truncate,
     wrap_add,
 )
+from conftest import same_bits
+
+
+def reference_hashed_noise(seed, envelope_exponent=0.0, amplitude=1.0):
+    """hashed_noise_generator written plainly, one fresh keyed hash per site;
+    a bit-level oracle for the generator's hoisted hash state."""
+    p = float(envelope_exponent)
+
+    def gen(z):
+        key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        payload = b",".join(str(c).encode("ascii") for c in z)
+        digest = hashlib.blake2b(payload, digest_size=16, key=key).digest()
+        u_phase = int.from_bytes(digest[:8], "little") / 2.0**64
+        u_radial = int.from_bytes(digest[8:], "little") / 2.0**64
+        modulus = amplitude * regularized_abs(z) ** p * math.sqrt(u_radial)
+        return modulus * complex(math.cos(2 * math.pi * u_phase), math.sin(2 * math.pi * u_phase))
+
+    return gen
 
 
 class TestLatticeShape:
@@ -271,6 +290,16 @@ class TestGenerators:
         for z in [(0,), (5,), (-17,), (123456,)]:
             assert gen_a(z) == gen_b(z)
         assert gen_a((1,)) != hashed_noise_generator(seed=43, envelope_exponent=0.3)((1,))
+
+    @pytest.mark.parametrize("d, L", [(1, 40), (2, 6), (3, 3)])
+    @pytest.mark.parametrize("p", [0.0, 0.45])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, -3])
+    def test_hashed_noise_bit_identical_to_reference(self, d, L, p, seed):
+        shape = LatticeShape(d, L)
+        field = truncate(hashed_noise_generator(seed, envelope_exponent=p, amplitude=0.8), shape)
+        expected = truncate(reference_hashed_noise(seed, envelope_exponent=p, amplitude=0.8),
+                            shape)
+        assert same_bits(field.values, expected.values)
 
     def test_envelope_bound(self):
         gen = hashed_noise_generator(seed=11, envelope_exponent=0.45, amplitude=0.8)
