@@ -4,7 +4,10 @@ and of one stencil apply.
 
 For every (d, L) below, times `integrate` on Gaussian data with the
 standard Laplacian (lam = 1, dt = 1e-3) and prints the best of 5 runs as
-microseconds per site-step, with the per-step time beside it.  Strang runs
+microseconds per site-step, with the per-step time beside it.  Each d has
+boxes on both sides of `dynamics._DENSE_SITES`, and the `flow` column names
+the linear flow Strang runs there: `dense`, one propagator product, at
+most that many sites, or `fourier`, the Fourier passes.  Strang runs
 at snapshot strides 1 and 10: inside a snapshot block it merges each step's
 closing half rotation with the next step's opening one, so at stride 1
 every step pays both half rotations and the stride-10 column shows what
@@ -13,7 +16,7 @@ one stepper call, as in the box sweep of acceptance criterion 7 (which
 steps all its boxes as one packed state), and stride 10 advances whole
 blocks through the stepper's own arrays.  The step
 count per run shrinks with the volume, so that each run does about the same
-work; the whole table takes 20-30 s on a shared 2-core Xeon host.
+work; the whole table takes 30-45 s on a shared 2-core Xeon host.
 
 A second table times the hopping stencil alone, with the standard
 Laplacian, at the sizes where the RK4 step and the energies spend most of
@@ -40,12 +43,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from speed import probe_factor  # noqa: E402
 
-from dnls.dynamics import SchemeConfig, integrate  # noqa: E402
+from dnls.dynamics import _DENSE_SITES, SchemeConfig, integrate  # noqa: E402
 from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
 
-GRID = ((1, 32), (1, 64), (1, 1000), (2, 8), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16))
+GRID = ((1, 32), (1, 64), (1, 99), (1, 100), (1, 1000), (2, 6), (2, 7), (2, 8), (2, 32),
+        (2, 64), (3, 2), (3, 3), (3, 4), (3, 8), (3, 16))
 # site-steps per timed run; the step count is this over the volume, rounded
 # up to whole snapshot strides
 SITE_STEPS = 400_000
@@ -76,7 +80,7 @@ def repeated(call, values, calls):
 
 
 def main() -> None:
-    print(f"{'d':>2} {'L':>5} {'sites':>6} {'steps':>6} {'factor':>6}"
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'flow':>7} {'steps':>6} {'factor':>6}"
           + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9} {'scaled':>9}"
                     for scheme, stride in RUNS))
     for d, L in GRID:
@@ -92,7 +96,8 @@ def main() -> None:
                                snapshot_stride=stride, lam=1.0)
             per_steps.append(best_seconds(lambda: integrate(field0, pot, cfg)) / steps * 1e6)
         factor = (before + probe_factor()) / 2
-        print(f"{d:>2} {L:>5} {shape.volume:>6} {steps:>6} {factor:>6.2f}"
+        flow = "dense" if shape.volume <= _DENSE_SITES else "fourier"
+        print(f"{d:>2} {L:>5} {shape.volume:>6} {flow:>7} {steps:>6} {factor:>6.2f}"
               + "".join(f"  {t / shape.volume:>22.4f} {t:>9.1f} {t / factor:>9.1f}"
                         for t in per_steps))
 

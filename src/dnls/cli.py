@@ -184,6 +184,18 @@ def _load_file(loader, path, key: str):
         raise ConfigError(f"cannot read {key} {path!r}: {err.strerror or err}")
 
 
+def build_shape(c: dict) -> lattice.LatticeShape:
+    """The configured box, with every observables.centers site checked
+    against it, whether or not the experiment reads the centers."""
+    shape = lattice.LatticeShape(**c["lattice"])
+    for center in c["observables"]["centers"]:
+        try:
+            shape.require_site(center)
+        except lattice.InvalidSiteError as err:
+            raise ConfigError(f"observables.centers: {err}")
+    return shape
+
+
 def build_potential(c: dict) -> hopping.HoppingPotential:
     kernel, d = c["kernel"], c["lattice"]["d"]
     if kernel["file"] is not None:
@@ -303,7 +315,7 @@ def _jsonable(value):
 
 def _configured_run(c: dict):
     """Build the configured kernel, scheme and initial field, and integrate."""
-    shape = lattice.LatticeShape(**c["lattice"])
+    shape = build_shape(c)
     pot = build_potential(c)
     scheme = build_scheme(c)
     field0 = build_initial_field(c, shape)
@@ -431,7 +443,7 @@ def run_sweep(c: dict, writer: RunWriter) -> tuple[dict, dict]:
 
 
 def run_uniqueness(c: dict, writer: RunWriter) -> tuple[dict, dict]:
-    shape = lattice.LatticeShape(**c["lattice"])
+    shape = build_shape(c)
     pot = build_potential(c)
     uniq = c["uniqueness"]
     dt_list = uniq["dt_list"]
@@ -468,7 +480,7 @@ def run_uniqueness(c: dict, writer: RunWriter) -> tuple[dict, dict]:
 
 
 def run_sample_gaussian(c: dict, writer: RunWriter) -> tuple[dict, dict]:
-    shape = lattice.LatticeShape(**c["lattice"])
+    shape = build_shape(c)
     samp = c["sampling"]
     spec = sampling.GaussianSpec(density=samp["sigma2"])
     seeds = [int(s.generate_state(1)[0])
@@ -478,7 +490,7 @@ def run_sample_gaussian(c: dict, writer: RunWriter) -> tuple[dict, dict]:
 
 
 def run_sample_gibbs(c: dict, writer: RunWriter) -> tuple[dict, dict]:
-    shape = lattice.LatticeShape(**c["lattice"])
+    shape = build_shape(c)
     pot = build_potential(c)
     samp = c["sampling"]
     spec = sampling.GibbsSpec(

@@ -15,13 +15,15 @@ an array its caller passes.  Strang merges each step's closing half rotation
 with the next step's opening one into one full rotation, exact in exact
 arithmetic (the rotation keeps |psi|), so only blocks of more than one step
 differ from single steps, in rounding.  Neither stepper allocates an array
-per step: each works in arrays it allocates once, Strang calling numpy's
-pocketfft gufuncs directly, with the bits of np.fft, and RK4 applying the
+per step: each works in arrays it allocates once, and RK4 applies the
 stencil through its buffered form, with the bits of the plain expressions.
-At the 65- and 129-site boxes of the d = 1 checks a gufunc call costs more
-in per-call setup than in arithmetic, so Strang's Fourier calls are bound
-once to their arrays and to 0-d float64 scales, which need no conversion
-per call, and each runs over the last axis, the gufunc's default core
+At the 65- and 129-site boxes of the d = 1 checks an FFT call costs more in
+per-call setup than in arithmetic, so on a box of at most _DENSE_SITES
+sites Strang builds its linear flow once as a dense propagator and runs it
+as one matrix-vector product, with the bits of the BLAS zgemv kernel.  On a
+larger box it calls numpy's pocketfft gufuncs directly, with the bits of
+np.fft, bound once to their arrays and to 0-d float64 scales, which need no
+conversion per call, each over the last axis, the gufunc's default core
 axis, of views that move its axis there, with no axes argument.
 Finiteness is checked once per stored snapshot; a non-finite one replays
 its block one single step at a time and raises at the first non-finite
@@ -66,6 +68,18 @@ SCHEMES = ("strang", "rk4")
 # sites per block of Trajectory.blocks (256 KiB of complex values); bounds
 # the temporaries of a computation over all snapshots, whatever their count
 _STACK_SITES = 1 << 14
+# a Strang box of at most this many sites runs its linear flow as one dense
+# propagator product, a larger one as Fourier passes (_strang_stepper).
+# Median over 31 interleaved rounds of the dense to Fourier step time ratio,
+# standard Laplacian, one BLAS thread, shared 2-core host: in d = 1 0.71 at
+# 65 sites and 0.77 at 129; in d = 2 0.75 at 121 and 0.85 at 169, but 1.27
+# at 225 and 1.48 at 289; in d = 3 0.53 at 125 and 1.84 at 343.  In d = 1
+# the Fourier cost follows the length's prime factors: from 125 to 199 sites
+# dense costs 1.02-1.16x at lengths of small factors (125, 135, 147, 165,
+# 171) and 0.5-0.6x at primes (151, 181, 191, 197); above 200 it loses at
+# 205-221 and 289-351 (1.1-2.9x).  With two BLAS threads the d = 1 ratios
+# were 0.90 at 65 and 129 sites.
+_DENSE_SITES = 200
 
 
 class BlowUpError(RuntimeError):
@@ -183,16 +197,42 @@ def _gradient_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
     return apply(psi) + lam * (np.abs(psi) ** 2) * psi
 
 
-def _second_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
-    """second_time_derivative on a raw array."""
-    conv = apply(psi)
+def _second_terms(lam: float, psi: np.ndarray, conv: np.ndarray, twice: np.ndarray,
+                  cubic: np.ndarray) -> np.ndarray:
+    """The five-term polynomial from psi, its hopping action conv, and the
+    hopping actions on conv (twice) and on |psi|^2 psi (cubic)."""
     mod2 = np.abs(psi) ** 2
-    out = -apply(conv)
-    out -= lam * apply(mod2 * psi)
+    out = -twice
+    out -= lam * cubic
     out -= 2.0 * lam * mod2 * conv
     out -= lam * lam * mod2 * mod2 * psi
     out += lam * psi * psi * np.conj(conv)
     return out
+
+
+def _second_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
+    """second_time_derivative on a raw array."""
+    conv = apply(psi)
+    return _second_terms(lam, psi, conv, apply(conv), apply(np.abs(psi) ** 2 * psi))
+
+
+def _second_at(apply: Stencil, lam: float, stack: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """_second_values at one site, given by its array index, over a stack of
+    fields, with its bits, read from the sites within twice the kernel range
+    of it: the actions at idx read the action and |psi|^2 psi at idx's
+    sources alone."""
+    dims, lead = stack.shape[1:], stack.shape[:1]
+    flat = stack.reshape(len(stack), -1)
+
+    def conv(source: int) -> np.ndarray:
+        return apply.at(stack, np.unravel_index(source, dims))
+
+    def cubic(source: int) -> np.ndarray:
+        psi = flat[:, source]
+        return np.abs(psi) ** 2 * psi
+
+    return _second_terms(lam, stack[(slice(None), *idx)], apply.at(stack, idx),
+                         apply.gather(idx, conv, lead), apply.gather(idx, cubic, lead))
 
 
 def _checked_stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
@@ -255,19 +295,36 @@ def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
     return forward, spec, inverse
 
 
+def _linear_propagator(shape: LatticeShape, linear_phase: np.ndarray) -> np.ndarray:
+    """The linear flow ifftn(linear_phase * fftn(values)) as a dense V x V
+    matrix acting on row-major flat fields: column j is the flow of the j-th
+    unit field, from np.fft over a stack of all V of them.  The circulant of
+    one column, ifftn(linear_phase) translated to every site, builds 5-8x
+    faster, but every column then shares its rounding, and the particle
+    number drifts 4-10x faster: 4.2e-12 against 5.0e-13 over criterion 1's
+    10,000 steps at 129 sites."""
+    volume, axes = shape.volume, tuple(range(1, shape.d + 1))
+    units = np.eye(volume, dtype=np.complex128).reshape((volume, *shape.dims))
+    flows = np.fft.ifftn(linear_phase * np.fft.fftn(units, axes=axes), axes=axes)
+    return np.ascontiguousarray(flows.reshape(volume, volume).T)
+
+
 def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
     """Strang steps on raw values: half onsite rotation, then per step the full
     linear flow and a full rotation, the last one a half rotation.
 
     The linear flow is a fixed list of calls bound to two arrays allocated
-    here once: the Fourier passes around the product linear_phase * spectrum.
-    At the small boxes of the d = 1 checks each numpy call costs more in
-    setup than in arithmetic, so a step adds as little as it can around the
-    calls its arithmetic needs: the passes run with no Python frame of their
-    own, their scales are 0-d float64 arrays built once, each runs over the
-    gufunc's default core axis, the last, of views that move its axis there,
-    and out is passed positionally.  A vanishing dispersion makes the list
-    empty, so purely onsite runs carry no FFT rounding.
+    here once.  A box of at most _DENSE_SITES sites builds the flow once as
+    a dense propagator (_linear_propagator) and runs it as one matrix-vector
+    product, np.dot into the spare array, whose bits come from the BLAS
+    zgemv kernel; the next rotation reads the spare array and writes back
+    into the field array.  A larger box runs the Fourier passes around the
+    product linear_phase * spectrum, with the bits of np.fft: the passes run
+    with no Python frame of their own, their scales are 0-d float64 arrays
+    built once, each runs over the gufunc's default core axis, the last, of
+    views that move its axis there, and out is passed positionally.  A
+    vanishing dispersion makes the list empty, so purely onsite runs carry
+    no rounding from the linear flow.
 
     A rotation by exp(rate |psi|^2) at an imaginary rate is computed from
     its real phase theta: cos theta and sin theta go into the real and
@@ -280,6 +337,8 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     # before the work arrays, which then reuse its temporary's freed memory
     # instead of leaving it as a hole in the heap for the stepper's lifetime
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
+    dense = linear_phase is not None and shape.volume <= _DENSE_SITES
+    prop = _linear_propagator(shape, linear_phase) if dense else None
     half_rate = -0.5j * lam * dt
     # per rate: rate.imag and the signed zero rate.real * 0, which the phase
     # below adds; 0-d arrays, which numpy takes faster than Python floats
@@ -289,9 +348,14 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     rot = np.empty(shape.dims, dtype=np.complex128)
     cos, sin = rot.real, rot.imag
     field = np.empty(shape.dims, dtype=np.complex128)
+    spare = np.empty_like(field)
+    # the calls of the linear flow, and the array they leave its result in
     linear: list[Callable[[], None]] = []
-    if linear_phase is not None:
-        forward, spec, inverse = _fourier_passes(shape, field, np.empty_like(field))
+    flowed = field
+    if dense:
+        linear, flowed = [partial(np.dot, prop, field.reshape(-1), spare.reshape(-1))], spare
+    elif linear_phase is not None:
+        forward, spec, inverse = _fourier_passes(shape, field, spare)
         linear = [*forward, partial(np.multiply, linear_phase, spec, spec), *inverse]
 
     def rotate(src: np.ndarray, out: np.ndarray, rate: tuple[np.ndarray, np.ndarray]) -> None:
@@ -312,10 +376,10 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
         for _ in range(steps - 1):
             for call in linear:
                 call()
-            rotate(field, field, full)
+            rotate(flowed, field, full)
         for call in linear:
             call()
-        rotate(field, out, half)
+        rotate(flowed, out, half)
 
     return advance
 
@@ -543,16 +607,17 @@ def duhamel_residual_first(traj: Trajectory, pot: HoppingPotential, lam: float,
 
 def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
                           x: Sequence[int], t: float) -> complex:
-    """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds."""
+    """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds.
+
+    P_x is evaluated on the sites within twice the kernel range of x alone,
+    over all snapshots j <= m at once, with the bits of _second_values at x.
+    """
     terms = _duhamel_terms(traj, x, t)
     if terms is None:
         return 0.0j
     m, idx, increment, weights = terms
     apply = _checked_stencil(pot, traj.shape)
-    p = np.empty(m + 1, dtype=np.complex128)
-    for j, block in traj.blocks(m + 1):
-        # copied out: a view would keep the whole evaluated block alive
-        p[j:j + len(block)] = _second_values(apply, lam, block)[(slice(None), *idx)]
+    p = _second_at(apply, lam, traj.values[:m + 1], idx)
     g0 = _gradient_values(apply, lam, traj.values[0])[idx]
     return complex(increment + 1j * t * g0 - np.sum(weights * ((t - traj.times[:len(p)]) * p)))
 

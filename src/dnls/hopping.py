@@ -215,24 +215,32 @@ class Stencil:
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self._bind(values.shape[: values.ndim - self.d])(values)
 
-    def at(self, values: np.ndarray, site: tuple[int, ...]) -> np.ndarray:
-        """The action at one box site, given by its array index, over the
-        leading axes of values: a call's terms, in its order and with its
-        bits, read from the site's neighbourhood alone."""
+    def gather(self, site: tuple[int, ...], read: Callable[[int], np.ndarray],
+               lead: tuple[int, ...]) -> np.ndarray:
+        """The action at one box site, given by its array index, on values
+        of shape lead + dims that read(source) gives at each flat box index
+        source: a call's terms, in its order and with its bits, each reading
+        the value at its source alone."""
         reach = (self.width - self.side) // 2
         padded = (self.width,) * self.d
-        flat = values.reshape(values.shape[:values.ndim - self.d] + (-1,))
         # a call sums term (coeff, start) at the site from padded point
         # start + k, k the site's entry of out, which holds box site
         # (point - reach) mod side per axis
         k = np.ravel_multi_index(site, padded)
-        acc = np.zeros(flat.shape[:-1], dtype=np.complex128)
-        for group, start in self.terms:
-            point = np.unravel_index(start + k, padded)
-            source = np.ravel_multi_index([(c - reach) % self.side for c in point],
-                                          (self.side,) * self.d)
-            acc += self.coeffs[group] * flat[..., source]
+        starts = np.array([start for _, start in self.terms], dtype=np.intp)
+        points = np.unravel_index(starts + k, padded)
+        sources = np.ravel_multi_index([(c - reach) % self.side for c in points],
+                                       (self.side,) * self.d)
+        acc = np.zeros(lead, dtype=np.complex128)
+        for (group, _), source in zip(self.terms, sources.tolist()):
+            acc += self.coeffs[group] * read(source)
         return acc
+
+    def at(self, values: np.ndarray, site: tuple[int, ...]) -> np.ndarray:
+        """The action at one box site, given by its array index, over the
+        leading axes of values, read from the site's neighbourhood alone."""
+        flat = values.reshape(values.shape[:values.ndim - self.d] + (-1,))
+        return self.gather(site, lambda source: flat[..., source], flat.shape[:-1])
 
     def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
         """The action on one field of the box, in work arrays allocated here

@@ -153,6 +153,19 @@ class TestConfigHandling:
         ("simulate", ["--lattice.L", "36028797018963968", "--initial.type", "hashed"], "memory"),
         ("sample-gibbs", ["--lattice.L", "36028797018963968"], "memory"),
         ("nope", [], "experiment"),
+        # a center is checked against the configured lattice even where the
+        # experiment does not read it: a 2-d center on the default d = 1 box,
+        # or one outside the box
+        *((experiment, [*flags, "--observables.centers", centers], "observables.centers")
+          for experiment in ("simulate", "conserve")
+          for flags, centers in (([], "[[0,0]]"), (["--lattice.L", "2"], "[[5]]"),
+                                 (["--observables.eps", "0.1"], "[[0,0]]"))),
+        ("bound-check", ["--lattice.L", "2", "--observables.centers", "[[0], [-3]]"],
+         "observables.centers"),
+        ("uniqueness", ["--observables.centers", "[[0,0]]"], "observables.centers"),
+        ("sample-gaussian", ["--lattice.L", "2", "--observables.centers", "[[5]]"],
+         "observables.centers"),
+        ("sample-gibbs", ["--observables.centers", "[[0,0]]"], "observables.centers"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
         code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)
@@ -223,6 +236,18 @@ class TestSimulate:
         manifest = read_json(out / "manifest.json")
         digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
         assert manifest["artifacts"]["series.csv"] == digest
+
+    @pytest.mark.parametrize("experiment", ["simulate", "conserve"])
+    def test_centers_in_the_box_exit_0(self, tmp_path, experiment):
+        # the far corners of the box pass the check, with or without eps
+        for eps in ([], ["--observables.eps", "0.1"]):
+            out = tmp_path / f"r{len(eps)}"
+            code = run_cli("--experiment", experiment, "--out", str(out), "--lattice.L", "2",
+                           "--observables.centers", "[[2], [-2], [0]]", *eps,
+                           "--dynamics.t_end", "0.1", "--dynamics.dt", "0.01")
+            assert code == 0
+            header = (out / "series.csv").read_text().splitlines()[0]
+            assert header.count("Q_") == (3 if eps else 0)
 
     def test_field_dump_loadable(self, tmp_path):
         out = tmp_path / "run"

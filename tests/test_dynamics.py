@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -68,18 +69,35 @@ def naive_second_derivative(field, pot, lam, x):
     return term1 + term2 + term3 + term4 + term5
 
 
+def reference_propagator(shape, linear_phase):
+    """The linear flow as a dense matrix on row-major flat fields, column j
+    the flow of the j-th unit field, from plain np.fft expressions."""
+    volume, axes = shape.volume, tuple(range(1, shape.d + 1))
+    units = np.eye(volume, dtype=np.complex128).reshape((volume, *shape.dims))
+    flows = np.fft.ifftn(linear_phase * np.fft.fftn(units, axes=axes), axes=axes)
+    return flows.reshape(volume, volume).T.copy()
+
+
 def _reference_strang(pot, shape, lam, dt):
     """(rotate, linear, half_rate): the onsite rotation at a rate and the
-    linear flow as plain numpy expressions, with np.fft and fresh arrays."""
+    linear flow as plain numpy expressions, with fresh arrays.  The linear
+    flow routes as the stepper's does: a box of at most _DENSE_SITES sites
+    applies the propagator above with @, a larger one runs np.fft."""
     disp = dispersion(pot, shape).values
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
     fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
+    dense = linear_phase is not None and shape.volume <= dnls.dynamics._DENSE_SITES
+    prop = reference_propagator(shape, linear_phase) if dense else None
 
     def rotate(values, rate):
         return values * np.exp(rate * np.abs(values) ** 2)
 
     def linear(values):
-        return values if linear_phase is None else ifft(linear_phase * fft(values))
+        if linear_phase is None:
+            return values
+        if dense:
+            return (prop @ values.ravel()).reshape(shape.dims)
+        return ifft(linear_phase * fft(values))
 
     return rotate, linear, -0.5j * lam * dt
 
@@ -129,6 +147,31 @@ def reference_snapshots(scheme, field, pot, lam, dt, stride, n_snap):
     for _ in range(n_snap):
         expected.append(advance_block(expected[-1]))
     return np.stack(expected)
+
+
+def reference_single_steps(scheme, field, pot, lam, dt, steps):
+    """(rows, first_bad): field.values and the reference's single steps from
+    it, up to the given count or the first non-finite step, whose number is
+    first_bad (None when every step is finite) and which rows leave out."""
+    advance = reference_stepper(scheme, pot, field.shape, lam, dt)
+    rows = [field.values]
+    for k in range(1, steps + 1):
+        psi = advance(rows[-1])
+        if not np.isfinite(psi).all():
+            return rows, k
+        rows.append(psi)
+    return rows, None
+
+
+def first_field_with(shape, scale, premise, seeds=range(1, 1000)):
+    """(field, result): the first random field of the given scale, over the
+    seeds, for which premise(field) returns a result other than None."""
+    for seed in seeds:
+        field = random_field(shape, seed, scale)
+        result = premise(field)
+        if result is not None:
+            return field, result
+    raise AssertionError(f"no field of scale {scale} over seeds {seeds} gives the premise")
 
 
 class TestSchemeConfig:
@@ -403,24 +446,25 @@ class TestIntegrate:
 
     # RK4 overshoots at a large dt; Strang keeps |psi| bounded, but its phase
     # lam * dt * |psi(x)|^2 / 2 overflows once the flow gathers enough weight
-    # at one site.  Each first bad step lies inside a later snapshot block.
+    # at one site.  The premise: the reference's first bad single step lies
+    # inside a later snapshot block, so the run stores a finite row before
+    # it and replays the block that holds it.  Which field gives it depends
+    # on the last bits of the flow, so the field is the first random one of
+    # the given scale, from seed 1 on, that gives it
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme, lam, dt, scale, stride, steps", [
         ("rk4", 1.0, 0.5, 1.0, 2, 10),
         ("strang", 1e308, 1.0, 1.2, 3, 12),
     ])
     def test_blow_up_names_the_first_bad_step(self, scheme, lam, dt, scale, stride, steps):
-        f = random_field(LatticeShape(1, 4), 1, scale)
         pot = standard_laplacian(1)
-        advance = reference_stepper(scheme, pot, f.shape, lam, dt)
-        psi, first_bad = f.values, None
-        for k in range(1, steps + 1):
-            psi = advance(psi)
-            if not np.isfinite(psi).all():
-                first_bad = k
-                break
-        # the replay starts from a stored snapshot after the first
-        assert first_bad is not None and first_bad > stride and first_bad % stride != 0
+
+        def premise(f):
+            _, first_bad = reference_single_steps(scheme, f, pot, lam, dt, steps)
+            inside = first_bad is not None and first_bad > stride and first_bad % stride != 0
+            return first_bad if inside else None
+
+        f, first_bad = first_field_with(LatticeShape(1, 4), scale, premise)
         cfg = SchemeConfig(scheme=scheme, dt=dt, t_end=dt * steps, snapshot_stride=stride,
                            lam=lam)
         with pytest.raises(BlowUpError) as err:
@@ -428,23 +472,29 @@ class TestIntegrate:
         assert err.value.step == first_bad
         assert err.value.time == first_bad * dt
 
-    # the blow-up case above, ended before its first bad single step (10):
-    # the merged phase lam * dt * |psi|^2 overflows where two half phases do
-    # not, so each of the three blocks replays one single step at a time,
-    # ends finite, keeps its row, and the run goes on
+    # the premise: every single step of the run is finite, while each of its
+    # three merged blocks overflows, its merged phase lam * dt * |psi|^2
+    # overflowing where two half phases do not.  So each block replays one
+    # single step at a time, ends finite, keeps its row, and the run goes
+    # on.  The field is chosen by the premise, as the reference computes it
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_replay_keeps_its_row(self):
-        f = random_field(LatticeShape(1, 4), 1, 1.2)
-        pot = standard_laplacian(1)
+        shape, pot = LatticeShape(1, 4), standard_laplacian(1)
         lam, dt, stride, steps = 1e308, 1.0, 3, 9
+
+        def premise(f):
+            rows, first_bad = reference_single_steps("strang", f, pot, lam, dt, steps)
+            blocks_overflow = first_bad is None and all(
+                not np.isfinite(reference_snapshots("strang", FieldL(shape, rows[j]), pot, lam,
+                                                    dt, stride, 1)[-1]).all()
+                for j in range(0, steps, stride))
+            return rows if blocks_overflow else None
+
+        f, rows = first_field_with(shape, 1.2, premise)
         cfg = SchemeConfig(scheme="strang", dt=dt, t_end=dt * steps, snapshot_stride=stride,
                            lam=lam)
         traj = integrate(f, pot, cfg)
-        advance = reference_stepper("strang", pot, f.shape, lam, dt)
-        expected = [f.values]
-        for _ in range(steps):
-            expected.append(advance(expected[-1]))
-        assert np.array_equal(traj.values, np.stack(expected[::stride]))
+        assert np.array_equal(traj.values, np.stack(rows[::stride]))
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 3), ell=st.integers(1, 2), extra=st.integers(0, 2),
@@ -500,6 +550,10 @@ class TestIntegrate:
              stride=3, n_snap=3, seed=5).via("lam < 0, RK4 blocks")
     @example(d=3, ell=1, extra=1, scheme="rk4", kernel="random", zero_field=False, lam=1.0,
              stride=3, n_snap=2, seed=6).via("RK4 blocks")
+    @example(d=3, ell=1, extra=0, scheme="strang", kernel="random", zero_field=False, lam=1.0,
+             stride=2, n_snap=2, seed=7).via("dense linear flow, d = 3")
+    @example(d=3, ell=1, extra=2, scheme="strang", kernel="random", zero_field=False, lam=1.0,
+             stride=2, n_snap=2, seed=7).via("Fourier linear flow, d = 3")
     def test_snapshots_equal_iterated_steps(
         self, d, ell, extra, scheme, kernel, zero_field, lam, stride, n_snap, seed
     ):
@@ -525,10 +579,14 @@ class TestIntegrate:
 
     # boxes below 2^14 sites are bit-equal to the reference; at 16,385 sites
     # numpy elides the reference's temporaries and swaps the operands of its
-    # complex products, so Strang's last bits move (6.9e-15 here)
+    # complex products, so Strang's last bits move (6.9e-15 here).  Each d
+    # has boxes on both sides of _DENSE_SITES: 199 and 201, 169 and 225, 125
+    # and 343 sites
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("d, L, tol", [(1, 32, 0.0), (1, 64, 0.0), (1, 1000, 0.0),
-                                           (2, 32, 0.0), (3, 8, 0.0), (1, 8192, 1e-12)])
+    @pytest.mark.parametrize("d, L, tol", [
+        (1, 32, 0.0), (1, 64, 0.0), (1, 99, 0.0), (1, 100, 0.0), (1, 1000, 0.0),
+        (2, 6, 0.0), (2, 7, 0.0), (2, 32, 0.0), (3, 2, 0.0), (3, 3, 0.0), (3, 8, 0.0),
+        (1, 8192, 1e-12)])
     def test_larger_boxes_against_reference(self, scheme, d, L, tol):
         shape = LatticeShape(d, L)
         f = random_field(shape, 3)
@@ -682,6 +740,51 @@ class TestFourierPasses:
             assert np.array_equal(field, np.fft.ifft(values))
 
 
+def unitarity_defect(prop):
+    """max |U^dagger U - I| over the entries."""
+    return np.max(np.abs(prop.conj().T @ prop - np.eye(len(prop))))
+
+
+class TestDenseLinearFlow:
+    # boxes of at most _DENSE_SITES sites run Strang's linear flow as a dense
+    # propagator product, larger ones as Fourier passes.  Measured on 30
+    # random kernels per range (1 and 2) and d at the largest dense box,
+    # fields of scale 1, dt 0.01: the two single steps differ by at most 4.1e-15
+    # and max |U^dagger U - I| is at most 2.2e-15, with one BLAS thread or
+    # two; a propagator scaled by 1 + 1e-12 reads about 2e-12
+    STEP_TOL = 1e-14
+    UNITARITY_TOL = 1e-14
+
+    @staticmethod
+    def largest_dense_box(d):
+        L = max(L for L in range(200) if (2 * L + 1) ** d <= dnls.dynamics._DENSE_SITES)
+        return LatticeShape(d, L)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dense_step_agrees_with_fourier_step(self, d, ell, monkeypatch):
+        shape = self.largest_dense_box(d)
+        assert (2 * shape.L + 3) ** d > dnls.dynamics._DENSE_SITES
+        for seed in range(5):
+            pot, f = random_kernel(d, ell, seed), random_field(shape, seed)
+            dense = step_strang(f, pot, 1.0, 0.01).values
+            with monkeypatch.context() as patch:
+                patch.setattr(dnls.dynamics, "_DENSE_SITES", 0)
+                fourier = step_strang(f, pot, 1.0, 0.01).values
+            assert 0.0 < np.max(np.abs(dense - fourier)) <= self.STEP_TOL
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_propagator_is_unitary(self, d, ell):
+        shape = self.largest_dense_box(d)
+        for seed in range(5):
+            disp = dispersion(random_kernel(d, ell, seed), shape).values
+            prop = dnls.dynamics._linear_propagator(shape, np.exp(-0.01j * disp))
+            assert unitarity_defect(prop) <= self.UNITARITY_TOL
+            # the check sees a norm off by 1e-12
+            assert unitarity_defect(prop * (1 + 1e-12)) > self.UNITARITY_TOL
+
+
 class TestTrajectoryGradients:
     def test_first_derivative_matches_rhs(self):
         shape = LatticeShape(1, 8)
@@ -738,6 +841,16 @@ class TestConservation:
         assert 2.5 <= drifts[0] / drifts[1] <= 6.0
 
 
+def duhamel_kernel(d, kernel):
+    """The standard Laplacian for None, the zero kernel for "zero", else a
+    random symmetric kernel of that range."""
+    if kernel is None:
+        return standard_laplacian(d)
+    if kernel == "zero":
+        return zero_potential(d)
+    return random_kernel(d, kernel, d, scale=0.2)
+
+
 class TestDuhamel:
     def test_zero_time(self):
         f = random_field(LatticeShape(1, 6), 13)
@@ -789,16 +902,16 @@ class TestDuhamel:
 
     @pytest.mark.parametrize("d, L, t_end, kernel", [
         (1, 64, 0.3, None), (2, 10, 0.1, None),
-        (1, 5, 0.3, 2), (2, 4, 0.1, 2), (3, 3, 0.05, 1), (3, 2, 0.05, 2),
+        (1, 5, 0.3, 2), (2, 4, 0.1, 2), (3, 3, 0.05, 1), (3, 2, 0.05, 2), (2, 4, 0.1, "zero"),
     ], ids=["1-64-0.3", "2-10-0.1", "1-5-0.3-range2", "2-4-0.1-range2", "3-3-0.05-range1",
-            "3-2-0.05-range2"])
+            "3-2-0.05-range2", "2-4-0.1-zero"])
     def test_first_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end, kernel):
         # the full-box gradient per snapshot as a reference for the one
         # evaluated at x alone; 301 snapshots of 129 sites, or 101 of 441,
         # span several stacked blocks; kernel is the range of a random
-        # symmetric one, or None for the standard Laplacian
+        # symmetric one, None for the standard Laplacian or "zero"
         shape = LatticeShape(d, L)
-        pot = standard_laplacian(d) if kernel is None else random_kernel(d, kernel, d, scale=0.2)
+        pot = duhamel_kernel(d, kernel)
         cfg = SchemeConfig(scheme="strang", dt=1e-3, t_end=t_end, snapshot_stride=1, lam=1.0)
         traj = integrate(random_field(shape, 18, scale=0.7), pot, cfg)
         for x in [(0,) * d, (L,) + (-min(3, L),) * (d - 1)]:
@@ -812,24 +925,33 @@ class TestDuhamel:
             assert np.array([got]).view(np.uint64).tolist() == \
                 np.array([expected]).view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("d, L, t_end", [(1, 64, 0.3), (2, 10, 0.1)])
-    def test_second_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end):
+    @pytest.mark.parametrize("d, L, t_end, kernel", [
+        (1, 64, 0.3, None), (2, 10, 0.1, None),
+        (1, 5, 0.3, 2), (2, 4, 0.1, 2), (3, 3, 0.05, 1), (3, 2, 0.05, 2), (2, 4, 0.1, "zero"),
+    ], ids=["1-64-0.3", "2-10-0.1", "1-5-0.3-range2", "2-4-0.1-range2", "3-3-0.05-range1",
+            "3-2-0.05-range2", "2-4-0.1-zero"])
+    def test_second_defect_bit_identical_to_per_snapshot_sum(self, d, L, t_end, kernel):
         # the per-snapshot loop over second_time_derivative as a reference;
-        # both times give an even interval count (Simpson) and three blocks
+        # every time gives an even interval count (Simpson); kernel is the
+        # range of a random symmetric one, None for the standard Laplacian or
+        # "zero".  The defect is also read at lam 0.7, where the terms of P_x
+        # are not interchangeable as they are at lam 1
         shape = LatticeShape(d, L)
-        pot = standard_laplacian(d)
+        pot = duhamel_kernel(d, kernel)
         cfg = SchemeConfig(scheme="rk4", dt=1e-3, t_end=t_end, snapshot_stride=1, lam=1.0)
         traj = integrate(random_field(shape, 19, scale=0.7), pot, cfg)
-        for x, m in [((0,) * d, len(traj) - 1), ((L,) + (-3,) * (d - 1), len(traj) - 3)]:
+        for (x, m), lam in itertools.product(
+                [((0,) * d, len(traj) - 1), ((L,) + (-min(3, L),) * (d - 1), len(traj) - 3)],
+                [1.0, 0.7]):
             t = float(traj.times[m])
             idx = shape.index(x)
             weights = _simpson_weights(m, traj.spacing)
-            samples = np.array([(t - traj.times[j]) * second_time_derivative(s, pot, 1.0)[idx]
+            samples = np.array([(t - traj.times[j]) * second_time_derivative(s, pot, lam)[idx]
                                 for j, s in enumerate(traj.snapshots[:m + 1])])
             increment = traj.snapshots[m].values[idx] - traj.snapshots[0].values[idx]
-            g0 = energy_gradient(traj.snapshots[0], pot, 1.0)[idx]
+            g0 = energy_gradient(traj.snapshots[0], pot, lam)[idx]
             expected = complex(increment + 1j * t * g0 - np.sum(weights * samples))
-            got = duhamel_defect_second(traj, pot, 1.0, x, t)
+            got = duhamel_defect_second(traj, pot, lam, x, t)
             assert np.array([got]).view(np.uint64).tolist() == \
                 np.array([expected]).view(np.uint64).tolist()
 
