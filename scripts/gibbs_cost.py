@@ -5,18 +5,20 @@ For every (d, L) below, times `run_gibbs_chain` with the standard
 Laplacian at the acceptance criteria's equilibrium parameters (beta = 1,
 mu = -1, lam = 1, proposal sigma 0.7, no burn-in, a sample kept every 10
 sweeps) and prints the best of 5 runs as microseconds per proposal, the
-cost of keeping the samples included.  Each run makes about the same
-number of proposals.  The rows are criterion
-10's one-site chain (d = 1, L = 0), criterion 11's rings (d = 1, L = 64,
-128, 256), and a square and a cube.  Below them, the best of 5 calls of
-`tune_proposal_sigma` in milliseconds, at L = 0 and L = 8 in d = 1.  The
-whole table takes about 13 s on a shared 2-core Xeon host.  To compare
-two checkouts, run it in each:
+cost of keeping the samples included, and, from one more run traced by
+tracemalloc, the bytes per retained sample that the returned chain holds
+(B/sample).  Each run makes about the same number of proposals.  The rows
+are criterion 10's one-site chain (d = 1, L = 0), criterion 11's rings
+(d = 1, L = 64, 128, 256), and a square and a cube.  Below them, the best
+of 5 calls of `tune_proposal_sigma` in milliseconds, at L = 0 and L = 8 in
+d = 1.  The whole table takes about 35 s on a shared 2-core Xeon host, the
+traced runs most of it.  To compare two checkouts, run it in each:
 
     PYTHONPATH=src python3 scripts/gibbs_cost.py
 """
 
 import time
+import tracemalloc
 
 from dnls.hopping import standard_laplacian
 from dnls.lattice import LatticeShape
@@ -42,16 +44,32 @@ def best_seconds(run) -> float:
     return best
 
 
+def held_bytes(run) -> int:
+    """Traced bytes held by the result of run(), measured while it lives."""
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    result = run()
+    held = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    del result
+    return held
+
+
 def main() -> None:
-    print(f"{'d':>2} {'L':>4} {'sites':>6} {'samples':>7} {'proposals':>9}  {'us/proposal':>11}")
+    print(f"{'d':>2} {'L':>4} {'sites':>6} {'samples':>7} {'proposals':>9}  {'us/proposal':>11}"
+          f"  {'B/sample':>8}")
     for d, L in GRID:
         shape = LatticeShape(d=d, L=L)
         pot = standard_laplacian(d)
         n_samples = -(-PROPOSALS // (shape.volume * THINNING))
         proposals = n_samples * THINNING * shape.volume
-        seconds = best_seconds(lambda: run_gibbs_chain(SPEC, pot, shape, SEED, n_samples))
+        def run():
+            return run_gibbs_chain(SPEC, pot, shape, SEED, n_samples)
+
+        seconds = best_seconds(run)
+        held = held_bytes(run) / n_samples
         print(f"{d:>2} {L:>4} {shape.volume:>6} {n_samples:>7} {proposals:>9}  "
-              f"{seconds / proposals * 1e6:>11.3f}")
+              f"{seconds / proposals * 1e6:>11.3f}  {held:>8.0f}")
     print(f"{'d':>2} {'L':>4} {'sites':>6}  {'tune_proposal_sigma ms':>22}")
     for d, L in TUNE_GRID:
         shape = LatticeShape(d=d, L=L)

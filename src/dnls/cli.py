@@ -503,7 +503,7 @@ def run_sample_gibbs(c: dict, writer: RunWriter) -> tuple[dict, dict]:
         spec = dataclasses.replace(spec, proposal_sigma=tuned)
         summary["tuned_sigma"] = tuned
     chain = sampling.run_gibbs_chain(spec, pot, shape, c["seed"], samp["n_samples"])
-    summary.update(_stats_payload(list(chain.samples), writer, c))
+    summary.update(_stats_payload(chain.samples, writer, c))
     summary["acceptance"] = sampling.acceptance_fraction(chain)
     summary["kernel"] = pot.fingerprint()
     return summary, {}

@@ -1,7 +1,7 @@
 """Time evolution of the finite lattice equation and solution-quality checks.
 
 The equation of motion is i dpsi/dt = (alpha * psi)(x) + lam |psi(x)|^2 psi(x)
-on the periodic box.  Two one-step methods are provided:
+on the periodic box.  integrate runs either of two schemes:
 
 * Strang splitting composes the exactly solvable onsite phase rotation with
   the Fourier-diagonalized linear flow.  Both substeps preserve the squared
@@ -57,7 +57,7 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .hopping import (HoppingPotential, Stencil, dispersion, packed_stencil, require_fits,
                       stencil)
-from .lattice import DataError, FieldL, LatticeShape, box_starts, frozen, read_only, wrap_rows
+from .lattice import DataError, FieldL, FieldRows, LatticeShape, box_starts, frozen, read_only
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
@@ -181,9 +181,9 @@ class Trajectory:
         return traj
 
     @cached_property
-    def snapshots(self) -> tuple[FieldL, ...]:
-        """Every snapshot as a FieldL over its row of the checked values."""
-        return wrap_rows(self.shape, self.values)
+    def snapshots(self) -> Sequence[FieldL]:
+        """Every snapshot as a FieldL over its row of the checked values (a FieldRows view)."""
+        return FieldRows(self.shape, self.values)
 
     @property
     def final(self) -> FieldL:
@@ -248,11 +248,6 @@ def energy_gradient(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndar
 def g_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -> complex:
     """Single-site evolution polynomial; depends on values within the kernel range."""
     return complex(energy_gradient(field, pot, lam)[field.shape.index(x)])
-
-
-def rhs(field: FieldL, pot: HoppingPotential, lam: float) -> FieldL:
-    """dpsi/dt = -i * (hopping + cubic) as a field."""
-    return FieldL(field.shape, frozen(-1j * energy_gradient(field, pot, lam)))
 
 
 def second_time_derivative(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
@@ -457,23 +452,6 @@ def _packed_rk4_stepper(pot: HoppingPotential, shapes: Sequence[LatticeShape], l
 
 
 _STEPPERS = {"strang": _strang_stepper, "rk4": _rk4_stepper}
-
-
-def _one_step(make: Callable[..., Stepper], field: FieldL, pot: HoppingPotential, lam: float,
-              dt: float) -> FieldL:
-    out = np.empty(field.shape.dims, dtype=np.complex128)
-    make(pot, field.shape, lam, dt)(field.values, out, 1)
-    return FieldL(field.shape, frozen(out))
-
-
-def step_strang(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> FieldL:
-    """One Strang step: half onsite rotation, full linear flow, half rotation."""
-    return _one_step(_strang_stepper, field, pot, lam, dt)
-
-
-def step_rk4(field: FieldL, pot: HoppingPotential, lam: float, dt: float) -> FieldL:
-    """One classical fourth-order step on the raw right-hand side."""
-    return _one_step(_rk4_stepper, field, pot, lam, dt)
 
 
 def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Trajectory:

@@ -12,8 +12,8 @@ what every cross-L experiment requires.
 
 A FieldL checks its values' size and finiteness and holds them read-only;
 it copies a writeable array, so the builders freeze theirs first.  The one
-other way to make FieldLs is wrap_rows, which wraps the rows of a whole stack
-of fields checked once: by field_rows, or by the Trajectory holding it.
+other way to make FieldLs is FieldRows, a view of a stack of fields checked
+once (by field_rows, or by the Trajectory holding it) that wraps rows as read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -205,7 +206,7 @@ class FieldL:
         return cls(shape, np.zeros(shape.dims, dtype=np.complex128))
 
 
-def field_rows(shape: LatticeShape, stack: np.ndarray) -> tuple[FieldL, ...]:
+def field_rows(shape: LatticeShape, stack: np.ndarray) -> FieldRows:
     """The rows of an (n, *shape.dims) stack as n FieldLs over its memory.
 
     The stack's shape and finiteness are checked once, as FieldL checks one
@@ -216,19 +217,33 @@ def field_rows(shape: LatticeShape, stack: np.ndarray) -> tuple[FieldL, ...]:
         raise DataError(f"expected a stack of fields of shape {shape.dims}, got {stack.shape}")
     if not np.isfinite(stack).all():
         raise DataError("field contains non-finite values")
-    return wrap_rows(shape, stack)
+    return FieldRows(shape, stack)
 
 
-def wrap_rows(shape: LatticeShape, stack: np.ndarray) -> tuple[FieldL, ...]:
+class FieldRows(Sequence[FieldL]):
     """The rows of a read-only complex (n, *shape.dims) stack, already checked
-    as field_rows checks one, as n FieldLs over its memory, checked no more."""
-    fields = []
-    for row in stack:
+    as field_rows checks one, as FieldLs over its memory.  Nothing is stored
+    per row: each read wraps its row anew, checked no more, and a slice is the
+    view of the stack's slice."""
+
+    def __init__(self, shape: LatticeShape, stack: np.ndarray) -> None:
+        self._shape, self._stack = shape, stack
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FieldRows(self._shape, self._stack[i])
+        return self._wrap(self._stack[operator.index(i)])
+
+    def __iter__(self) -> Iterator[FieldL]:
+        return map(self._wrap, self._stack)
+
+    def _wrap(self, row: np.ndarray) -> FieldL:
         field = object.__new__(FieldL)
-        object.__setattr__(field, "shape", shape)
-        object.__setattr__(field, "values", row)
-        fields.append(field)
-    return tuple(fields)
+        field.__dict__.update(shape=self._shape, values=row)
+        return field
 
 
 def regularized_abs(z: Sequence[int]) -> float:
@@ -321,7 +336,7 @@ def load_field(path) -> FieldL:
         shape = LatticeShape(d=int(header[0]), L=int(header[1]))
         lines = fh.readlines()
         # checked before the allocation, which a header alone can make huge
-        if len(lines) < shape.volume:
+        if len(lines) != shape.volume:
             raise DataError(f"expected {shape.volume} sites, found {len(lines)}")
         values = np.empty(shape.volume, dtype=np.complex128)
         for i, (line, site) in enumerate(zip(lines, shape.sites())):

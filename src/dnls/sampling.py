@@ -24,20 +24,20 @@ x, the flat index of x - offset per clipped offset) drives the colouring
 and two kernels that give the same bits: a large class updates as numpy
 operations on its index arrays, a small one (a one-site box, the one-site
 tail class of an odd ring) as a Python loop over its sites' (coefficient,
-neighbour index) rows.  The loop works in real arithmetic on the state's
-real and imaginary parts: Python float lists when every class runs in the
-loop, else the real and imaginary views of the numpy kernel's complex state
-array.  Its real neighbour sums differ from complex ones only in the sign
-of a zero, which neither the acceptance test nor the state update can see.
-It keeps |psi|^2 of its sites cached, updated on accept, and both kernels
-read the term alpha0 |delta|^2 of each proposal from one numpy product per
-draw block.
+neighbour index) rows.  The loop works in real arithmetic on Python float
+lists of the state's real and imaginary parts: the whole state when every
+class runs in the loop, else per class the sites it reads, gathered from the
+numpy kernel's complex state array, its own written back after it.  Its real
+neighbour sums differ from complex ones only in the sign of a zero, which
+neither the acceptance test nor the state update can see.  It keeps |psi|^2
+of its sites cached, updated on accept, and both kernels read the term
+alpha0 |delta|^2 of each proposal from one numpy product per draw block.
 There is one copy of the loop's update.  When every class runs in the loop,
 it runs the sweeps up to the next retained sample or the end of the draw
 block as one pass over the sweep's rows, repeated; otherwise it takes one
 loop class of a sweep at a time.  Each retained sample is a row of one
 (n_samples, volume) buffer, frozen once when the chain ends and checked once
-by lattice.field_rows, which wraps its rows as the samples.
+by lattice.field_rows; the samples read its rows through one lazy view.
 
 Two results back the checks on the samples: SampleStats (per-site moments,
 their standard errors and the largest) and PowerLawViolations (sites above
@@ -159,7 +159,7 @@ class GibbsSpec:
 class GibbsChain:
     """Record of one Metropolis run: retained samples plus acceptance counts."""
 
-    samples: tuple[FieldL, ...]
+    samples: Sequence[FieldL]
     n_proposed: int
     n_accepted: int
 
@@ -213,33 +213,36 @@ def run_gibbs_chain(
     phases = rng.uniform(0.0, 2.0 * math.pi, size=volume)
     re = [math.cos(p) for p in phases]
     im = [math.sin(p) for p in phases]
-    # |psi|^2 per site; the Python loop reads and updates it at its own
-    # sites only, so the entries of numpy-kernel sites go stale
+    # |psi|^2 per site; the Python loop reads and updates its own sites'
+    # entries only, in a copy per class when not every class runs in it
     sq = [a * a + b * b for a, b in zip(re, im)]
 
     # per class, in sweep order: where its draws start within one sweep's
-    # draws, and either its sites and neighbour index arrays for the numpy
-    # kernel, or its sites' (coefficient, index) rows and None for the
-    # Python loop, which reads only its own sites' draws, n_loop a sweep
+    # draws, its sites, and either its neighbour index arrays and None for
+    # the numpy kernel, or for the Python loop the sites it reads (its own
+    # first; all when it runs every class), its (coefficient, index) rows into
+    # those, and their |psi|^2; it reads only its own draws, n_loop a sweep
+    n_loop = sum(idx.size for idx in classes if idx.size < _NUMPY_CLASS_MIN)
     plan = []
     loop_positions: list[int] = []
     start = 0
     for idx in classes:
         if idx.size >= _NUMPY_CLASS_MIN:
-            plan.append((start, idx, list(table[idx].T)))
+            plan.append((start, idx, list(table[idx].T), None, None))
         else:
-            rows = [(int(i), tuple(zip(coeffs, table[i].tolist()))) for i in idx]
-            plan.append((start, rows, None))
+            reads = (np.arange(volume) if n_loop == volume
+                     else np.concatenate([idx, np.setdiff1d(table[idx], idx)]))
+            pos = {k: j for j, k in enumerate(reads.tolist())}
+            rows = [(pos[i], tuple((c, pos[k]) for c, k in zip(coeffs, table[i].tolist())))
+                    for i in idx.tolist()]
+            plan.append((start, idx.tolist(), reads, rows, [sq[i] for i in idx.tolist()]))
             loop_positions.extend(range(start, start + idx.size))
         start += idx.size
-    n_loop = len(loop_positions)
     total_sweeps = spec.burn_in + n_samples * spec.thinning
     block = max(1, _DRAW_BLOCK // volume)
     if n_loop < volume:
-        # the numpy kernel needs a complex array; the Python loop then reads
-        # and writes numpy scalars through its real and imaginary views, and
-        # gathers its draws from a block at these flat positions, sweep by
-        # sweep (when it runs every class, it takes a block's draws in order)
+        # the numpy kernel needs a complex array, which then holds the state;
+        # the loop gathers a block's draws at these flat positions, by sweep
         state = np.empty(volume, dtype=np.complex128)
         state.real, state.imag = re, im
         re, im = state.real, state.imag
@@ -247,7 +250,7 @@ def run_gibbs_chain(
                    + loop_positions).ravel()
     else:
         # every class runs in the loop: one sweep's rows in visiting order
-        order = [row for _, rows, _ in plan for row in rows]
+        order = [row for *_, rows, _ in plan for row in rows]
 
     n_accepted = 0
     # sample r is row r, written once burn_in + (r + 1) * thinning sweeps ran
@@ -286,9 +289,13 @@ def run_gibbs_chain(
                                            half_lam, mu)
             else:
                 stop = sweep + 1
-                for start, sites, nbrs in plan:
-                    if nbrs is None:
-                        n_accepted += _update_loop(sites, draws, re, im, sq, half_lam, mu)
+                for start, sites, nbrs, rows, own_sq in plan:
+                    if rows is not None:
+                        near_re, near_im = re[nbrs].tolist(), im[nbrs].tolist()
+                        n_accepted += _update_loop(rows, draws, near_re, near_im, own_sq,
+                                                   half_lam, mu)
+                        for i, a, b in zip(sites, near_re, near_im):  # its sites lead
+                            state[i] = complex(a, b)
                     else:
                         at = (sweep - first) * volume + start
                         n_accepted += _update_class(

@@ -414,6 +414,22 @@ class TestSampling:
         assert code == 0
         assert (out / "stats.json").exists()
 
+    def test_stats_on_dump_with_lines_past_the_box_exit_2(self, tmp_path, capsys):
+        sample_dir = tmp_path / "samples"
+        code = run_cli(
+            "--experiment", "sample-gaussian", "--out", str(sample_dir), "--seed", "13",
+            "--lattice.L", "2", "--sampling.n_samples", "3", "--dump_fields", "true",
+        )
+        assert code == 0
+        with open(sample_dir / "fields" / "sample_000001.txt", "a") as fh:
+            fh.write("3 9.0 9.0\n-7 1.0 1.0\n")
+        code = run_cli(
+            "--experiment", "stats", "--out", str(tmp_path / "stats"),
+            "--stats.fields_dir", str(sample_dir / "fields"),
+        )
+        assert code == 2
+        assert "expected 5 sites, found 7" in capsys.readouterr().err
+
     def test_stats_missing_dir_exit_2(self, tmp_path):
         assert run_cli("--experiment", "stats", "--out", str(tmp_path / "s")) == 2
 

@@ -26,10 +26,7 @@ from dnls.dynamics import (
     integrate,
     integrate_packed,
     p_site,
-    rhs,
     second_time_derivative,
-    step_rk4,
-    step_strang,
     subsample,
 )
 from dnls.hopping import (
@@ -42,6 +39,11 @@ from dnls.hopping import (
 )
 from dnls.lattice import DataError, FieldL, LatticeShape, box_starts, point_source, truncate
 from dnls.observables import hamiltonian, particle_number
+
+
+def one_step(scheme, field, pot, lam, dt):
+    """One step of scheme from field, run through integrate."""
+    return integrate(field, pot, SchemeConfig(scheme=scheme, dt=dt, t_end=dt, lam=lam)).final
 
 
 def _simpson_weights(m, spacing):
@@ -286,21 +288,22 @@ class TestEvolutionPolynomials:
 
     def test_rhs_zero(self):
         shape = LatticeShape(1, 3)
-        out = rhs(FieldL.zero(shape), standard_laplacian(1), 1.0)
-        assert np.all(out.values == 0)
+        out = -1j * energy_gradient(FieldL.zero(shape), standard_laplacian(1), 1.0)
+        assert np.all(out == 0)
 
     def test_rhs_constant_field(self):
         # linear part annihilates constants in d=1, leaving -i lam c^3
         shape = LatticeShape(1, 5)
         c = 1.7
-        out = rhs(FieldL(shape, np.full(shape.dims, c)), standard_laplacian(1), 2.0)
-        assert np.allclose(out.values, -1j * 2.0 * c**3, atol=1e-13)
+        out = -1j * energy_gradient(FieldL(shape, np.full(shape.dims, c)), standard_laplacian(1),
+                                    2.0)
+        assert np.allclose(out, -1j * 2.0 * c**3, atol=1e-13)
 
     def test_rhs_linear_delta_peak(self):
         f = truncate(point_source(1.0), LatticeShape(1, 4))
-        out = rhs(f, standard_laplacian(1), 0.0)
-        assert out.at((0,)) == pytest.approx(-1j)
-        assert out.at((1,)) == pytest.approx(0.5j)
+        out = -1j * energy_gradient(f, standard_laplacian(1), 0.0)
+        assert out[f.shape.index((0,))] == pytest.approx(-1j)
+        assert out[f.shape.index((1,))] == pytest.approx(0.5j)
 
     def test_p_zero_field(self):
         shape = LatticeShape(1, 4)
@@ -353,7 +356,7 @@ class TestSteps:
         pot = standard_laplacian(1)
         f = random_field(shape, 0)
         dt = 0.3
-        stepped = step_strang(f, pot, 0.0, dt)
+        stepped = one_step("strang", f, pot, 0.0, dt)
         exact = dense_propagator(pot, shape, dt) @ f.values
         assert np.max(np.abs(stepped.values - exact)) < 1e-13
 
@@ -364,19 +367,19 @@ class TestSteps:
         dt = 0.7
         out = f
         for _ in range(3):
-            out = step_strang(out, pot, 1.5, dt)
+            out = one_step("strang", out, pot, 1.5, dt)
         exact = np.exp(-1j * 1.5 * np.abs(f.values) ** 2 * (3 * dt)) * f.values
         assert np.max(np.abs(out.values - exact)) < 1e-13
 
     def test_strang_preserves_particle_number(self):
         f = random_field(LatticeShape(1, 16), 2)
-        out = step_strang(f, standard_laplacian(1), 1.0, 1e-2)
+        out = one_step("strang", f, standard_laplacian(1), 1.0, 1e-2)
         n0, n1 = particle_number(f), particle_number(out)
         assert abs(n1 - n0) <= 1e-12 * n0
 
     def test_rk4_zero_field(self):
         shape = LatticeShape(1, 4)
-        out = step_rk4(FieldL.zero(shape), standard_laplacian(1), 1.0, 0.1)
+        out = one_step("rk4", FieldL.zero(shape), standard_laplacian(1), 1.0, 0.1)
         assert np.all(out.values == 0)
 
     def test_rk4_linear_matches_taylor4(self):
@@ -391,7 +394,7 @@ class TestSteps:
         for k in range(1, 5):
             acc = m @ acc / k
             taylor = taylor + acc
-        out = step_rk4(f, pot, 0.0, dt)
+        out = one_step("rk4", f, pot, 0.0, dt)
         assert np.max(np.abs(out.values - taylor)) < 1e-14
 
     def test_rk4_fourth_order_convergence(self):
@@ -573,8 +576,7 @@ class TestIntegrate:
         expected = reference_snapshots(scheme, f, pot, lam, dt, stride, n_snap)
         # bit for bit, signed zeros included
         assert same_bits(traj.values, expected)
-        one_step = step_strang if scheme == "strang" else step_rk4
-        assert same_bits(one_step(f, pot, lam, dt).values,
+        assert same_bits(one_step(scheme, f, pot, lam, dt).values,
                          reference_stepper(scheme, pot, f.shape, lam, dt)(f.values))
 
     # boxes below 2^14 sites are bit-equal to the reference; at 16,385 sites
@@ -767,10 +769,10 @@ class TestDenseLinearFlow:
         assert (2 * shape.L + 3) ** d > dnls.dynamics._DENSE_SITES
         for seed in range(5):
             pot, f = random_kernel(d, ell, seed), random_field(shape, seed)
-            dense = step_strang(f, pot, 1.0, 0.01).values
+            dense = one_step("strang", f, pot, 1.0, 0.01).values
             with monkeypatch.context() as patch:
                 patch.setattr(dnls.dynamics, "_DENSE_SITES", 0)
-                fourier = step_strang(f, pot, 1.0, 0.01).values
+                fourier = one_step("strang", f, pot, 1.0, 0.01).values
             assert 0.0 < np.max(np.abs(dense - fourier)) <= self.STEP_TOL
 
     @pytest.mark.parametrize("ell", [1, 2])
@@ -797,7 +799,7 @@ class TestTrajectoryGradients:
             j = 4
             mid = traj.snapshots[j]
             fd = (traj.snapshots[j + 1].values - traj.snapshots[j - 1].values) / (2 * dt)
-            expected = rhs(mid, pot, 1.0).values
+            expected = -1j * energy_gradient(mid, pot, 1.0)
             errors.append(np.max(np.abs(fd - expected)))
         assert 2.5 <= errors[0] / errors[1] <= 6.0
 

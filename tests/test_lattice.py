@@ -263,7 +263,42 @@ class TestFieldRows:
     @pytest.mark.parametrize("d, L", [(1, 0), (2, 3)])
     def test_empty_stack(self, d, L):
         shape = LatticeShape(d, L)
-        assert field_rows(shape, np.empty((0, *shape.dims), dtype=complex)) == ()
+        assert tuple(field_rows(shape, np.empty((0, *shape.dims), dtype=complex))) == ()
+
+    def test_view_indexing(self):
+        shape = LatticeShape(2, 1)
+        stack = self.frozen_stack(shape, 5)
+        rows = field_rows(shape, stack)
+        assert len(rows) == 5
+        for i in range(-5, 5):
+            assert rows[i].shape == shape
+            assert same_bits(rows[i].values, stack[i])
+        assert same_bits(rows[np.int64(-2)].values, stack[3])
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[1.0]
+
+    @pytest.mark.parametrize("part", [slice(1, 4), slice(None, None, -2), slice(3, 1),
+                                      slice(-2, None)])
+    def test_view_slices(self, part):
+        shape = LatticeShape(1, 2)
+        stack = self.frozen_stack(shape, 5)
+        rows = field_rows(shape, stack)[part]
+        assert len(rows) == len(stack[part])
+        for row, want in zip(rows, stack[part]):
+            assert np.shares_memory(row.values, stack)
+            assert same_bits(row.values, want)
+        assert len(rows[1:]) == max(0, len(rows) - 1)
+
+    def test_view_rows_read_only(self):
+        shape = LatticeShape(1, 3)
+        rows = field_rows(shape, np.ones((3, 7), dtype=complex))
+        for row in [*rows, rows[-1], *rows[::2]]:
+            assert not row.values.flags.writeable
+            with pytest.raises(ValueError):
+                row.values[0] = 2.0
 
 
 class TestGenerators:
@@ -364,6 +399,14 @@ class TestDump:
         assert lines[0] == "1 1"
         assert lines[1].startswith("-1 ")
         assert lines[3].startswith("1 ")
+
+    def test_lines_past_the_box_rejected(self, tmp_path):
+        path = tmp_path / "field.txt"
+        dump_field(FieldL(LatticeShape(1, 2), np.arange(5) + 1j), path)
+        with open(path, "a") as fh:
+            fh.write("3 9.0 9.0\n-7 1.0 1.0\n")
+        with pytest.raises(DataError, match="expected 5 sites, found 7"):
+            load_field(path)
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

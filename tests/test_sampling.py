@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,21 @@ class TestGibbsChain:
         samples = run_gibbs_chain(spec, POT, LatticeShape(1, 3), 0, 4).samples
         assert len(samples) == 4
         assert all(s.shape == LatticeShape(1, 3) for s in samples)
+
+    def test_live_chain_holds_its_sample_buffer_alone(self):
+        # 100,000 one-site samples are a 1.6 MB buffer, and a live chain held
+        # 1.6-2.3 MB in all; holding them as one FieldL and one array view
+        # each took 23 MB.  The bound is twice the buffer
+        spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.7, burn_in=0, thinning=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chain = run_gibbs_chain(spec, POT, LatticeShape(1, 0), 5, 100_000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(chain.samples) == 100_000
+        assert held < 2 * 100_000 * 16
 
     def test_single_site_matches_quadrature_oracle(self):
         shape = LatticeShape(1, 0)
@@ -371,7 +387,8 @@ class TestSweepBits:
     # criterion 10's one-site box: every class in the loop, on float lists
     @example(dim=(1, 0), ell=1, zero=False, burn_in=2, thinning=2, n_samples=3,
              all_numpy=False, seed=31337)
-    # two 40-site numpy classes and a one-site loop class on the numpy views
+    # two 40-site numpy classes and a one-site loop class on lists gathered
+    # from the numpy kernel's state
     @example(dim=(1, 40), ell=1, zero=False, burn_in=2, thinning=2, n_samples=3,
              all_numpy=False, seed=1040)
     # an all-loop box runs up to each retained sample or draw block end at
