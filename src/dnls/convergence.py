@@ -66,20 +66,6 @@ def _sup_difference(a: Trajectory, a_at: tuple, b: np.ndarray, b_at: tuple, m: i
     return best
 
 
-def pointwise_disagreement(
-    traj_big: Trajectory,
-    traj_small: Trajectory,
-    x: Sequence[int],
-    t: float,
-) -> float:
-    """max over grid times s <= t of |psi_s^big(x) - psi_s^small(x)|."""
-    _require_nested(traj_big, traj_small)
-    site = traj_small.shape.require_site(x)
-    m = traj_small.time_index(t)
-    return _sup_difference(traj_big, traj_big.shape.index(site), traj_small.values,
-                           traj_small.shape.index(site), m)
-
-
 def window_disagreement(
     traj_big: Trajectory,
     traj_small: Trajectory,

@@ -577,12 +577,6 @@ def duhamel_defect_first(traj: Trajectory, pot: HoppingPotential, lam: float,
     return complex(increment + 1j * np.sum(weights * g))
 
 
-def duhamel_residual_first(traj: Trajectory, pot: HoppingPotential, lam: float,
-                           x: Sequence[int], t: float) -> float:
-    """| psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds |."""
-    return abs(duhamel_defect_first(traj, pot, lam, x, t))
-
-
 def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
                           x: Sequence[int], t: float) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds.
@@ -598,12 +592,6 @@ def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
     p = _second_at(apply, lam, traj.values[:m + 1], idx)
     g0 = _gradient_values(apply, lam, traj.values[0])[idx]
     return complex(increment + 1j * t * g0 - np.sum(weights * ((t - traj.times[:len(p)]) * p)))
-
-
-def duhamel_residual_second(traj: Trajectory, pot: HoppingPotential, lam: float,
-                            x: Sequence[int], t: float) -> float:
-    """| psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds |."""
-    return abs(duhamel_defect_second(traj, pot, lam, x, t))
 
 
 def subsample(traj: Trajectory, factor: int) -> Trajectory:

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import FieldL, LatticeShape, Site, box_starts, frozen, read_only, wrap_coord
+from .lattice import FieldL, LatticeShape, Site, box_starts, frozen, read_only
 
 
 class KernelError(ValueError):
@@ -433,15 +433,6 @@ def clipped_offsets(pot: HoppingPotential, shape: LatticeShape) -> list[tuple[Si
     ]
 
 
-def save_potential(pot: HoppingPotential, path) -> None:
-    """Kernel file: 'd ell' header, one 'y1 .. yd alpha' line per nonzero offset."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{pot.d} {pot.range}\n")
-        for offset, coeff in pot.nonzero_offsets():
-            coords = " ".join(str(c) for c in offset)
-            fh.write(f"{coords} {coeff!r}\n")
-
-
 def load_potential(path) -> HoppingPotential:
     """Load a kernel file; omitted offsets are zero; the constructor enforces
     finiteness and symmetry."""
@@ -462,8 +453,3 @@ def load_potential(path) -> HoppingPotential:
                 raise KernelError(f"offset {offset} outside declared range {rng}")
             coeffs[tuple(c + rng for c in offset)] = float(parts[d])
     return HoppingPotential(d=d, range=rng, coeffs=coeffs)
-
-
-def wrapped_difference(shape: LatticeShape, x: Site, y: Site) -> Site:
-    """Representative of x - y in the box; the argument the kernel sees."""
-    return tuple(wrap_coord(int(a) - int(b), shape.side) for a, b in zip(x, y))

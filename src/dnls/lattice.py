@@ -109,30 +109,6 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return frozen(arr.copy()) if arr.flags.writeable else arr
 
 
-def wrap_coord(c: int, side: int) -> int:
-    """Representative of c modulo side in [-(side-1)/2, (side-1)/2]."""
-    half = (side - 1) // 2
-    return (c + half) % side - half
-
-
-def wrap_add(shape: LatticeShape, x: Sequence[int], y: Sequence[int]) -> Site:
-    """Coordinatewise sum reduced modulo 2L+1 back into the box."""
-    xs = shape.require_site(x)
-    ys = shape.require_site(y)
-    return tuple(wrap_coord(a + b, shape.side) for a, b in zip(xs, ys))
-
-
-def torus_dist_inf(shape: LatticeShape, x: Sequence[int], y: Sequence[int]) -> int:
-    """Minimum-image sup-norm distance on the torus; value in [0, L]."""
-    xs = shape.require_site(x)
-    ys = shape.require_site(y)
-    dist = 0
-    for a, b in zip(xs, ys):
-        delta = abs(a - b)
-        dist = max(dist, min(delta, shape.side - delta))
-    return dist
-
-
 def torus_distance_grid(shape: LatticeShape, center: Sequence[int]) -> np.ndarray:
     """Minimum-image sup-distance from center, over the whole box.
 
@@ -155,20 +131,6 @@ def bracket_grid(shape: LatticeShape) -> np.ndarray:
 def power_weight(shape: LatticeShape, p: float) -> np.ndarray:
     """<x>^(-p) at the true coordinates of the box sites, for any real p."""
     return bracket_grid(shape) ** (-p / 2.0)
-
-
-def ball(shape: LatticeShape, x: Sequence[int], r: int) -> list[Site]:
-    """All sites within torus sup-distance r of x, without duplicates."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    xs = shape.require_site(x)
-    reach = min(r, shape.L)
-    offsets = range(-reach, reach + 1)
-    out: list[Site] = []
-    for idx in np.ndindex((2 * reach + 1,) * shape.d):
-        delta = tuple(offsets[i] for i in idx)
-        out.append(tuple(wrap_coord(a + o, shape.side) for a, o in zip(xs, delta)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -197,9 +159,6 @@ class FieldL:
 
     def at(self, x: Sequence[int]) -> complex:
         return complex(self.values[self.shape.index(x)])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     @classmethod
     def zero(cls, shape: LatticeShape) -> "FieldL":
@@ -303,15 +262,6 @@ def truncate(gen: Generator, shape: LatticeShape) -> FieldL:
     values = np.fromiter((complex(gen(site)) for site in shape.sites()),
                          dtype=np.complex128, count=shape.volume)
     return FieldL(shape, frozen(values))
-
-
-def embed_lookup(field: FieldL, z: Sequence[int]) -> complex:
-    """Periodic extension: value at the representative of z modulo 2L+1."""
-    shape = field.shape
-    if len(z) != shape.d:
-        raise InvalidSiteError(f"expected {shape.d} coordinates, got {len(z)}")
-    rep = tuple(wrap_coord(int(c), shape.side) for c in z)
-    return field.at(rep)
 
 
 def dump_field(field: FieldL, path) -> None:

@@ -29,12 +29,10 @@ from .dynamics import Trajectory
 from .hopping import HoppingPotential, convolve_values, require_fits, stencil
 from .lattice import (
     FieldL,
-    Generator,
     LatticeShape,
     Site,
     power_weight,
     torus_distance_grid,
-    truncate,
 )
 
 PASS_SLACK = 1e-9
@@ -139,10 +137,6 @@ def _flux(psi: np.ndarray, conv: np.ndarray) -> np.ndarray:
     return 2.0 * np.imag(np.conj(psi) * conv)
 
 
-def particle_flux(field: FieldL, pot: HoppingPotential, y: Sequence[int]) -> float:
-    return float(particle_flux_field(field, pot)[field.shape.index(y)])
-
-
 def weighted_flux(
     field: FieldL,
     pot: HoppingPotential,
@@ -245,16 +239,6 @@ def _weight_grid(shape: LatticeShape, spec: WeightSpec) -> np.ndarray:
 def weighted_norm(field: FieldL, spec: WeightSpec) -> float:
     """max over box sites of Phi(x) |psi(x)|, true coordinates."""
     return float(np.max(_weight_grid(field.shape, spec) * np.abs(field.values)))
-
-
-def generator_weighted_norm(
-    gen: Generator,
-    d: int,
-    radius: int,
-    spec: WeightSpec,
-) -> float:
-    """max of Phi(z) |gen(z)| over the centered Z^d cube of the given radius."""
-    return weighted_norm(truncate(gen, LatticeShape(d=d, L=radius)), spec)
 
 
 def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) -> float:

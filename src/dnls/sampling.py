@@ -421,18 +421,6 @@ def site_uniformity_z(stats: SampleStats) -> float:
     return float(np.max(np.abs(stats.per_site_moments - center) / se))
 
 
-def two_point_function(samples: Sequence[FieldL]) -> np.ndarray:
-    """E psi(x+r) psi(x)^* averaged over sites and samples, FFT offset order."""
-    if not samples:
-        raise ValueError("need at least one sample")
-    shape = samples[0].shape
-    acc = np.zeros(shape.dims, dtype=np.complex128)
-    for s in samples:
-        f = np.fft.fftn(s.values)
-        acc += np.fft.ifftn(f * np.conj(f))
-    return acc / (len(samples) * shape.volume)
-
-
 @dataclass(frozen=True)
 class PowerLawViolations:
     """Sites of one sample where |psi(x)| > <x>^(1/a), with counts of those

@@ -1,18 +1,42 @@
 """Shared fixtures and independent oracle implementations.
 
 The oracles here deliberately avoid the package's vectorized code paths:
-convolution and energy are brute-force double sums over sites, and the
-linear propagator is a dense eigendecomposition.  Tests freeze expected
+convolution and energy are brute-force double sums over sites, the linear
+propagator is a dense eigendecomposition, and the linear flow of the
+nearest-neighbour Laplacian is a closed-form Bessel image sum.  Tests freeze expected
 values computed from these, never from the code under test.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from scipy.special import jv
 
-from dnls.hopping import HoppingPotential, wrapped_difference
-from dnls.lattice import FieldL, LatticeShape
+from dnls.hopping import HoppingPotential, nearest_neighbor_laplacian
+from dnls.lattice import FieldL, LatticeShape, Site
+
+
+def wrap_coord(c: int, side: int) -> int:
+    """Representative of c modulo side in [-(side-1)/2, (side-1)/2]."""
+    half = (side - 1) // 2
+    return (c + half) % side - half
+
+
+def wrapped_difference(shape: LatticeShape, x: Site, y: Site) -> Site:
+    """Representative of x - y in the box; the argument the kernel sees."""
+    return tuple(wrap_coord(int(a) - int(b), shape.side) for a, b in zip(x, y))
+
+
+def torus_dist_inf(shape: LatticeShape, x: Site, y: Site) -> int:
+    """Minimum-image sup-norm distance on the torus, one site pair at a time."""
+    dist = 0
+    for a, b in zip(shape.require_site(x), shape.require_site(y)):
+        delta = abs(a - b)
+        dist = max(dist, min(delta, shape.side - delta))
+    return dist
 
 
 def naive_convolve(pot: HoppingPotential, field: FieldL) -> np.ndarray:
@@ -53,6 +77,27 @@ def dense_propagator(pot: HoppingPotential, shape: LatticeShape, t: float) -> np
     mat = hopping_matrix(pot, shape)
     w, v = np.linalg.eigh(mat)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def bessel_flow(shape: LatticeShape, kernel: HoppingPotential, t: float) -> np.ndarray:
+    """exp(-i t alpha*) of a unit point source at the origin, on the periodic box.
+
+    On Z^d the flow of nearest_neighbor_laplacian(d) (standard_laplacian(1)
+    in d = 1) is e^{-it} times the product over axes of i^|n| J_|n|(t/d): the
+    Bessel generating function e^{(z/2)(w + 1/w)} = sum_n I_n(z) w^n at
+    z = i t/d, with I_n(i s) = i^n J_n(s).  The box's solution is the sum of
+    that over the images n + m(2L+1), taken per axis past |n| = 80, where
+    J_|n|(t/d) is far below rounding for t/d of order one.
+    """
+    d = shape.d
+    if kernel.range != 1 or not np.array_equal(kernel.coeffs,
+                                               nearest_neighbor_laplacian(d).coeffs):
+        raise ValueError("bessel_flow needs nearest_neighbor_laplacian(d)")
+    images = np.arange(-(80 // shape.side + 1), 80 // shape.side + 2)
+    n = np.abs(np.arange(-shape.L, shape.L + 1)[:, None] + shape.side * images[None, :])
+    powers_of_i = np.array([1, 1j, -1, -1j])[n % 4]
+    axis = np.sum(powers_of_i * jv(n, t / d), axis=1)
+    return np.exp(-1j * t) * reduce(np.multiply.outer, [axis] * d)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

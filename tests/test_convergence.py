@@ -7,7 +7,6 @@ from conftest import random_field, random_kernel, same_bits
 from dnls.convergence import (
     SweepConfig,
     drift,
-    pointwise_disagreement,
     run_box_sweep,
     scheme_disagreement,
     window_disagreement,
@@ -37,7 +36,6 @@ class TestDisagreement:
         self.big, self.small = run_pair(self.gen, 8, self.scheme)
 
     def test_zero_at_time_zero(self):
-        assert pointwise_disagreement(self.big, self.small, (2,), 0.0) == 0.0
         assert window_disagreement(self.big, self.small, 4, 0.0) == 0.0
 
     def test_rerun_is_bit_identical(self):
@@ -47,7 +45,8 @@ class TestDisagreement:
             assert np.array_equal(a.values, b.values)
 
     def test_monotone_in_time(self):
-        values = [pointwise_disagreement(self.big, self.small, (0,), float(t)) for t in self.small.times]
+        # k = 0: the pointwise disagreement at the origin
+        values = [window_disagreement(self.big, self.small, 0, float(t)) for t in self.small.times]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_window_monotone_in_k(self):
@@ -55,14 +54,14 @@ class TestDisagreement:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_site_outside_small_box_rejected(self):
-        with pytest.raises(Exception):
-            pointwise_disagreement(self.big, self.small, (9,), 0.5)
+        with pytest.raises(ValueError):
+            window_disagreement(self.big, self.small, 9, 0.5)
 
     def test_grid_mismatch_rejected(self):
         other_scheme = SchemeConfig(scheme="rk4", dt=5e-3, t_end=0.5, snapshot_stride=1, lam=1.0)
         other = integrate(truncate(self.gen, LatticeShape(1, 8)), POT, other_scheme)
         with pytest.raises(ValueError):
-            pointwise_disagreement(self.big, other, (0,), 0.5)
+            window_disagreement(self.big, other, 0, 0.5)
 
     def test_requires_larger_first(self):
         with pytest.raises(ValueError):
@@ -89,7 +88,7 @@ class TestDrift:
         f = random_field(LatticeShape(1, 8), 1)
         cfg = SchemeConfig(dt=1e-2, t_end=1.0, snapshot_stride=10, lam=1.0)
         traj = integrate(f, POT, cfg)
-        max_abs = max(s.max_abs() for s in traj.snapshots)
+        max_abs = max(float(np.max(np.abs(s.values))) for s in traj.snapshots)
         assert drift(traj, 1.0) <= 2.0 * max_abs + 1e-12
 
 

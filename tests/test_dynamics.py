@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_propagator, hopping_matrix, naive_convolve, random_field, random_kernel,
-                      same_bits)
+                      same_bits, wrapped_difference)
 import dnls.dynamics
 from dnls.dynamics import (
     _fourier_passes,
@@ -19,8 +19,6 @@ from dnls.dynamics import (
     Trajectory,
     duhamel_defect_first,
     duhamel_defect_second,
-    duhamel_residual_first,
-    duhamel_residual_second,
     energy_gradient,
     g_site,
     integrate,
@@ -34,7 +32,6 @@ from dnls.hopping import (
     dispersion,
     standard_laplacian,
     stencil,
-    wrapped_difference,
     zero_potential,
 )
 from dnls.lattice import DataError, FieldL, LatticeShape, box_starts, point_source, truncate
@@ -858,22 +855,22 @@ class TestDuhamel:
         f = random_field(LatticeShape(1, 6), 13)
         cfg = SchemeConfig(dt=1e-2, t_end=0.1, snapshot_stride=1)
         traj = integrate(f, standard_laplacian(1), cfg)
-        assert duhamel_residual_first(traj, standard_laplacian(1), 1.0, (0,), 0.0) == 0.0
-        assert duhamel_residual_second(traj, standard_laplacian(1), 1.0, (0,), 0.0) == 0.0
+        assert abs(duhamel_defect_first(traj, standard_laplacian(1), 1.0, (0,), 0.0)) == 0.0
+        assert abs(duhamel_defect_second(traj, standard_laplacian(1), 1.0, (0,), 0.0)) == 0.0
 
     def test_zero_field(self):
         f = FieldL.zero(LatticeShape(1, 6))
         cfg = SchemeConfig(dt=1e-2, t_end=0.1, snapshot_stride=1)
         traj = integrate(f, standard_laplacian(1), cfg)
         for t in traj.times:
-            assert duhamel_residual_first(traj, standard_laplacian(1), 1.0, (0,), float(t)) == 0.0
+            assert abs(duhamel_defect_first(traj, standard_laplacian(1), 1.0, (0,), float(t))) == 0.0
 
     def test_off_grid_time_rejected(self):
         f = random_field(LatticeShape(1, 6), 14)
         cfg = SchemeConfig(dt=1e-2, t_end=0.1, snapshot_stride=2)
         traj = integrate(f, standard_laplacian(1), cfg)
         with pytest.raises(ValueError):
-            duhamel_residual_first(traj, standard_laplacian(1), 1.0, (0,), 0.03)
+            duhamel_defect_first(traj, standard_laplacian(1), 1.0, (0,), 0.03)
 
     def _oracle_trajectory(self, shape, pot, f, T, n_snap):
         times = np.linspace(0.0, T, n_snap + 1)
@@ -889,7 +886,7 @@ class TestDuhamel:
         f = random_field(shape, 15)
         traj = self._oracle_trajectory(shape, pot, f, 1.0, 100)
         for x in [(0,), (3,)]:
-            assert duhamel_residual_second(traj, pot, 0.0, x, 1.0) <= 1e-8
+            assert abs(duhamel_defect_second(traj, pot, 0.0, x, 1.0)) <= 1e-8
 
     def test_residual_refinement_at_quadrature_order(self):
         # on an exact trajectory the residual is pure quadrature error
@@ -898,8 +895,8 @@ class TestDuhamel:
         f = random_field(shape, 16)
         coarse = self._oracle_trajectory(shape, pot, f, 1.0, 10)
         fine = self._oracle_trajectory(shape, pot, f, 1.0, 20)
-        r_coarse = duhamel_residual_second(coarse, pot, 0.0, (1,), 1.0)
-        r_fine = duhamel_residual_second(fine, pot, 0.0, (1,), 1.0)
+        r_coarse = abs(duhamel_defect_second(coarse, pot, 0.0, (1,), 1.0))
+        r_fine = abs(duhamel_defect_second(fine, pot, 0.0, (1,), 1.0))
         assert r_coarse / r_fine >= 4.0
 
     @pytest.mark.parametrize("d, L, t_end, kernel", [
@@ -964,4 +961,4 @@ class TestDuhamel:
         cfg = SchemeConfig(scheme="strang", dt=1e-3, t_end=1.0, snapshot_stride=10, lam=1.0)
         traj = integrate(f, pot, cfg)
         for x in [(0,), (5,), (-12,)]:
-            assert duhamel_residual_first(traj, pot, 1.0, x, 1.0) <= 1e-6
+            assert abs(duhamel_defect_first(traj, pot, 1.0, x, 1.0)) <= 1e-6

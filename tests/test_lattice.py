@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -9,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dnls.lattice
 from dnls.lattice import (
@@ -18,20 +15,17 @@ from dnls.lattice import (
     FieldL,
     InvalidSiteError,
     LatticeShape,
-    ball,
     constant_generator,
     dump_field,
-    embed_lookup,
     field_rows,
     hashed_noise_generator,
     load_field,
     point_source,
     regularized_abs,
-    torus_dist_inf,
+    torus_distance_grid,
     truncate,
-    wrap_add,
 )
-from conftest import same_bits
+from conftest import same_bits, torus_dist_inf
 
 
 def reference_hashed_noise(seed, envelope_exponent=0.0, amplitude=1.0):
@@ -96,88 +90,39 @@ class TestLatticeShape:
             shape.require_site((0, 0))
 
 
-class TestWrapAdd:
-    def test_reduction_into_box(self):
-        # 2 + 1 = 3 == -2 mod 5
-        assert wrap_add(LatticeShape(1, 2), (2,), (1,)) == (-2,)
-
-    def test_additive_identity(self):
-        shape = LatticeShape(2, 3)
-        assert wrap_add(shape, (2, -3), (0, 0)) == (2, -3)
-
-    def test_per_coordinate_reduction(self):
-        assert wrap_add(LatticeShape(2, 1), (1, 1), (1, 1)) == (-1, -1)
-
-    def test_rejects_out_of_box(self):
-        with pytest.raises(InvalidSiteError):
-            wrap_add(LatticeShape(1, 2), (3,), (0,))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 4), st.data())
-    def test_group_laws(self, L, data):
-        shape = LatticeShape(1, L)
-        coord = st.integers(-L, L)
-        x = (data.draw(coord),)
-        y = (data.draw(coord),)
-        z = (data.draw(coord),)
-        assert wrap_add(shape, x, y) == wrap_add(shape, y, x)
-        assert wrap_add(shape, wrap_add(shape, x, y), z) == wrap_add(shape, x, wrap_add(shape, y, z))
-        assert wrap_add(shape, x, tuple(-c for c in x)) == (0,)
-
-
 class TestTorusDist:
+    """torus_distance_grid(shape, x)[shape.index(y)] is the minimum-image
+    sup-norm distance from x to y."""
+
     def test_self_distance_zero(self):
         shape = LatticeShape(2, 3)
-        assert torus_dist_inf(shape, (1, -2), (1, -2)) == 0
+        assert torus_distance_grid(shape, (1, -2))[shape.index((1, -2))] == 0
 
     def test_wrap_around_shorter(self):
-        assert torus_dist_inf(LatticeShape(1, 2), (-2,), (2,)) == 1
+        shape = LatticeShape(1, 2)
+        assert torus_distance_grid(shape, (-2,))[shape.index((2,))] == 1
 
     def test_2d_example(self):
-        assert torus_dist_inf(LatticeShape(2, 3), (3, 0), (-3, 1)) == 1
+        shape = LatticeShape(2, 3)
+        assert torus_distance_grid(shape, (3, 0))[shape.index((-3, 1))] == 1
 
-    @pytest.mark.parametrize("d,L", [(1, 3), (2, 2)])
+    @pytest.mark.parametrize("d,L", [(1, 3), (2, 2), (3, 2)])
     def test_metric_axioms_exhaustive(self, d, L):
         shape = LatticeShape(d, L)
         sites = list(shape.sites())
-        for x, y in itertools.product(sites, repeat=2):
-            dxy = torus_dist_inf(shape, x, y)
-            assert dxy == torus_dist_inf(shape, y, x)
-            assert (dxy == 0) == (x == y)
-            assert 0 <= dxy <= L
-        for x, y, z in itertools.product(sites[::2], sites[::2], sites[::2]):
-            assert torus_dist_inf(shape, x, z) <= (
-                torus_dist_inf(shape, x, y) + torus_dist_inf(shape, y, z)
-            )
+        dist = np.array([[grid[shape.index(y)] for y in sites]
+                         for grid in (torus_distance_grid(shape, x) for x in sites)])
+        assert np.array_equal(dist, dist.T)
+        assert np.array_equal(dist == 0, np.eye(len(sites), dtype=bool))
+        assert dist.min() >= 0 and dist.max() == L
+        # dist[x, z] <= dist[x, y] + dist[y, z] for every triple (x, y, z)
+        assert np.all(dist[:, None, :] <= dist[:, :, None] + dist[None, :, :])
 
-
-class TestBall:
-    def test_radius_zero(self):
+    def test_matches_pairwise_distance(self):
         shape = LatticeShape(2, 3)
-        assert ball(shape, (1, 1), 0) == [(1, 1)]
-
-    def test_small_radius_count(self):
-        assert len(ball(LatticeShape(1, 5), (0,), 1)) == 3
-
-    def test_capped_at_volume(self):
-        b = ball(LatticeShape(1, 1), (0,), 2)
-        assert sorted(b) == [(-1,), (0,), (1,)]
-
-    @pytest.mark.parametrize("d,L,r", [(1, 4, 2), (2, 3, 1), (2, 2, 3)])
-    def test_count_and_membership(self, d, L, r):
-        shape = LatticeShape(d, L)
-        x = (1,) * d
-        b = ball(shape, x, r)
-        assert len(b) == len(set(b)) == min((2 * r + 1) ** d, shape.volume)
-        for y in b:
-            assert torus_dist_inf(shape, x, y) <= r
-        for y in shape.sites():
-            if torus_dist_inf(shape, x, y) <= r:
-                assert y in b
-
-    def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            ball(LatticeShape(1, 2), (0,), -1)
+        for x in shape.sites():
+            grid = torus_distance_grid(shape, x)
+            assert all(grid[shape.index(y)] == torus_dist_inf(shape, x, y) for y in shape.sites())
 
 
 class TestFieldL:
@@ -313,12 +258,6 @@ class TestGenerators:
         for x in small.shape.sites():
             assert small.at(x) == big.at(x)
 
-    def test_trunc_embed_roundtrip(self):
-        shape = LatticeShape(1, 3)
-        f = truncate(hashed_noise_generator(seed=3), shape)
-        again = truncate(lambda z: embed_lookup(f, z), shape)
-        assert np.array_equal(f.values, again.values)
-
     def test_generator_purity(self):
         gen_a = hashed_noise_generator(seed=42, envelope_exponent=0.3)
         gen_b = hashed_noise_generator(seed=42, envelope_exponent=0.3)
@@ -354,29 +293,6 @@ class TestGenerators:
         with pytest.raises(DataError):
             truncate(lambda z: math.inf, LatticeShape(1, 1))
         truncate(bad, LatticeShape(1, 1))
-
-
-class TestEmbedLookup:
-    def test_inside_box(self):
-        f = FieldL(LatticeShape(1, 2), np.arange(5, dtype=complex))
-        assert embed_lookup(f, (1,)) == f.at((1,))
-
-    def test_wraps_outside(self):
-        f = FieldL(LatticeShape(1, 2), np.arange(5, dtype=complex))
-        assert embed_lookup(f, (7,)) == f.at((2,))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(-30, 30), st.integers(0, 3))
-    def test_periodicity(self, z, axis_shift):
-        shape = LatticeShape(1, 3)
-        f = truncate(hashed_noise_generator(seed=5), shape)
-        assert embed_lookup(f, (z,)) == embed_lookup(f, (z + shape.side,))
-        assert embed_lookup(f, (z,)) == embed_lookup(f, (z - 2 * shape.side,))
-
-    def test_dimension_mismatch(self):
-        f = FieldL.zero(LatticeShape(1, 2))
-        with pytest.raises(InvalidSiteError):
-            embed_lookup(f, (1, 2))
 
 
 class TestDump:
