@@ -21,9 +21,10 @@ work; the whole table takes 30-45 s on a shared 2-core Xeon host.
 A second table times the hopping stencil alone, with the standard
 Laplacian, at the sizes where the RK4 step and the energies spend most of
 their time: microseconds per apply of a buffered stencil (`Stencil.buffered`,
-resolved once, as the RK4 stepper applies it) and per one-shot
-`convolve_values` call, which resolves the stencil and binds its work arrays
-on every call, as `hamiltonian` and the flux do; it takes about 5 s more.
+bound once, as the RK4 stepper applies it) and per one-shot
+`convolve_values` call, which looks its layout up in the memo of
+`hopping.stencil` and binds its work arrays on every call, as `hamiltonian`
+and the flux do; it takes about 5 s more.
 
 A host whose speed swings in phases moves the raw columns with the phase,
 not with the code, so each row also prints its host speed factor, the

@@ -451,6 +451,8 @@ def run_uniqueness(c: dict, writer: RunWriter) -> tuple[dict, dict]:
         raise ConfigError("uniqueness needs at least two dt values")
     if len(set(dt_list)) != len(dt_list):
         raise ConfigError(f"uniqueness.dt_list has repeated entries: {dt_list}")
+    if any(dt <= 0 for dt in dt_list):
+        raise ConfigError(f"uniqueness.dt_list entries must be positive, got {dt_list}")
     base = build_scheme(c)
     if base.t_end <= 0:
         raise ConfigError("uniqueness needs dynamics.t_end > 0")

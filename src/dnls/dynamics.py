@@ -35,9 +35,10 @@ stay small whatever n is.  The stack is checked once: row by row in
 integrate, or whole by the constructor for outside data.
 
 Several boxes of one dimension can step together with RK4 as one packed
-state (integrate_packed): one step body serves one box or many, and each
-box gets the bits integrate gives it, while a step costs about as many
-numpy calls as one box's.  Nothing is stored; a callback reads each
+state (integrate_packed): one step body, built on the one stencil resolved
+for one box or for all of them, serves one box or many, and each box gets
+the bits integrate gives it, while a step costs about as many numpy calls
+as one box's.  Nothing is stored; a callback reads each
 snapshot.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
@@ -55,8 +56,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .hopping import (HoppingPotential, Stencil, dispersion, packed_stencil, require_fits,
-                      stencil)
+from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
 from .lattice import DataError, FieldL, FieldRows, LatticeShape, box_starts, frozen, read_only
 
 # a stepper advances `steps` steps from `values`, writing the result into
@@ -235,9 +235,10 @@ def _second_at(apply: Stencil, lam: float, stack: np.ndarray, idx: tuple[int, ..
                          apply.gather(idx, conv, lead), apply.gather(idx, cubic, lead))
 
 
-def _checked_stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
-    require_fits(pot, shape)
-    return stencil(pot, shape)
+def _checked_stencil(pot: HoppingPotential, *shapes: LatticeShape) -> Stencil:
+    for shape in shapes:
+        require_fits(pot, shape)
+    return stencil(pot, *shapes)
 
 
 def energy_gradient(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
@@ -328,7 +329,7 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     keep the operand order of values * rotation and linear_phase * spectrum:
     the last bit of a complex product depends on it.
     """
-    disp = dispersion(pot, shape).values
+    disp = dispersion(pot, shape)
     # before the work arrays, which then reuse its temporary's freed memory
     # instead of leaving it as a hole in the heap for the stepper's lifetime
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
@@ -379,12 +380,11 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     return advance
 
 
-def _rk4(apply: Callable[[np.ndarray], np.ndarray], dims: tuple[int, ...], lam: float,
-         dt: float) -> Stepper:
+def _rk4(hopping: Stencil, lam: float, dt: float) -> Stepper:
     """Classical fourth-order steps on the raw right-hand side of states of
-    shape dims, in arrays allocated here once; apply is the hopping action on
-    such a state, returning an array of its own that the next call
-    overwrites.
+    the stencil's dims (one box, or several packed end to end), in arrays
+    allocated here once, the hopping action running through the stencil's
+    buffered form.
 
     The stages are gradients g with the -i of the right-hand side folded
     into the step scalars -i dt/2, -i dt and -i dt/6; multiplying by -i only
@@ -395,6 +395,7 @@ def _rk4(apply: Callable[[np.ndarray], np.ndarray], dims: tuple[int, ...], lam: 
     with out= in the operand order of the plain expressions, so the bits
     equal theirs whatever temporaries numpy would elide.
     """
+    apply, dims = hopping.buffered(), hopping.dims
     grad, stage, increment = np.empty((3, *dims), dtype=np.complex128)
     # lam |psi|^2 in the real parts of a complex array whose imaginary parts
     # stay +0: the value a product with psi would cast it to, without the
@@ -440,15 +441,8 @@ def _rk4(apply: Callable[[np.ndarray], np.ndarray], dims: tuple[int, ...], lam: 
 
 
 def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
-    """RK4 steps on one box, the stencil running through its buffered form."""
-    return _rk4(_checked_stencil(pot, shape).buffered(), shape.dims, lam, dt)
-
-
-def _packed_rk4_stepper(pot: HoppingPotential, shapes: Sequence[LatticeShape], lam: float,
-                        dt: float) -> Stepper:
-    """RK4 steps on several boxes at once, their values laid end to end in one
-    flat array (lattice.box_starts); each box gets the bits of _rk4_stepper."""
-    return _rk4(packed_stencil(pot, shapes), (int(box_starts(shapes)[-1]),), lam, dt)
+    """RK4 steps on one box."""
+    return _rk4(_checked_stencil(pot, shape), lam, dt)
 
 
 _STEPPERS = {"strang": _strang_stepper, "rk4": _rk4_stepper}
@@ -512,15 +506,18 @@ def integrate_packed(fields: Sequence[FieldL], pot: HoppingPotential, config: Sc
     shapes = [field.shape for field in fields]
     starts = box_starts(shapes)
     dt, stride = config.dt, config.snapshot_stride
-    advance = _packed_rk4_stepper(pot, shapes, config.lam, dt)
+    hopping = _checked_stencil(pot, *shapes)
+    advance = _rk4(hopping, config.lam, dt)
     steps = config.n_steps()
     rows = np.empty((2, starts[-1]), dtype=np.complex128)
+    # the rows in the stencil's dims: a lone box's own
+    states = rows.reshape(2, *hopping.dims)
     np.concatenate([field.values.ravel() for field in fields], out=rows[0])
     errors: list[BlowUpError | None] = [None] * len(fields)
     on_row(rows[0])
     for j in range(1, steps // stride + 1):
         prev, row = rows[(j - 1) % 2], rows[j % 2]
-        advance(prev, row, stride)
+        advance(states[(j - 1) % 2], states[j % 2], stride)
         if not np.isfinite(row).all():
             finite = np.logical_and.reduceat(np.isfinite(row), starts[:-1])
             for b in np.flatnonzero(~finite):

@@ -8,26 +8,27 @@ which the split-step integrator uses.  A HoppingPotential is finite and
 even by construction: the constructor raises KernelError otherwise, and
 fixes the row-major nonzero offsets once, so no caller checks it again.
 
-In position space the kernel acts through one stencil, resolved once per
-(kernel, box) by `stencil`: the box-restricted offsets and coefficients are
-fixed then, the offsets grouped by coefficient value.  A call applies them
-over the trailing d axes of its argument, so a stack of fields of shape
-(n, *dims) is convolved in one call; a time stepper applies them through
-`Stencil.buffered`, in arrays it allocates once, with the same bits.
-`packed_stencil` applies the same terms, with each box's bits, to several
+In position space the kernel acts through one stencil, resolved by
+`stencil` once per (kernel, boxes) and memoised: on one box, or on several
 boxes of one dimension laid end to end in one flat array, so that one call
-serves them all.  Either way the padded field is scaled once per distinct
-coefficient, not once per offset, and each offset's term is a shifted slice
-of its coefficient's scaled field.  So the work arrays hold one padded-size
-array per distinct coefficient, the padded field itself scaled in place for
-the last one: two for the Laplacians, about half the offset count for a
-kernel whose values repeat only as y and -y.
+serves them all.  The layout is fixed then: the box-restricted offsets,
+grouped by coefficient value, a padded frame per box and the two gather
+indices that fill the frames and read the box sites back.  A call applies
+it over leading axes, so a stack of fields of shape (n, *dims) is
+convolved in one call; a time stepper applies it through
+`Stencil.buffered`, in arrays it allocates once, with the same bits.  The
+frames are scaled once per distinct coefficient, not once per offset, and
+each offset's term is a shifted slice of its coefficient's scaled frames.
+So the work arrays hold one frames-size array per distinct coefficient,
+the frames themselves scaled in place for the last one: two for the
+Laplacians, about half the offset count for a kernel whose values repeat
+only as y and -y.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
@@ -154,196 +155,136 @@ def convolve_values(pot: HoppingPotential, shape: LatticeShape, values: np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class Stencil:
-    """A kernel's action on one box, out(x) = sum_y alpha(y) values(x - y),
-    in the layout `stencil` resolved.
+    """A kernel's action, out(x) = sum_y alpha(y) values(x - y), on one box
+    or on several boxes laid end to end, in the layout `stencil` resolved.
 
-    Called on an array, it acts on the trailing d axes and returns a new
-    array, so a stack of fields of shape (n, *dims) is convolved slice by
-    slice.  `buffered` gives the same action, with the same bits, on one
-    field of the box through work arrays allocated once.  Either way the
-    values are copied into a wrap-padded array, which is multiplied once by
-    each distinct coefficient of `coeffs`, into a padded-size array of its
-    own for each but the last and in place for the last, so the work arrays
-    hold one padded-size array per coefficient; an accumulator is zeroed,
-    and every term, a shifted slice of its coefficient's array, is added to
-    it in `terms` order.
+    It takes arrays of shape lead + dims and acts over the trailing axes:
+    dims is the box's for one box and (total site count,) for several, each
+    box row-major at its offset of `box_starts`.  Each box sits in a padded
+    frame whose every point holds the box site it wraps to, and the frames
+    lie end to end in one flat array, so each offset is one shift of it.  A
+    call gathers the frames from the values through `fill`, multiplies them
+    once by each distinct coefficient of `coeffs`, into a frames-size array
+    of its own for each but the last and in place for the last, zeroes an
+    accumulator, adds every term, a shifted slice of its coefficient's
+    array, to it in `terms` order, and gathers the box sites back through
+    `read`, shaped as dims.  So each box site sums the terms of its box's
+    clipped_offsets in that order from zero, with the bits of the plain sum,
+    whatever the layout.
     """
 
-    d: int
-    side: int
-    width: int
-    span: int
+    dims: tuple[int, ...]
+    fill: np.ndarray
+    read: np.ndarray
     used: int
-    blocks: tuple[tuple[tuple, tuple], ...]
     coeffs: tuple[np.ndarray, ...]
     terms: tuple[tuple[int, int], ...]
 
     def _bind(self, lead: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
         """The action on arrays of shape lead + dims, through work arrays and
-        views of them fixed here; it returns a contiguous one of them, which
-        the next call overwrites."""
-        d, used = self.d, self.used
-        scaled = _scaled(self.coeffs, lead + (self.width ** d,))
-        flat = scaled[-1]
-        padded = flat.reshape(lead + (self.width,) * d)
-        out = np.empty(lead + (self.span,), dtype=np.complex128)
-        blocks = [(padded[target], source) for target, source in self.blocks]
+        views of them fixed here; it returns one of them, which the next call
+        overwrites."""
+        # writeable copies: take copies a read-only index on every call
+        fill, read, used, flat = self.fill.copy(), self.read.copy(), self.used, lead + (-1,)
+        # per coefficient, the frames scaled by it; the last array (there is
+        # one even with no coefficient) holds the frames themselves, scaled in
+        # place after the others have read them
+        scaled = np.empty((max(len(self.coeffs), 1),) + lead + fill.shape, dtype=np.complex128)
+        padded = scaled[-1]
         scales = list(zip(self.coeffs, scaled))
         views = [scaled[group][..., start:start + used] for group, start in self.terms]
-        acc = out[..., :used]
-        if d == 1:
-            box = result = out
-        else:
-            # the box sites are strided in out; copied into a contiguous
-            # result, they cost callers' ufuncs no buffer
-            box = out.reshape(lead + (self.side,) + (self.width,) * (d - 1))[
-                (Ellipsis, slice(None), *(slice(0, self.side),) * (d - 1))]
-            result = np.empty(lead + (self.side,) * d, dtype=np.complex128)
+        acc = np.empty(lead + (used,), dtype=np.complex128)
+        # read takes every accumulated point, in order, for one d = 1 box or a
+        # kernel of reach 0: the result is then acc itself, in read's shape
+        back = read.size != used
+        result = (np.empty(lead + read.shape, dtype=np.complex128) if back
+                  else acc.reshape(lead + read.shape))
 
         def apply(values: np.ndarray) -> np.ndarray:
-            # copied from values, never from padded itself: a copy between
-            # interleaved views of one array would go through a temporary
-            for target, source in blocks:
-                np.copyto(target, values[source])
-            _accumulate(acc, flat, scales, views)
-            if result is not out:
-                np.copyto(result, box)
+            # the take method, positionally: np.take and keywords cost more
+            # per call; mode "clip": the indices are in range, and the
+            # default mode would buffer out on every call
+            values.reshape(flat).take(fill, -1, padded, "clip")
+            for coeff, out in scales:
+                np.multiply(coeff, padded, out=out)
+            acc.fill(0.0)
+            for view in views:
+                np.add(acc, view, out=acc)
+            if back:
+                acc.take(read, -1, result, "clip")
             return result
 
         return apply
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self._bind(values.shape[: values.ndim - self.d])(values)
-
-    def gather(self, site: tuple[int, ...], read: Callable[[int], np.ndarray],
-               lead: tuple[int, ...]) -> np.ndarray:
-        """The action at one box site, given by its array index, on values
-        of shape lead + dims that read(source) gives at each flat box index
-        source: a call's terms, in its order and with its bits, each reading
-        the value at its source alone."""
-        reach = (self.width - self.side) // 2
-        padded = (self.width,) * self.d
-        # a call sums term (coeff, start) at the site from padded point
-        # start + k, k the site's entry of out, which holds box site
-        # (point - reach) mod side per axis
-        k = np.ravel_multi_index(site, padded)
-        starts = np.array([start for _, start in self.terms], dtype=np.intp)
-        points = np.unravel_index(starts + k, padded)
-        sources = np.ravel_multi_index([(c - reach) % self.side for c in points],
-                                       (self.side,) * self.d)
-        acc = np.zeros(lead, dtype=np.complex128)
-        for (group, _), source in zip(self.terms, sources.tolist()):
-            acc += self.coeffs[group] * read(source)
-        return acc
-
-    def at(self, values: np.ndarray, site: tuple[int, ...]) -> np.ndarray:
-        """The action at one box site, given by its array index, over the
-        leading axes of values, read from the site's neighbourhood alone."""
-        flat = values.reshape(values.shape[:values.ndim - self.d] + (-1,))
-        return self.gather(site, lambda source: flat[..., source], flat.shape[:-1])
+        values = np.asarray(values, dtype=np.complex128)
+        return self._bind(values.shape[: values.ndim - len(self.dims)])(values)
 
     def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The action on one field of the box, in work arrays allocated here
-        once; it returns one of them, which the next call overwrites."""
+        """The action on one state of shape dims, in work arrays allocated
+        here once; it returns one of them, which the next call overwrites."""
         return self._bind(())
 
+    def _sources(self, site) -> list[int]:
+        """Per term, in order, the flat index into dims of the value that a
+        call's term reads at one site, given by its index into read (its
+        array index, for one box)."""
+        k = int(self.read[site])
+        return self.fill[[start + k for _, start in self.terms]].tolist()
 
-def stencil(pot: HoppingPotential, shape: LatticeShape) -> Stencil:
-    """The box-restricted kernel's action, resolved once for (pot, shape).
+    def _local(self, dims: tuple[int, ...], fill: Sequence[int]) -> Stencil:
+        """The action at one site, on values of shape lead + dims, whose
+        term i reads the value at flat index fill[i]."""
+        terms = tuple((group, i) for i, (group, _) in enumerate(self.terms))
+        return Stencil(dims=dims, fill=_index(fill), read=_index([0]), used=1,
+                       coeffs=self.coeffs, terms=terms)
 
-    The layout is fixed here: the wrap-padding of the trailing d axes by
-    reach = min(range, L), the distinct coefficients, and per offset of
-    clipped_offsets, in that order, its coefficient's index and the start of
-    its shifted slice of the flattened padded array, so each term is one
-    contiguous slice of its coefficient's scaled copy of that array.  The
-    returned Stencil applies it.
+    def at(self, values: np.ndarray, site) -> np.ndarray:
+        """The action at one site, given as for `_sources`, over the leading
+        axes of values, read from the site's sources alone, with the bits of
+        a call."""
+        return self._local(self.dims, self._sources(site))(values)[..., 0]
+
+    def gather(self, site, read: Callable[[int], np.ndarray], lead: tuple[int, ...]) -> np.ndarray:
+        """`at` on values of shape lead + dims that read(source) gives at
+        each flat index source that the site's terms read, and nowhere else."""
+        sources = self._sources(site)
+        values = np.empty(lead + (len(sources),), dtype=np.complex128)
+        for i, source in enumerate(sources):
+            values[..., i] = read(source)
+        return self._local((len(sources),), range(len(sources)))(values)[..., 0]
+
+
+# resolved layouts kept by `stencil`, the least recently used dropped first
+_LAYOUTS = 16
+
+
+def stencil(pot: HoppingPotential, *shapes: LatticeShape) -> Stencil:
+    """The box-restricted kernel's action on one box, or on several of one
+    dimension laid end to end, resolved once per (kernel, boxes).
+
+    Every box must clip the kernel to the same offsets, so that all share
+    one term list; KernelError otherwise.  Resolved layouts are memoised,
+    keyed by the clipped offsets and the boxes, and share their read-only
+    index arrays; each bound form of one has work arrays of its own.
     """
-    d, side = shape.d, shape.side
-    reach = min(pot.range, shape.L)
-    width = side + 2 * reach
-    strides = [width ** (d - 1 - a) for a in range(d)]
-    # out[k] holds the point at flat padded index first + k, first being box
-    # site 0; as (side, width, ..., width) it has box site i at out[i], and
-    # its first `used` entries run up to the last box site
-    first = reach * sum(strides)
-    span = side * strides[0]
-    used = span - (width - side) * sum(strides[1:])
-    # per axis the (padded, values) ranges of the box, the low pad and the
-    # high pad: the low pad holds the box's last `reach` rows and the high
-    # pad its first; their products, 3^d blocks, fill the whole padded
-    # array, corners included
-    ranges = [(slice(reach, reach + side), slice(0, side)),
-              (slice(0, reach), slice(side - reach, side)),
-              (slice(side + reach, width), slice(0, reach))]
-    blocks = tuple(tuple((Ellipsis, *part) for part in zip(*combo))
-                   for combo in itertools.product(ranges, repeat=d))
-    coeffs, terms = _terms(pot, shape, strides, first)
-    return Stencil(d=d, side=side, width=width, span=span, used=used, blocks=blocks,
-                   coeffs=coeffs, terms=terms)
+    clipped = [tuple(clipped_offsets(pot, shape)) for shape in shapes]
+    if any(offsets != clipped[0] for offsets in clipped):
+        raise KernelError("the boxes clip the kernel to different offsets")
+    return _layout(clipped[0], shapes)
 
 
-def _terms(pot: HoppingPotential, shape: LatticeShape, strides: list[int], first: int
-           ) -> tuple[tuple[np.ndarray, ...], tuple[tuple[int, int], ...]]:
-    """The distinct coefficients, in order of first use, and per offset of
-    clipped_offsets, in that order: its coefficient's index and the start of
-    its shifted slice of a flat padded array with the given strides whose
-    point `first` is box site 0."""
-    index: dict[float, int] = {}
-    terms = tuple(
-        (index.setdefault(coeff, len(index)),
-         first - sum(c * s for c, s in zip(offset, strides)))
-        for offset, coeff in clipped_offsets(pot, shape)
-    )
-    # each coefficient as a 0-d complex array: the value numpy casts a Python
-    # float to, which numpy takes with less overhead
-    return tuple(np.array(coeff, dtype=np.complex128) for coeff in index), terms
-
-
-def _scaled(coeffs: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> list[np.ndarray]:
-    """Per coefficient, in order, the array of the given shape that takes
-    its multiple of the padded values, from one allocation; the last array
-    (there is one even with no coefficient) is the padded array itself,
-    scaled in place after the others have read it, so an apply must refill
-    it first."""
-    return list(np.empty((max(len(coeffs), 1),) + shape, dtype=np.complex128))
-
-
-def _accumulate(acc: np.ndarray, padded: np.ndarray,
-                scales: list[tuple[np.ndarray, np.ndarray]], views: list[np.ndarray]) -> None:
-    """scaled = coeff * padded over scales, in order, then acc = sum of
-    views, in order, from zero; each view is a shifted slice of its
-    coefficient's scaled array, so it holds the bits of that coefficient
-    times the same slice of padded."""
-    for coeff, scaled in scales:
-        np.multiply(coeff, padded, out=scaled)
-    acc.fill(0.0)
-    for view in views:
-        np.add(acc, view, out=acc)
-
-
-def packed_stencil(pot: HoppingPotential, shapes: Sequence[LatticeShape]
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """The kernel's action on several boxes of dimension pot.d at once, in
-    work arrays allocated here once; it takes and returns their values laid
-    end to end in one flat array, each box row-major at its offset of
-    `box_starts(shapes)`, and the array it returns is overwritten by the next
-    call.
-
-    Each box sits in a padded frame, side + 2 range points along its first
-    axis and the widest box's padded width along the others, every point
-    holding the box site it wraps to.  The frames lie end to end in one flat
-    array, so all boxes share strides and each offset is one shift of that
-    array.  One precomputed gather fills the frames, the terms of `stencil`
-    accumulate over all of them at once, and one more gather reads the box
-    sites back.  Every box must fit the kernel, so all boxes share one term
-    list, and each box site sums the terms `stencil` of its box sums, in the
-    same order, with the same bits.  As in `Stencil`, the frames are scaled
-    once per distinct coefficient, so the work arrays hold one array of the
-    frames' size per coefficient.
-    """
-    for shape in shapes:
-        require_fits(pot, shape)
-    d, reach = pot.d, pot.range
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(offsets: tuple[tuple[Site, float], ...], shapes: tuple[LatticeShape, ...]
+            ) -> Stencil:
+    """The layout of `stencil`: per box a frame of side + 2 reach points
+    along its first axis and the widest box's padded width along the others,
+    reach being the largest offset coordinate, so every term of every box
+    site reads inside its frame; the distinct coefficients, in order of
+    first use; and per offset, in order, its coefficient's index and the
+    start of its shifted slice of the flat frames."""
+    d = shapes[0].d
+    reach = max((abs(c) for offset, _ in offsets for c in offset), default=0)
     width = max(shape.side for shape in shapes) + 2 * reach
     strides = [width ** (d - 1 - a) for a in range(d)]
     fill, read, size = [], [], 0
@@ -352,51 +293,31 @@ def packed_stencil(pot: HoppingPotential, shapes: Sequence[LatticeShape]
         wrapped = np.ix_(*((np.arange(n) - reach) % shape.side for n in frame))
         fill.append(start + np.ravel_multi_index(wrapped, shape.dims).ravel())
         # box site i is frame point i + reach, whose sum lands at i . strides
-        sites = np.indices(shape.dims).reshape(d, -1)
-        read.append(size + np.ravel_multi_index(tuple(sites), frame))
+        read.append(size + np.ravel_multi_index(tuple(np.indices(shape.dims)), frame))
         size += math.prod(frame)
-    fill, read = np.concatenate(fill), np.concatenate(read)
     first = reach * sum(strides)
-    used = size - 2 * first
-    coeffs, terms = _terms(pot, shapes[0], strides, first)
-    scaled = _scaled(coeffs, (size,))
-    padded = scaled[-1]
-    acc = np.empty(used, dtype=np.complex128)
-    result = np.empty(len(read), dtype=np.complex128)
-    scales = list(zip(coeffs, scaled))
-    views = [scaled[group][start:start + used] for group, start in terms]
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        # mode "clip": the indices are in range, and the default mode would
-        # buffer out on every call
-        np.take(values, fill, out=padded, mode="clip")
-        _accumulate(acc, padded, scales, views)
-        np.take(acc, read, out=result, mode="clip")
-        return result
-
-    return apply
+    index: dict[float, int] = {}
+    terms = tuple((index.setdefault(coeff, len(index)),
+                   first - sum(c * s for c, s in zip(offset, strides)))
+                  for offset, coeff in offsets)
+    # each coefficient as a 0-d complex array: the value numpy casts a Python
+    # float to, which numpy takes with less overhead
+    coeffs = tuple(frozen(np.array(coeff, dtype=np.complex128)) for coeff in index)
+    one = len(shapes) == 1
+    return Stencil(dims=shapes[0].dims if one else (int(box_starts(shapes)[-1]),),
+                   fill=_index(np.concatenate(fill)),
+                   read=_index(read[0] if one else np.concatenate([r.ravel() for r in read])),
+                   used=size - 2 * first, coeffs=coeffs, terms=terms)
 
 
-@dataclass(frozen=True)
-class Dispersion:
-    """Real frequency per Fourier mode, stored in FFT index order.
-
-    Mode k (integer coordinates, any representatives modulo the side) lives
-    at array index k mod side per axis.
-    """
-
-    shape: LatticeShape
-    values: np.ndarray
-
-    def omega(self, k: Site) -> float:
-        if len(k) != self.shape.d:
-            raise ValueError(f"expected {self.shape.d} mode coordinates, got {len(k)}")
-        idx = tuple(int(c) % self.shape.side for c in k)
-        return float(self.values[idx])
+def _index(values) -> np.ndarray:
+    """A read-only index array, in the dtype np.take takes without a cast."""
+    return frozen(np.array(values, dtype=np.intp))
 
 
-def dispersion(pot: HoppingPotential, shape: LatticeShape) -> Dispersion:
-    """omega(k) = sum_y alpha(y) cos(2 pi k.y / side); real by symmetry."""
+def dispersion(pot: HoppingPotential, shape: LatticeShape) -> np.ndarray:
+    """omega(k) = sum_y alpha(y) cos(2 pi k.y / side), real by symmetry, in
+    FFT index order: mode k lives at array index k mod side per axis."""
     require_fits(pot, shape)
     side = shape.side
     mode_grids = np.meshgrid(*(np.arange(side),) * shape.d, indexing="ij", sparse=True)
@@ -404,13 +325,13 @@ def dispersion(pot: HoppingPotential, shape: LatticeShape) -> Dispersion:
     for offset, coeff in pot.nonzero_offsets():
         phase = sum(o * g for o, g in zip(offset, mode_grids))
         omega += coeff * np.cos((2.0 * np.pi / side) * phase)
-    return Dispersion(shape=shape, values=omega)
+    return omega
 
 
 def convolve_fourier(pot: HoppingPotential, field: FieldL) -> FieldL:
     """Convolution through the Fourier diagonalization; validation route."""
-    disp = dispersion(pot, field.shape)
-    out = np.fft.ifftn(disp.values * np.fft.fftn(field.values))
+    omega = dispersion(pot, field.shape)
+    out = np.fft.ifftn(omega * np.fft.fftn(field.values))
     return FieldL(field.shape, frozen(out))
 
 

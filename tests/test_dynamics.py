@@ -12,7 +12,6 @@ from conftest import (dense_propagator, hopping_matrix, naive_convolve, random_f
 import dnls.dynamics
 from dnls.dynamics import (
     _fourier_passes,
-    _packed_rk4_stepper,
     SCHEMES,
     BlowUpError,
     SchemeConfig,
@@ -82,7 +81,7 @@ def _reference_strang(pot, shape, lam, dt):
     linear flow as plain numpy expressions, with fresh arrays.  The linear
     flow routes as the stepper's does: a box of at most _DENSE_SITES sites
     applies the propagator above with @, a larger one runs np.fft."""
-    disp = dispersion(pot, shape).values
+    disp = dispersion(pot, shape)
     linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
     fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
     dense = linear_phase is not None and shape.volume <= dnls.dynamics._DENSE_SITES
@@ -715,7 +714,8 @@ class TestStepperAllocation:
         shapes = [LatticeShape(d, L) for L in sizes]
         values = np.concatenate([random_field(shape, L).values.ravel()
                                  for shape, L in zip(shapes, sizes)])
-        advance = _packed_rk4_stepper(standard_laplacian(d), shapes, 1.0, 1e-3)
+        advance = dnls.dynamics._rk4(
+            dnls.dynamics._checked_stencil(standard_laplacian(d), *shapes), 1.0, 1e-3)
         assert self._block_peak(advance, values) < values.nbytes // 4
 
 
@@ -777,7 +777,7 @@ class TestDenseLinearFlow:
     def test_propagator_is_unitary(self, d, ell):
         shape = self.largest_dense_box(d)
         for seed in range(5):
-            disp = dispersion(random_kernel(d, ell, seed), shape).values
+            disp = dispersion(random_kernel(d, ell, seed), shape)
             prop = dnls.dynamics._linear_propagator(shape, np.exp(-0.01j * disp))
             assert unitarity_defect(prop) <= self.UNITARITY_TOL
             # the check sees a norm off by 1e-12

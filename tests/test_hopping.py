@@ -14,7 +14,6 @@ from dnls.hopping import (
     dispersion,
     load_potential,
     nearest_neighbor_laplacian,
-    packed_stencil,
     standard_laplacian,
     stencil,
     zero_potential,
@@ -185,18 +184,20 @@ class TestDispersion:
         disp = dispersion(standard_laplacian(1), shape)
         for k in range(-6, 7):
             expected = 1.0 - np.cos(2 * np.pi * k / shape.side)
-            assert disp.omega((k,)) == pytest.approx(expected, abs=1e-14)
+            assert disp[k % shape.side] == pytest.approx(expected, abs=1e-14)
 
     def test_zero_mode(self):
         disp = dispersion(standard_laplacian(1), LatticeShape(1, 5))
-        assert disp.omega((0,)) == pytest.approx(0.0, abs=1e-15)
+        assert disp[0] == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("d,L", [(1, 5), (2, 3)])
     def test_even_in_k(self, d, L):
-        disp = dispersion(standard_laplacian(d), LatticeShape(d, L))
-        for k in LatticeShape(d, L).sites():
-            neg = tuple(-c for c in k)
-            assert disp.omega(k) == pytest.approx(disp.omega(neg), abs=1e-14)
+        shape = LatticeShape(d, L)
+        disp = dispersion(standard_laplacian(d), shape)
+        for k in shape.sites():
+            pos = tuple(c % shape.side for c in k)
+            neg = tuple(-c % shape.side for c in k)
+            assert disp[pos] == pytest.approx(disp[neg], abs=1e-14)
 
     @pytest.mark.parametrize("L", [4, 17, 64])
     def test_diagonalization_identity_1d(self, L):
@@ -329,7 +330,8 @@ class TestStencil:
            st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
     def test_packed_boxes_equal_their_stencils(self, d, kernel_range, extras, seed):
         # boxes of any sizes, in any order, repeats included, each get the
-        # bits of their own stencil and of the np.roll oracle
+        # bits of their own stencil and of the np.roll oracle; a stack of
+        # packed states gets the bits of each state's apply
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((2 * kernel_range + 1,) * d)
         pot = HoppingPotential(d=d, range=kernel_range, coeffs=coeffs + np.flip(coeffs))
@@ -339,13 +341,52 @@ class TestStencil:
             values = rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims)
             values[rng.random(shape.dims) < 0.2] = 0.0
             boxes.append(values)
-        out = packed_stencil(pot, shapes)(np.concatenate([v.ravel() for v in boxes]))
+        # one box takes and gives its values in its own shape
+        apply = stencil(pot, *shapes)
+        packed = np.concatenate([v.ravel() for v in boxes]).reshape(apply.dims)
+        out = apply.buffered()(packed).ravel()
         starts = box_starts(shapes)
         for shape, values, lo, hi in zip(shapes, boxes, starts, starts[1:]):
             box = out[lo:hi].reshape(shape.dims)
             assert same_bits(box, stencil(pot, shape)(values))
             assert same_bits(box, roll_convolve(pot, shape, values))
+        stack = np.stack([packed, 1j * packed - 0.5, np.conj(packed)])
+        for row, state in zip(apply(stack), stack):
+            assert same_bits(row, apply(state))
+
+    @pytest.mark.parametrize("d, L", [(1, 0), (1, 1), (2, 1), (3, 1)])
+    def test_box_smaller_than_kernel(self, d, L):
+        # L < range: the kernel is clipped to the box's offsets, alone and
+        # packed with a box that clips it the same way
+        rng = np.random.default_rng(d * 10 + L)
+        coeffs = rng.standard_normal((5,) * d)
+        pot = HoppingPotential(d=d, range=2, coeffs=coeffs + np.flip(coeffs))
+        shape = LatticeShape(d, L)
+        values = rng.standard_normal(shape.dims) + 1j * rng.standard_normal(shape.dims)
+        out = stencil(pot, shape)(values)
+        assert same_bits(out, roll_convolve(pot, shape, values))
+        packed = stencil(pot, shape, shape)(np.concatenate([values.ravel()] * 2))
+        assert same_bits(packed, np.concatenate([out.ravel()] * 2))
+
+    def test_memoised_layout_binds_separate_work_arrays(self):
+        pot, shape = standard_laplacian(2), LatticeShape(2, 3)
+        assert stencil(pot, shape) is stencil(standard_laplacian(2), shape)
+        a = random_field(shape, 1).values
+        b = random_field(shape, 2).values
+        first, second = stencil(pot, shape).buffered(), stencil(pot, shape).buffered()
+        for _ in range(2):
+            out_a = first(a)
+            out_b = second(b)
+            assert same_bits(out_a, roll_convolve(pot, shape, a))
+            assert same_bits(out_b, roll_convolve(pot, shape, b))
+
+    def test_layout_is_read_only(self):
+        apply = stencil(standard_laplacian(2), LatticeShape(2, 2), LatticeShape(2, 3))
+        for arr in (apply.fill, apply.read, *apply.coeffs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
 
     def test_packed_boxes_must_fit(self):
         with pytest.raises(KernelError):
-            packed_stencil(standard_laplacian(1), [LatticeShape(1, 2), LatticeShape(1, 0)])
+            stencil(standard_laplacian(1), LatticeShape(1, 2), LatticeShape(1, 0))
