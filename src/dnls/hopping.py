@@ -160,10 +160,10 @@ class Stencil:
 
     It takes arrays of shape lead + dims and acts over the trailing axes:
     dims is the box's for one box and (total site count,) for several, each
-    box row-major at its offset of `box_starts`.  Each box sits in a padded
-    frame whose every point holds the box site it wraps to, and the frames
-    lie end to end in one flat array, so each offset is one shift of it.  A
-    call gathers the frames from the values through `fill`, multiplies them
+    box row-major at its offset of `box_starts`; a call raises ValueError on
+    any other trailing shape.  Each box sits in a padded frame whose every
+    point holds the box site it wraps to, and the frames lie end to end in
+    one flat array, so each offset is one shift of it.  A call gathers the frames from the values through `fill`, multiplies them
     once by each distinct coefficient of `coeffs`, into a frames-size array
     of its own for each but the last and in place for the last, zeroes an
     accumulator, adds every term, a shifted slice of its coefficient's
@@ -218,7 +218,12 @@ class Stencil:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.complex128)
-        return self._bind(values.shape[: values.ndim - len(self.dims)])(values)
+        lead = values.shape[: values.ndim - len(self.dims)]
+        # the gather clips its indices, so it cannot catch a wrong size itself
+        if values.shape[len(lead):] != self.dims:
+            raise ValueError(f"values of shape {values.shape} do not end in the stencil's "
+                             f"dims {self.dims}")
+        return self._bind(lead)(values)
 
     def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
         """The action on one state of shape dims, in work arrays allocated
@@ -255,7 +260,10 @@ class Stencil:
         return self._local((len(sources),), range(len(sources)))(values)[..., 0]
 
 
-# resolved layouts kept by `stencil`, the least recently used dropped first
+# resolved layouts kept by `stencil`, the least recently used dropped first.
+# A run reuses few: a bench workload resolves at most 3 distinct layouts and
+# scripts/reference_artifacts.py 11, with at most 6 others used between two
+# uses of one, so none is dropped at this size
 _LAYOUTS = 16
 
 

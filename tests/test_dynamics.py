@@ -28,6 +28,7 @@ from dnls.dynamics import (
 )
 from dnls.hopping import (
     HoppingPotential,
+    KernelError,
     dispersion,
     standard_laplacian,
     stencil,
@@ -617,6 +618,14 @@ class TestIntegratePacked:
         with pytest.raises(ValueError, match="rk4"):
             integrate_packed([random_field(LatticeShape(1, 3), 0)], standard_laplacian(1), cfg,
                              lambda row: None)
+
+    def test_boxes_must_fit(self):
+        # two boxes of side 1 clip the kernel alike, so the stencil takes
+        # them; a packed run must still refuse a kernel wider than its boxes
+        cfg = SchemeConfig(scheme="rk4", dt=1e-2, t_end=0.1)
+        fields = [random_field(LatticeShape(1, 0), seed) for seed in range(2)]
+        with pytest.raises(KernelError, match="does not fit"):
+            integrate_packed(fields, standard_laplacian(1), cfg, lambda row: None)
 
 
 class TestStrangRotation:

@@ -390,3 +390,15 @@ class TestStencil:
     def test_packed_boxes_must_fit(self):
         with pytest.raises(KernelError):
             stencil(standard_laplacian(1), LatticeShape(1, 2), LatticeShape(1, 0))
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 3, 4), (3, 5), (5, 5, 1)])
+    def test_values_of_the_wrong_size_are_rejected(self, dims):
+        # the gather clips its indices, so a short array would read wrapped
+        # sites silently
+        pot, shape = standard_laplacian(2), LatticeShape(2, 2)
+        with pytest.raises(ValueError, match="dims"):
+            stencil(pot, shape)(np.zeros(dims, dtype=np.complex128))
+        with pytest.raises(ValueError, match="dims"):
+            convolve_values(pot, shape, np.zeros(dims))
+        with pytest.raises(ValueError, match="dims"):
+            stencil(pot, shape, shape)(np.zeros(dims[-1], dtype=np.complex128))
