@@ -46,13 +46,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _coerce_flag_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def parse_overrides(pairs: list[str]) -> dict:
     """Dotted flag paths to nested dict: --dynamics.dt 1e-3 -> {dynamics: {dt: ...}}."""
     out: dict = {}
@@ -69,7 +62,10 @@ def parse_overrides(pairs: list[str]) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"conflicting override path {flag!r}")
-        node[path[-1]] = _coerce_flag_value(pairs[i + 1])
+        try:
+            node[path[-1]] = json.loads(pairs[i + 1])
+        except json.JSONDecodeError:
+            node[path[-1]] = pairs[i + 1]
         i += 2
     return out
 
@@ -248,7 +244,7 @@ def build_scheme(c: dict) -> dynamics.SchemeConfig:
 
 
 class RunWriter:
-    """Single writer for one run directory; tracks content hashes.
+    """Single writer for one run directory; hashes the bytes it writes.
 
     The directory is created by the first write, so a run that fails before
     writing anything leaves no directory behind.
@@ -258,16 +254,15 @@ class RunWriter:
         self.outdir = outdir
         self.artifacts: dict[str, str] = {}
 
-    def _register(self, relpath: str) -> None:
-        data = (self.outdir / relpath).read_bytes()
-        self.artifacts[relpath] = hashlib.sha256(data).hexdigest()
-
-    def write_text(self, relpath: str, text: str) -> None:
+    def _path(self, relpath: str) -> Path:
         path = self.outdir / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-        self._register(relpath)
+        return path
+
+    def write_text(self, relpath: str, text: str) -> None:
+        data = text.encode()
+        self._path(relpath).write_bytes(data)
+        self.artifacts[relpath] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, relpath: str, payload) -> None:
         self.write_text(relpath, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
@@ -275,24 +270,16 @@ class RunWriter:
     def write_csv(self, relpath: str, header: list[str], rows) -> None:
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
         self.write_text(relpath, "\n".join(lines) + "\n")
 
     def write_field(self, relpath: str, field: lattice.FieldL) -> None:
-        path = self.outdir / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lattice.dump_field(field, path)
-        self._register(relpath)
+        data = lattice.dump_field(field, self._path(relpath))
+        self.artifacts[relpath] = hashlib.sha256(data).hexdigest()
 
     def write_manifest(self, manifest: dict) -> None:
         artifacts = dict(sorted(self.artifacts.items()))
         self.write_json("manifest.json", {**manifest, "artifacts": artifacts})
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _jsonable(value):

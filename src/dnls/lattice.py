@@ -264,39 +264,48 @@ def truncate(gen: Generator, shape: LatticeShape) -> FieldL:
     return FieldL(shape, frozen(values))
 
 
-def dump_field(field: FieldL, path) -> None:
-    """Write the text dump: 'd L' header, then 'x1 .. xd re im' per site.
-
-    Floats are written with shortest round-trip precision; load_field
-    restores the exact doubles.
-    """
-    shape = field.shape
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{shape.d} {shape.L}\n")
-        for site, v in zip(shape.sites(), field.values.flat):
-            coords = " ".join(str(c) for c in site)
-            fh.write(f"{coords} {float(v.real)!r} {float(v.imag)!r}\n")
+def dump_field(field: FieldL, path) -> bytes:
+    """Write the text dump whole, in one call: 'd L' header, then 'x1 .. xd re
+    im' per site, the floats with shortest round-trip precision, which
+    load_field restores exactly.  Returns the bytes written."""
+    shape, values = field.shape, field.values.ravel()
+    sites = map(" ".join, itertools.product(map(str, range(-shape.L, shape.L + 1)), repeat=shape.d))
+    lines = zip(sites, map(repr, values.real.tolist()), map(repr, values.imag.tolist()))
+    data = (f"{shape.d} {shape.L}\n" + "\n".join(map(" ".join, lines)) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def load_field(path) -> FieldL:
+    """Read a dump_field file, whole when its coordinate text is the box's; else line by
+    line, any int spelling of a coordinate passing and the first bad line raising DataError."""
     with open(path, "r") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"bad field dump header in {path}")
         shape = LatticeShape(d=int(header[0]), L=int(header[1]))
         lines = fh.readlines()
-        # checked before the allocation, which a header alone can make huge
-        if len(lines) != shape.volume:
-            raise DataError(f"expected {shape.volume} sites, found {len(lines)}")
-        values = np.empty(shape.volume, dtype=np.complex128)
-        for i, (line, site) in enumerate(zip(lines, shape.sites())):
-            parts = line.split()
-            if len(parts) != shape.d + 2:
+    # checked before the allocation, which a header alone can make huge
+    if len(lines) != shape.volume:
+        raise DataError(f"expected {shape.volume} sites, found {len(lines)}")
+    d, rows = shape.d, [line.split() for line in lines]
+    columns = list(zip(*rows))
+    box = list(zip(*itertools.product(map(str, range(-shape.L, shape.L + 1)), repeat=d)))
+    values = np.empty(shape.volume, dtype=np.complex128)
+    try:
+        if set(map(len, rows)) != {d + 2} or columns[:d] != box:
+            raise ValueError  # read line by line below
+        values.real, values.imag = list(map(float, columns[d])), list(map(float, columns[d + 1]))
+    except ValueError:
+        for i, (line, parts, site) in enumerate(zip(lines, rows, shape.sites())):
+            if len(parts) != d + 2:
                 raise DataError(f"bad field dump line: {line!r}")
-            coords = tuple(int(c) for c in parts[: shape.d])
+            try:
+                coords = tuple(map(int, parts[:d]))
+                values[i] = complex(float(parts[d]), float(parts[d + 1]))
+            except ValueError:
+                raise DataError(f"field dump line {i + 2} does not parse: {line!r}") from None
             if coords != site:
                 raise DataError(f"dump out of storage order: saw {coords}, expected {site}")
-            values[i] = complex(
-                float(parts[shape.d]), float(parts[shape.d + 1])
-            )
     return FieldL(shape, frozen(values))

@@ -49,6 +49,7 @@ the observables' power-weighted norms use too.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -103,6 +104,8 @@ class GaussianSpec:
             raise MeasureError("density must be a number or a callable")
         if not np.isfinite(grid).all() or np.any(grid < 0):
             raise MeasureError("spectral density must be finite and nonnegative")
+        if not callable(self.density):
+            return grid  # constant, so symmetric under mode negation
         reflected = grid
         for axis in range(shape.d):
             reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
@@ -249,13 +252,16 @@ def run_gibbs_chain(
         loop_at = (np.arange(min(block, total_sweeps))[:, None] * volume
                    + loop_positions).ravel()
     else:
-        # every class runs in the loop: one sweep's rows in visiting order
+        # every class runs in the loop: one sweep's rows in visiting order, and thinning sweeps'
         order = [row for *_, rows, _ in plan for row in rows]
+        between = order * spec.thinning
 
     n_accepted = 0
-    # sample r is row r, written once burn_in + (r + 1) * thinning sweeps ran
+    # sample r is row r, written once burn_in + (r + 1) * thinning sweeps ran;
+    # the loop's float lists are kept as C doubles, copied in once per block
     buffer = np.empty((n_samples, volume), dtype=np.complex128)
     buffer_re, buffer_im = buffer.real, buffer.imag
+    block_re, block_im = array("d"), array("d")
     kept = 0
     keep_after = spec.burn_in + spec.thinning
 
@@ -285,8 +291,8 @@ def run_gibbs_chain(
                 # the sweeps up to the next retained sample or the block's
                 # end, as one run of the loop
                 stop = min(keep_after, end)
-                n_accepted += _update_loop(order * (stop - sweep), draws, re, im, sq,
-                                           half_lam, mu)
+                visits = between if stop - sweep == spec.thinning else order * (stop - sweep)
+                n_accepted += _update_loop(visits, draws, re, im, sq, half_lam, mu)
             else:
                 stop = sweep + 1
                 for start, sites, nbrs, rows, own_sq in plan:
@@ -304,10 +310,18 @@ def run_gibbs_chain(
                             half_lam, mu)
             sweep = stop
             if sweep == keep_after:
-                buffer_re[kept] = re
-                buffer_im[kept] = im
+                if n_loop == volume:
+                    block_re.fromlist(re)
+                    block_im.fromlist(im)
+                else:
+                    buffer_re[kept], buffer_im[kept] = re, im
                 kept += 1
                 keep_after += spec.thinning
+        if block_re:
+            done = slice(kept - len(block_re) // volume, kept)
+            buffer_re[done] = np.reshape(block_re, (-1, volume))
+            buffer_im[done] = np.reshape(block_im, (-1, volume))
+            del block_re[:], block_im[:]
 
     # frozen once, so the samples are FieldLs over its rows, checked once
     buffer.setflags(write=False)

@@ -9,14 +9,26 @@ values computed from these, never from the code under test.
 
 from __future__ import annotations
 
+import os
+import sys
+import warnings
 from functools import reduce
 
-import numpy as np
-import pytest
-from scipy.special import jv
+# One BLAS/OpenMP thread, as bench/run.py pins it: the dense Strang
+# propagator's zgemv runs on two threads otherwise, which costs more than one
+# on a busy host.  The libraries read these once, when numpy first loads.
+if "numpy" in sys.modules:
+    warnings.warn("numpy was loaded before tests/conftest.py; its BLAS threads are not pinned")
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
-from dnls.hopping import HoppingPotential, nearest_neighbor_laplacian
-from dnls.lattice import FieldL, LatticeShape, Site
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.special import jv  # noqa: E402
+
+from dnls.hopping import HoppingPotential, nearest_neighbor_laplacian  # noqa: E402
+from dnls.lattice import FieldL, LatticeShape, Site  # noqa: E402
 
 
 def wrap_coord(c: int, side: int) -> int:

@@ -233,11 +233,17 @@ class TestSimulate:
         run_cli(
             "--experiment", "simulate", "--out", str(out), "--seed", "3",
             "--lattice.L", "4", "--dynamics.t_end", "0.1", "--dynamics.dt", "0.01",
-            "--dynamics.stride", "10",
+            "--dynamics.stride", "10", "--dump_fields", "true",
         )
         manifest = read_json(out / "manifest.json")
         digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
         assert manifest["artifacts"]["series.csv"] == digest
+        # the writer hashes the bytes it wrote; they are the files' bytes
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert set(manifest["artifacts"]) == files - {"manifest.json"}
+        assert "fields/snapshot_000001.txt" in files
+        for relpath, digest in manifest["artifacts"].items():
+            assert hashlib.sha256((out / relpath).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("experiment", ["simulate", "conserve"])
     def test_centers_in_the_box_exit_0(self, tmp_path, experiment):
@@ -431,6 +437,25 @@ class TestSampling:
         )
         assert code == 2
         assert "expected 5 sites, found 7" in capsys.readouterr().err
+
+    def test_stats_on_dump_with_a_bad_number_exit_2(self, tmp_path, capsys):
+        sample_dir = tmp_path / "samples"
+        code = run_cli(
+            "--experiment", "sample-gaussian", "--out", str(sample_dir), "--seed", "13",
+            "--lattice.L", "2", "--sampling.n_samples", "3", "--dump_fields", "true",
+        )
+        assert code == 0
+        path = sample_dir / "fields" / "sample_000002.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "0 0.5 abc\n"
+        path.write_text("".join(lines))
+        code = run_cli(
+            "--experiment", "stats", "--out", str(tmp_path / "stats"),
+            "--stats.fields_dir", str(sample_dir / "fields"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: field dump line 4 does not parse: '0 0.5 abc\\n'\n"
 
     def test_stats_missing_dir_exit_2(self, tmp_path):
         assert run_cli("--experiment", "stats", "--out", str(tmp_path / "s")) == 2

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import dnls.lattice
+from conftest import same_bits
 from dnls.lattice import (
     DataError,
     FieldL,
@@ -321,17 +323,92 @@ class TestDump:
         dump_field(FieldL(LatticeShape(1, 2), np.arange(5) + 1j), path)
         with open(path, "a") as fh:
             fh.write("3 9.0 9.0\n-7 1.0 1.0\n")
-        with pytest.raises(DataError, match="expected 5 sites, found 7"):
+        with pytest.raises(DataError, match="^expected 5 sites, found 7$"):
             load_field(path)
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 1\n-1 0.0 0.0\n0 0.0 0.0\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^expected 3 sites, found 2$"):
             load_field(path)
         path.write_text("1 1\n0 0.0 0.0\n-1 0.0 0.0\n1 0.0 0.0\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(
+                "dump out of storage order: saw (0,), expected (-1,)")):
             load_field(path)
+
+    @pytest.mark.parametrize("d, L", [(1, 4), (2, 2), (3, 1)])
+    def test_bytes_equal_the_per_line_writer(self, tmp_path, d, L):
+        shape = LatticeShape(d, L)
+        rng = np.random.default_rng(d)
+        values = np.empty(shape.volume, dtype=np.complex128)
+        values.real = rng.standard_normal(shape.volume) * 10.0 ** rng.integers(-8, 8, shape.volume)
+        values.imag = rng.standard_normal(shape.volume)
+        special = [-0.0, 5e-324, 1e300, 1 / 3, -1e-300, 0.0, 123456789.0]
+        values.real[:7] = special
+        values.imag[-7:] = special[::-1]
+        field = FieldL(shape, values.reshape(shape.dims))
+        written = dump_field(field, tmp_path / "field.txt")
+        _per_line_dump(field, tmp_path / "reference.txt")
+        assert written == (tmp_path / "field.txt").read_bytes()
+        assert written == (tmp_path / "reference.txt").read_bytes()
+        loaded = load_field(tmp_path / "field.txt")
+        assert loaded.shape == shape and same_bits(loaded.values, field.values)
+
+    def test_what_the_per_line_reader_accepted_still_loads(self, tmp_path):
+        # any int spelling of a coordinate, any float() spelling of a number,
+        # any whitespace around the fields and CRLF line ends
+        path = tmp_path / "field.txt"
+        path.write_bytes(b"1 1\r\n  -1\t1_0  0.5 \r\n+0 -0.0 2\r\n01 1e3 -1E-2\r\n")
+        want = np.empty(3, dtype=np.complex128)
+        want.real, want.imag = [10.0, -0.0, 1000.0], [0.5, 2.0, -0.01]
+        assert same_bits(load_field(path).values, want)
+        sides = (-1, 0, 1)
+        path.write_text("2 1\n" + "".join(f"{x:+d} {y:+d} {x}.5 {-y}\n"
+                                           for x in sides for y in sides))
+        assert load_field(path).values.tolist() == [
+            [complex(float(f"{x}.5"), -y) for y in sides] for x in sides]
+
+    @pytest.mark.parametrize("body, message", [
+        # a wrong field count and an out-of-order site: the per-line reader's messages
+        ("-1 0.0 0.0\n0 0.0\n1 0.0 0.0\n", "bad field dump line: '0 0.0\\n'"),
+        ("-1 0.0 0.0\n0 0.0 0.0 0.0\n1 0.0 0.0\n", "bad field dump line: '0 0.0 0.0 0.0\\n'"),
+        ("-1 0.0 0.0\n\n1 0.0 0.0\n", "bad field dump line: '\\n'"),
+        ("-1 0.0 0.0\n1 0.0 0.0\n0 0.0 0.0\n",
+         "dump out of storage order: saw (1,), expected (0,)"),
+        # the first bad line is the one named
+        ("-1 0.0 0.0\n1 0.0 0.0\n0 0.0\n",
+         "dump out of storage order: saw (1,), expected (0,)"),
+        ("-1 0.0 0.0\n0 0.0\n2 0.0 0.0\n", "bad field dump line: '0 0.0\\n'"),
+        # a non-finite value parses, and the field rejects it
+        ("-1 0.0 0.0\n0 nan 0.0\n1 0.0 0.0\n", "field contains non-finite values"),
+        ("-1 0.0 0.0\n0 0.0 -inf\n1 0.0 0.0\n", "field contains non-finite values"),
+        # a number or a coordinate that does not parse names its line
+        ("-1 0.0 0.0\n0 abc 0.0\n1 0.0 0.0\n",
+         "field dump line 3 does not parse: '0 abc 0.0\\n'"),
+        ("-1 0.0 0.0\n0 0.0 0.0\n1 0.0 1.0.0\n",
+         "field dump line 4 does not parse: '1 0.0 1.0.0\\n'"),
+        ("-1 0.0 0.0\nx 0.0 0.0\n1 0.0 0.0\n",
+         "field dump line 3 does not parse: 'x 0.0 0.0\\n'"),
+        ("-1 0.0 0.0\n0.5 0.0 0.0\n1 0.0 0.0\n",
+         "field dump line 3 does not parse: '0.5 0.0 0.0\\n'"),
+    ], ids=["short", "long", "blank", "order", "order-first", "short-first", "nan", "inf",
+            "word", "two-points", "word-site", "float-site"])
+    def test_malformed_lines_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 1\n" + body)
+        with pytest.raises(DataError) as err:
+            load_field(path)
+        assert str(err.value) == message
+
+
+def _per_line_dump(field: FieldL, path) -> None:
+    """The writer dump_field replaced, one write per site; its byte reference."""
+    shape = field.shape
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"{shape.d} {shape.L}\n")
+        for site, v in zip(shape.sites(), field.values.flat):
+            coords = " ".join(str(c) for c in site)
+            fh.write(f"{coords} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
 def test_import_loads_no_other_dnls_module():

@@ -73,6 +73,26 @@ class TestGaussianSpec:
         assert grid.shape == (7,)
         assert np.all(grid > 0)
 
+    @pytest.mark.parametrize("density", [-1e-300, -np.inf, np.inf, np.nan])
+    def test_bad_flat_density_rejected(self, density):
+        with pytest.raises(MeasureError, match="finite and nonnegative"):
+            GaussianSpec(density=density).density_grid(LatticeShape(2, 1))
+
+    @pytest.mark.parametrize("d, L", [(1, 0), (1, 64), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("value", [0.0, 2.5, 1 / 3])
+    def test_flat_density_skips_the_scan(self, d, L, value):
+        # a flat density gives a constant grid, symmetric under mode negation,
+        # so only a callable's grid is scanned; the samples are the same bits
+        shape = LatticeShape(d, L)
+        flat, constant = GaussianSpec(density=value), GaussianSpec(
+            density=lambda k: np.full(k.shape[1:], value))
+        with mock.patch.object(sampling.np, "allclose", wraps=np.allclose) as scan:
+            a = sample_gaussian(flat, shape, 99)
+            assert scan.call_count == 0
+            b = sample_gaussian(constant, shape, 99)
+            assert scan.call_count == 1
+        assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
 
 class TestSampleGaussian:
     def test_zero_density_zero_field(self):
@@ -403,6 +423,13 @@ class TestSweepBits:
              n_samples=3, all_numpy=False, seed=398)
     @example(dim=(1, 0), ell=1, zero=False, burn_in=3, thinning=2, n_samples=0,
              all_numpy=False, seed=7)
+    # thinning of 3 and 2 with retained samples straddling the first block
+    # boundary: 16383, 16386 and 16389 sweeps into the one-site box, 398, 400
+    # and 402 into the 41-site ring, so the run to the second is cut there
+    @example(dim=(1, 0), ell=1, zero=False, burn_in=2**14 - 4, thinning=3, n_samples=3,
+             all_numpy=False, seed=16380)
+    @example(dim=(1, 20), ell=1, zero=False, burn_in=16384 // 41 - 3, thinning=2,
+             n_samples=3, all_numpy=False, seed=396)
     @given(dim=st.integers(1, 3).flatmap(
                lambda d: st.tuples(st.just(d), st.integers(0, 40 if d == 1 else 3))),
            ell=st.integers(1, 2), zero=st.booleans(), burn_in=st.integers(0, 3),
