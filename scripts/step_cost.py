@@ -6,8 +6,10 @@ For every (d, L) below, times `integrate` on Gaussian data with the
 standard Laplacian (lam = 1, dt = 1e-3) and prints the best of 5 runs as
 microseconds per site-step, with the per-step time beside it.  Each d has
 boxes on both sides of `dynamics._DENSE_SITES`, and the `flow` column names
-the linear flow Strang runs there: `dense`, one propagator product, at
-most that many sites, or `fourier`, the Fourier passes.  Strang runs
+the linear flow Strang runs there, with the `taps` it keeps: at most that
+many sites, from its taps in real space, as `windows` (a gather and one
+product with the kept taps) or `circulant` (one product with their
+circulant); above it `fourier`, the Fourier passes.  Strang runs
 at snapshot strides 1 and 10: inside a snapshot block it merges each step's
 closing half rotation with the next step's opening one, so at stride 1
 every step pays both half rotations and the stride-10 column shows what
@@ -40,11 +42,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from speed import probe_factor  # noqa: E402
 
-from dnls.dynamics import _DENSE_SITES, SchemeConfig, integrate  # noqa: E402
+from dnls.dynamics import (_DENSE_SITES, SchemeConfig, _differences, _linear_taps,  # noqa: E402
+                           _windowed, integrate)
 from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
@@ -80,8 +85,16 @@ def repeated(call, values, calls):
     return run
 
 
+def strang_flow(pot, shape) -> tuple[str, str]:
+    """The form of Strang's linear flow on the box and its kept tap count."""
+    if shape.volume > _DENSE_SITES:
+        return "fourier", "-"
+    taps = int(np.count_nonzero(_linear_taps(pot, shape, DT, _differences(shape))))
+    return ("windows" if _windowed(taps, shape.volume) else "circulant"), str(taps)
+
+
 def main() -> None:
-    print(f"{'d':>2} {'L':>5} {'sites':>6} {'flow':>7} {'steps':>6} {'factor':>6}"
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'flow':>9} {'taps':>4} {'steps':>6} {'factor':>6}"
           + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9} {'scaled':>9}"
                     for scheme, stride in RUNS))
     for d, L in GRID:
@@ -97,8 +110,8 @@ def main() -> None:
                                snapshot_stride=stride, lam=1.0)
             per_steps.append(best_seconds(lambda: integrate(field0, pot, cfg)) / steps * 1e6)
         factor = (before + probe_factor()) / 2
-        flow = "dense" if shape.volume <= _DENSE_SITES else "fourier"
-        print(f"{d:>2} {L:>5} {shape.volume:>6} {flow:>7} {steps:>6} {factor:>6.2f}"
+        flow, taps = strang_flow(pot, shape)
+        print(f"{d:>2} {L:>5} {shape.volume:>6} {flow:>9} {taps:>4} {steps:>6} {factor:>6.2f}"
               + "".join(f"  {t / shape.volume:>22.4f} {t:>9.1f} {t / factor:>9.1f}"
                         for t in per_steps))
 

@@ -19,8 +19,14 @@ per step: each works in arrays it allocates once, and RK4 applies the
 stencil through its buffered form, with the bits of the plain expressions.
 At the 65- and 129-site boxes of the d = 1 checks an FFT call costs more in
 per-call setup than in arithmetic, so on a box of at most _DENSE_SITES
-sites Strang builds its linear flow once as a dense propagator and runs it
-as one matrix-vector product, with the bits of the BLAS zgemv kernel.  On a
+sites Strang runs its linear flow in real space, from its taps u =
+exp(-i dt A) e_0, built once by a Taylor sum in extended precision and
+rounded once, those below 2^-60 of the largest dropped: as a gather of
+each site's windows and one matrix-vector product with the kept taps, or,
+where the taps are many for the box, as one product with their circulant,
+with the bits of the BLAS zgemv kernel.  So a step moves nothing farther
+than the kept taps' reach (4 sites in d = 1 at dt = 1e-3), as the exact
+flow moves almost nothing faster than a finite speed.  On a
 larger box it calls numpy's pocketfft gufuncs directly, with the bits of
 np.fft, bound once to their arrays and to 0-d float64 scales, which need no
 conversion per call, each over the last axis, the gufunc's default core
@@ -49,6 +55,7 @@ the scheme's own defect, and refinement studies separate the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
@@ -68,9 +75,11 @@ SCHEMES = ("strang", "rk4")
 # sites per block of Trajectory.blocks (256 KiB of complex values); bounds
 # the temporaries of a computation over all snapshots, whatever their count
 _STACK_SITES = 1 << 14
-# a Strang box of at most this many sites runs its linear flow as one dense
-# propagator product, a larger one as Fourier passes (_strang_stepper).
-# Median over 31 interleaved rounds of the dense to Fourier step time ratio,
+# a Strang box of at most this many sites runs its linear flow from its taps
+# in real space (_linear_taps, _tap_flow), a larger one as Fourier passes.
+# The threshold was set against the dense V x V propagator product, which
+# costs what the circulant form costs; the windows form costs less.  Median
+# over 31 interleaved rounds of the dense to Fourier step time ratio,
 # standard Laplacian, one BLAS thread, shared 2-core host: in d = 1 0.71 at
 # 65 sites and 0.77 at 129; in d = 2 0.75 at 121 and 0.85 at 169, but 1.27
 # at 225 and 1.48 at 289; in d = 3 0.53 at 125 and 1.84 at 343.  In d = 1
@@ -80,6 +89,17 @@ _STACK_SITES = 1 << 14
 # 205-221 and 289-351 (1.1-2.9x).  With two BLAS threads the d = 1 ratios
 # were 0.90 at 65 and 129 sites.
 _DENSE_SITES = 200
+# the taps kept: those of at least this fraction of the largest.  At dt =
+# 1e-3 the standard Laplacian's taps at distance 5 and beyond are below
+# 2.6e-19, the Bessel tail J_5(1e-3)
+_KEEP = 2.0 ** -60
+# the tap flow gathers windows when the box has at least this many sites
+# per kept tap, and runs the circulant otherwise.  Per step, one BLAS
+# thread, shared 2-core host, best of 7: windows cost about 1.5 us + 1.1 ns
+# per site and tap, the circulant about 0.3 ns per site squared; they meet
+# near 13 taps at 65 sites, 25-30 at 129, 38 at 169 and 40 at 199, and at
+# 169 sites 81 taps take 9.4 us as the circulant and 17 us as windows
+_WINDOW_RATIO = 5
 
 
 class BlowUpError(RuntimeError):
@@ -291,18 +311,81 @@ def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
     return forward, spec, inverse
 
 
-def _linear_propagator(shape: LatticeShape, linear_phase: np.ndarray) -> np.ndarray:
-    """The linear flow ifftn(linear_phase * fftn(values)) as a dense V x V
-    matrix acting on row-major flat fields: column j is the flow of the j-th
-    unit field, from np.fft over a stack of all V of them.  The circulant of
-    one column, ifftn(linear_phase) translated to every site, builds 5-8x
-    faster, but every column then shares its rounding, and the particle
-    number drifts 4-10x faster: 4.2e-12 against 5.0e-13 over criterion 1's
-    10,000 steps at 129 sites."""
-    volume, axes = shape.volume, tuple(range(1, shape.d + 1))
-    units = np.eye(volume, dtype=np.complex128).reshape((volume, *shape.dims))
-    flows = np.fft.ifftn(linear_phase * np.fft.fftn(units, axes=axes), axes=axes)
-    return np.ascontiguousarray(flows.reshape(volume, volume).T)
+def _differences(shape: LatticeShape) -> np.ndarray:
+    """The (V, V) table whose entry [i, j] is the row-major flat index of
+    site i minus site j, wrapped into the box.  Taps stored at the sites,
+    the origin at the centre, read through it give the circulant matrix,
+    u(x - x') at row x and column x'; a field read through its columns of
+    the kept taps gives the windows psi(x - y)."""
+    index = np.indices(shape.dims).reshape(shape.d, -1)
+    wrapped = (index[:, :, None] - index[:, None, :] + shape.L) % shape.side
+    return np.ravel_multi_index(tuple(wrapped), shape.dims)
+
+
+def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float,
+                 differences: np.ndarray) -> np.ndarray:
+    """The linear flow's taps u = exp(-i dt A) e_0 on the box, A the hopping
+    action, at the sites (the origin at the centre), each rounded once to
+    complex128 from a sum in clongdouble; the taps below _KEEP max |u| are
+    set to zero.
+
+    The sum is Horner's form of the Taylor series through the stencil, at
+    dt / 2^s for the least s that brings dt |alpha|_1 / 2^s to at most 1/2,
+    to the degree whose remainder, at most 2 theta^(K+1) / (K+1)! in l1 for
+    theta = dt |alpha|_1 / 2^s, is below 2^-126: below 2^-66 of the least
+    tap kept.  s squarings by the circulant follow on the box, and the taps
+    are rounded and cut only after the last one.  With 64-bit significands
+    (x86's clongdouble) the taps measured within one unit in the last place
+    of the exact box flow, most of them equal to its correct rounding.  An
+    overflowing dt |alpha|_1 gives NaN taps, all kept, so the first step is
+    non-finite."""
+    norm = dt * float(np.abs(pot.coeffs).sum())
+    if not math.isfinite(norm):
+        return np.full(shape.dims, np.nan, dtype=np.complex128)
+    squarings = 0
+    while math.ldexp(norm, -squarings) > 0.5:
+        squarings += 1
+    theta = math.ldexp(norm, -squarings)
+    degree, rest = 0, 2.0 * theta
+    while rest > 2.0 ** -126:
+        degree += 1
+        rest *= theta / (degree + 1)
+    apply = stencil(pot, shape)
+    step = np.clongdouble(-1j) * np.longdouble(math.ldexp(dt, -squarings))
+    unit = np.zeros(shape.dims, dtype=np.clongdouble)
+    unit[(shape.L,) * shape.d] = 1
+    taps = unit
+    for k in range(degree, 0, -1):
+        taps = unit + (step / k) * apply(taps)
+    for _ in range(squarings):
+        flat = taps.ravel()
+        taps = (flat[differences] @ flat).reshape(shape.dims)
+    taps = taps.astype(np.complex128)
+    size = np.abs(taps)
+    taps[size < _KEEP * size.max()] = 0.0
+    return taps
+
+
+def _tap_flow(taps: np.ndarray, differences: np.ndarray, src: np.ndarray, dst: np.ndarray
+              ) -> list[Callable[[], None]]:
+    """The calls that write the flow of src by the taps into dst (two arrays
+    of the box's dims): with few taps, a gather of src into its windows, a
+    (V, n_taps) array allocated here, and their product with the kept taps;
+    with many, the product of the taps' circulant with src."""
+    taps, src, dst = taps.ravel(), src.reshape(-1), dst.reshape(-1)
+    kept = np.flatnonzero(taps)
+    if not _windowed(len(kept), len(taps)):
+        return [partial(np.dot, taps[differences], src, dst)]
+    windows = np.empty((len(taps), len(kept)), dtype=np.complex128)
+    # the take method, positionally, mode "clip", as in hopping.Stencil, with
+    # a C-ordered index, which it reads uncopied
+    return [partial(src.take, differences.take(kept, 1), None, windows, "clip"),
+            partial(np.dot, windows, taps[kept], dst)]
+
+
+def _windowed(n_taps: int, volume: int) -> bool:
+    """Whether the tap flow of a box runs as windows rather than the circulant."""
+    return _WINDOW_RATIO * n_taps <= volume
 
 
 def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
@@ -310,17 +393,20 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     linear flow and a full rotation, the last one a half rotation.
 
     The linear flow is a fixed list of calls bound to two arrays allocated
-    here once.  A box of at most _DENSE_SITES sites builds the flow once as
-    a dense propagator (_linear_propagator) and runs it as one matrix-vector
-    product, np.dot into the spare array, whose bits come from the BLAS
-    zgemv kernel; the next rotation reads the spare array and writes back
-    into the field array.  A larger box runs the Fourier passes around the
-    product linear_phase * spectrum, with the bits of np.fft: the passes run
-    with no Python frame of their own, their scales are 0-d float64 arrays
-    built once, each runs over the gufunc's default core axis, the last, of
-    views that move its axis there, and out is passed positionally.  A
-    vanishing dispersion makes the list empty, so purely onsite runs carry
-    no rounding from the linear flow.
+    here once.  A box of at most _DENSE_SITES sites runs it in real space
+    from its taps (_linear_taps), built once: with few taps relative to the
+    volume as a gather of the field's windows and one matrix-vector product
+    with the kept taps, else as the product of the taps' circulant with the
+    field, np.dot into the spare array either way, whose bits come from the
+    BLAS zgemv kernel; the next rotation reads the spare array and writes
+    back into the field array.  A flow from the taps moves nothing farther
+    than the reach of its kept taps in one step.  A larger box runs the
+    Fourier passes around the product linear_phase * spectrum, with the bits
+    of np.fft: the passes run with no Python frame of their own, their
+    scales are 0-d float64 arrays built once, each runs over the gufunc's
+    default core axis, the last, of views that move its axis there, and out
+    is passed positionally.  A vanishing dispersion makes the list empty, so
+    purely onsite runs carry no rounding from the linear flow.
 
     A rotation by exp(rate |psi|^2) at an imaginary rate is computed from
     its real phase theta: cos theta and sin theta go into the real and
@@ -330,11 +416,13 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     the last bit of a complex product depends on it.
     """
     disp = dispersion(pot, shape)
-    # before the work arrays, which then reuse its temporary's freed memory
-    # instead of leaving it as a hole in the heap for the stepper's lifetime
-    linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
-    dense = linear_phase is not None and shape.volume <= _DENSE_SITES
-    prop = _linear_propagator(shape, linear_phase) if dense else None
+    flows = not np.all(disp == 0.0)
+    real_space = flows and shape.volume <= _DENSE_SITES
+    # before the work arrays, which then reuse their temporaries' freed memory
+    # instead of leaving it as holes in the heap for the stepper's lifetime
+    differences = _differences(shape) if real_space else None
+    taps = _linear_taps(pot, shape, dt, differences) if real_space else None
+    linear_phase = np.exp(-1j * dt * disp) if flows and not real_space else None
     half_rate = -0.5j * lam * dt
     # per rate: rate.imag and the signed zero rate.real * 0, which the phase
     # below adds; 0-d arrays, which numpy takes faster than Python floats
@@ -348,8 +436,8 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     # the calls of the linear flow, and the array they leave its result in
     linear: list[Callable[[], None]] = []
     flowed = field
-    if dense:
-        linear, flowed = [partial(np.dot, prop, field.reshape(-1), spare.reshape(-1))], spare
+    if taps is not None:
+        linear, flowed = _tap_flow(taps, differences, field, spare), spare
     elif linear_phase is not None:
         forward, spec, inverse = _fourier_passes(shape, field, spare)
         linear = [*forward, partial(np.multiply, linear_phase, spec, spec), *inverse]

@@ -161,7 +161,8 @@ class Stencil:
     It takes arrays of shape lead + dims and acts over the trailing axes:
     dims is the box's for one box and (total site count,) for several, each
     box row-major at its offset of `box_starts`; a call raises ValueError on
-    any other trailing shape.  Each box sits in a padded frame whose every
+    any other trailing shape.  A call computes in complex128, or in
+    clongdouble on clongdouble values.  Each box sits in a padded frame whose every
     point holds the box site it wraps to, and the frames lie end to end in
     one flat array, so each offset is one shift of it.  A call gathers the frames from the values through `fill`, multiplies them
     once by each distinct coefficient of `coeffs`, into a frames-size array
@@ -180,24 +181,25 @@ class Stencil:
     coeffs: tuple[np.ndarray, ...]
     terms: tuple[tuple[int, int], ...]
 
-    def _bind(self, lead: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-        """The action on arrays of shape lead + dims, through work arrays and
-        views of them fixed here; it returns one of them, which the next call
-        overwrites."""
+    def _bind(self, lead: tuple[int, ...], dtype=np.complex128
+              ) -> Callable[[np.ndarray], np.ndarray]:
+        """The action on arrays of shape lead + dims, through work arrays of
+        the given complex dtype and views of them fixed here; it returns one
+        of them, which the next call overwrites."""
         # writeable copies: take copies a read-only index on every call
         fill, read, used, flat = self.fill.copy(), self.read.copy(), self.used, lead + (-1,)
         # per coefficient, the frames scaled by it; the last array (there is
         # one even with no coefficient) holds the frames themselves, scaled in
         # place after the others have read them
-        scaled = np.empty((max(len(self.coeffs), 1),) + lead + fill.shape, dtype=np.complex128)
+        scaled = np.empty((max(len(self.coeffs), 1),) + lead + fill.shape, dtype=dtype)
         padded = scaled[-1]
         scales = list(zip(self.coeffs, scaled))
         views = [scaled[group][..., start:start + used] for group, start in self.terms]
-        acc = np.empty(lead + (used,), dtype=np.complex128)
+        acc = np.empty(lead + (used,), dtype=dtype)
         # read takes every accumulated point, in order, for one d = 1 box or a
         # kernel of reach 0: the result is then acc itself, in read's shape
         back = read.size != used
-        result = (np.empty(lead + read.shape, dtype=np.complex128) if back
+        result = (np.empty(lead + read.shape, dtype=dtype) if back
                   else acc.reshape(lead + read.shape))
 
         def apply(values: np.ndarray) -> np.ndarray:
@@ -217,13 +219,15 @@ class Stencil:
         return apply
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.complex128)
+        values = np.asarray(values)
+        # complex128, or clongdouble for a sum in extended precision
+        values = values.astype(np.promote_types(values.dtype, np.complex128), copy=False)
         lead = values.shape[: values.ndim - len(self.dims)]
         # the gather clips its indices, so it cannot catch a wrong size itself
         if values.shape[len(lead):] != self.dims:
             raise ValueError(f"values of shape {values.shape} do not end in the stencil's "
                              f"dims {self.dims}")
-        return self._bind(lead)(values)
+        return self._bind(lead, values.dtype)(values)
 
     def buffered(self) -> Callable[[np.ndarray], np.ndarray]:
         """The action on one state of shape dims, in work arrays allocated

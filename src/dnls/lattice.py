@@ -282,9 +282,12 @@ def load_field(path) -> FieldL:
     line, any int spelling of a coordinate passing and the first bad line raising DataError."""
     with open(path, "r") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"bad field dump header in {path}")
-        shape = LatticeShape(d=int(header[0]), L=int(header[1]))
+        try:
+            if len(header) != 2:
+                raise ValueError(f"expected 2 fields, got {len(header)}")
+            shape = LatticeShape(d=int(header[0]), L=int(header[1]))
+        except ValueError as err:
+            raise DataError(f"bad field dump header in {path}: {err}") from None
         lines = fh.readlines()
     # checked before the allocation, which a header alone can make huge
     if len(lines) != shape.volume:

@@ -457,6 +457,19 @@ class TestSampling:
         err = capsys.readouterr().err
         assert err == "configuration error: field dump line 4 does not parse: '0 0.5 abc\\n'\n"
 
+    def test_stats_on_dump_with_a_bad_header_exit_2(self, tmp_path, capsys):
+        fields = tmp_path / "fields"
+        fields.mkdir()
+        (fields / "sample_000002.txt").write_text("1 0\n0 1.0 0.0\n")
+        path = fields / "sample_000001.txt"
+        path.write_text("1 a\n0 0.0 0.0\n")
+        code = run_cli("--experiment", "stats", "--out", str(tmp_path / "stats"),
+                       "--stats.fields_dir", str(fields))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: bad field dump header in {path}: "
+                       "invalid literal for int() with base 10: 'a'\n")
+
     def test_stats_missing_dir_exit_2(self, tmp_path):
         assert run_cli("--experiment", "stats", "--out", str(tmp_path / "s")) == 2
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_propagator, hopping_matrix, naive_convolve, random_field, random_kernel,
-                      same_bits, wrapped_difference)
+from conftest import (bessel_flow, dense_propagator, hopping_matrix, naive_convolve, random_field,
+                      random_kernel, same_bits, wrapped_difference)
 import dnls.dynamics
 from dnls.dynamics import (
     _fourier_passes,
@@ -30,6 +30,7 @@ from dnls.hopping import (
     HoppingPotential,
     KernelError,
     dispersion,
+    nearest_neighbor_laplacian,
     standard_laplacian,
     stencil,
     zero_potential,
@@ -68,35 +69,72 @@ def naive_second_derivative(field, pot, lam, x):
     return term1 + term2 + term3 + term4 + term5
 
 
-def reference_propagator(shape, linear_phase):
-    """The linear flow as a dense matrix on row-major flat fields, column j
-    the flow of the j-th unit field, from plain np.fft expressions."""
-    volume, axes = shape.volume, tuple(range(1, shape.d + 1))
-    units = np.eye(volume, dtype=np.complex128).reshape((volume, *shape.dims))
-    flows = np.fft.ifftn(linear_phase * np.fft.fftn(units, axes=axes), axes=axes)
-    return flows.reshape(volume, volume).T.copy()
+def reference_differences(shape):
+    """[i, j]: the flat index of site i minus site j, wrapped into the box,
+    site by site."""
+    sites = list(shape.sites())
+    return np.array([[np.ravel_multi_index(shape.index(wrapped_difference(shape, x, y)),
+                                           shape.dims) for y in sites] for x in sites])
+
+
+def reference_taps(pot, shape, dt):
+    """(taps, differences): the linear flow's taps at the sites, origin at the
+    centre, as _linear_taps builds them, from plain numpy expressions:
+    Horner's Taylor sum through the stencil in clongdouble at dt / 2^s, s
+    circulant squarings, one rounding to complex128, then the taps below
+    2^-60 of the largest set to zero."""
+    differences = reference_differences(shape)
+    norm = dt * float(np.sum(np.abs(pot.coeffs)))
+    squarings = 0
+    while norm / 2.0**squarings > 0.5:
+        squarings += 1
+    theta = norm / 2.0**squarings
+    degree, rest = 0, 2.0 * theta
+    while rest > 2.0**-126:
+        degree += 1
+        rest *= theta / (degree + 1)
+    apply = stencil(pot, shape)
+    unit = np.zeros(shape.dims, dtype=np.clongdouble)
+    unit[(shape.L,) * shape.d] = 1
+    taps = unit
+    for k in range(degree, 0, -1):
+        taps = unit + (np.clongdouble(-1j) * np.longdouble(dt / 2.0**squarings) / k) * apply(taps)
+    for _ in range(squarings):
+        taps = (taps.ravel()[differences] @ taps.ravel()).reshape(shape.dims)
+    taps = taps.astype(np.complex128)
+    taps[np.abs(taps) < 2.0**-60 * np.max(np.abs(taps))] = 0.0
+    return taps, differences
 
 
 def _reference_strang(pot, shape, lam, dt):
     """(rotate, linear, half_rate): the onsite rotation at a rate and the
     linear flow as plain numpy expressions, with fresh arrays.  The linear
     flow routes as the stepper's does: a box of at most _DENSE_SITES sites
-    applies the propagator above with @, a larger one runs np.fft."""
+    applies its taps with @, as windows (C-ordered, as the stepper's, since
+    the layout picks the BLAS kernel) when the box has _WINDOW_RATIO sites
+    per kept tap, else as their circulant; a larger one runs np.fft."""
     disp = dispersion(pot, shape)
-    linear_phase = None if np.all(disp == 0.0) else np.exp(-1j * dt * disp)
+    flows = not np.all(disp == 0.0)
     fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
-    dense = linear_phase is not None and shape.volume <= dnls.dynamics._DENSE_SITES
-    prop = reference_propagator(shape, linear_phase) if dense else None
+    real_space = flows and shape.volume <= dnls.dynamics._DENSE_SITES
+    if real_space:
+        taps, differences = reference_taps(pot, shape, dt)
+        taps = taps.ravel()
+        kept = np.flatnonzero(taps)
+        windowed = dnls.dynamics._WINDOW_RATIO * len(kept) <= shape.volume
 
     def rotate(values, rate):
         return values * np.exp(rate * np.abs(values) ** 2)
 
     def linear(values):
-        if linear_phase is None:
+        if not flows:
             return values
-        if dense:
-            return (prop @ values.ravel()).reshape(shape.dims)
-        return ifft(linear_phase * fft(values))
+        if real_space and windowed:
+            windows = np.ascontiguousarray(values.ravel()[differences[:, kept]])
+            return (windows @ taps[kept]).reshape(shape.dims)
+        if real_space:
+            return (taps[differences] @ values.ravel()).reshape(shape.dims)
+        return ifft(np.exp(-1j * dt * disp) * fft(values))
 
     return rotate, linear, -0.5j * lam * dt
 
@@ -444,6 +482,16 @@ class TestIntegrate:
             integrate(f, standard_laplacian(1), cfg)
         assert err.value.time > 0
 
+    # dt |alpha|_1 overflows: the taps are NaN, so Strang's first step is
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_kernel_blows_up_at_the_first_step(self):
+        pot = HoppingPotential(d=1, range=1, coeffs=np.full(3, 1e308))
+        f = FieldL(LatticeShape(1, 4), np.ones(9, dtype=np.complex128))
+        cfg = SchemeConfig(scheme="strang", dt=10.0, t_end=30.0, lam=1.0)
+        with pytest.raises(BlowUpError) as err:
+            integrate(f, pot, cfg)
+        assert err.value.step == 1
+
     # RK4 overshoots at a large dt; Strang keeps |psi| bounded, but its phase
     # lam * dt * |psi(x)|^2 / 2 overflows once the flow gathers enough weight
     # at one site.  The premise: the reference's first bad single step lies
@@ -754,12 +802,13 @@ def unitarity_defect(prop):
 
 
 class TestDenseLinearFlow:
-    # boxes of at most _DENSE_SITES sites run Strang's linear flow as a dense
-    # propagator product, larger ones as Fourier passes.  Measured on 30
-    # random kernels per range (1 and 2) and d at the largest dense box,
-    # fields of scale 1, dt 0.01: the two single steps differ by at most 4.1e-15
-    # and max |U^dagger U - I| is at most 2.2e-15, with one BLAS thread or
-    # two; a propagator scaled by 1 + 1e-12 reads about 2e-12
+    # boxes of at most _DENSE_SITES sites run Strang's linear flow from its
+    # taps (windows or their circulant), larger ones as Fourier passes.
+    # Measured on 30 random kernels per range (1 and 2) and d at the largest
+    # such box, fields of scale 1, dt 0.01, one BLAS thread: the two single
+    # steps differ by at most 4.5e-15 and max |U^dagger U - I| of the kept
+    # taps' circulant is at most 1.6e-15; one scaled by 1 + 1e-12 reads
+    # about 2e-12
     STEP_TOL = 1e-14
     UNITARITY_TOL = 1e-14
 
@@ -785,12 +834,48 @@ class TestDenseLinearFlow:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_propagator_is_unitary(self, d, ell):
         shape = self.largest_dense_box(d)
+        differences = dnls.dynamics._differences(shape)
         for seed in range(5):
-            disp = dispersion(random_kernel(d, ell, seed), shape)
-            prop = dnls.dynamics._linear_propagator(shape, np.exp(-0.01j * disp))
+            taps = dnls.dynamics._linear_taps(random_kernel(d, ell, seed), shape, 0.01,
+                                              differences)
+            # the circulant of the kept taps
+            prop = taps.ravel()[differences]
             assert unitarity_defect(prop) <= self.UNITARITY_TOL
             # the check sees a norm off by 1e-12
             assert unitarity_defect(prop * (1 + 1e-12)) > self.UNITARITY_TOL
+
+
+class TestLinearTaps:
+    @pytest.mark.parametrize("dt", [5e-4, 1e-3, 4e-3, 0.3])
+    @pytest.mark.parametrize("pot, L", [(standard_laplacian(1), 16),
+                                        (nearest_neighbor_laplacian(2), 6),
+                                        (nearest_neighbor_laplacian(3), 3)])
+    def test_taps_match_the_closed_form(self, pot, L, dt):
+        # dt 0.3 brings dt |alpha|_1 to 0.6, so the taps take one squaring
+        shape = LatticeShape(pot.d, L)
+        taps = dnls.dynamics._linear_taps(pot, shape, dt, dnls.dynamics._differences(shape))
+        exact = bessel_flow(shape, pot, dt)
+        kept = taps != 0
+        assert np.all(np.abs(taps - exact)[kept] <= 4 * np.spacing(np.abs(exact[kept])))
+        # what is cut lies below 2^-60 of the largest tap
+        assert np.all(np.abs(exact[~kept]) < 2.0**-60 * np.max(np.abs(exact)))
+
+    def test_strang_moves_nothing_past_the_tap_reach(self):
+        # lam 0 from a point source: after n steps every site farther than n
+        # times the kept taps' reach is exactly zero, and the rest is the
+        # closed form.  At dt 1e-3 the reach is 4: J_5(1e-3) = 2.6e-19 lies
+        # below 2^-60
+        shape, pot, dt, steps = LatticeShape(1, 64), standard_laplacian(1), 1e-3, 15
+        taps = dnls.dynamics._linear_taps(pot, shape, dt, dnls.dynamics._differences(shape))
+        reach = int(np.max(np.abs(np.flatnonzero(taps) - shape.L)))
+        assert reach == 4
+        cfg = SchemeConfig(scheme="strang", dt=dt, t_end=steps * dt, snapshot_stride=1, lam=0.0)
+        traj = integrate(truncate(point_source(1.0), shape), pot, cfg)
+        distance = np.abs(np.arange(-shape.L, shape.L + 1))
+        for n, row in enumerate(traj.values):
+            outside = distance > n * reach
+            assert np.all(row[outside] == 0.0)
+            assert np.max(np.abs(row - bessel_flow(shape, pot, n * dt))[~outside]) <= 1e-12
 
 
 class TestTrajectoryGradients:

@@ -400,6 +400,20 @@ class TestDump:
             load_field(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("header, reason", [
+        ("1 a", "invalid literal for int() with base 10: 'a'"),
+        ("0 1", "dimension must be >= 1, got 0"),
+        ("1 -2", "half-width must be >= 0, got -2"),
+        ("1.5 2", "invalid literal for int() with base 10: '1.5'"),
+        ("1", "expected 2 fields, got 1"),
+    ], ids=["word", "zero-d", "negative-L", "float-d", "one-field"])
+    def test_malformed_header_rejected_naming_the_path(self, tmp_path, header, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n0 0.0 0.0\n")
+        with pytest.raises(DataError) as err:
+            load_field(path)
+        assert str(err.value) == f"bad field dump header in {path}: {reason}"
+
 
 def _per_line_dump(field: FieldL, path) -> None:
     """The writer dump_field replaced, one write per site; its byte reference."""
