@@ -20,14 +20,13 @@ stencil through its buffered form, with the bits of the plain expressions.
 At the 65- and 129-site boxes of the d = 1 checks an FFT call costs more in
 per-call setup than in arithmetic, so on a box of at most _DENSE_SITES
 sites Strang runs its linear flow in real space, from its taps u =
-exp(-i dt A) e_0, built once by a Taylor sum in extended precision and
-rounded once, those below 2^-60 of the largest dropped: as a gather of
-each site's windows and one matrix-vector product with the kept taps, or,
-where the taps are many for the box, as one product with their circulant,
-with the bits of the BLAS zgemv kernel.  So a step moves nothing farther
-than the kept taps' reach (4 sites in d = 1 at dt = 1e-3), as the exact
-flow moves almost nothing faster than a finite speed.  On a
-larger box it calls numpy's pocketfft gufuncs directly, with the bits of
+exp(-i dt A) e_0, summed once in extended precision and rounded once, those
+below 2^-60 of the largest dropped: a gather of each site's windows and
+one product with the kept taps, or, where the taps are many for the box,
+one product with their circulant, with the bits of the BLAS zgemv kernel.
+So a step moves nothing past the kept taps' reach (4 sites in d = 1 at dt
+= 1e-3), as the exact flow moves almost nothing faster than a finite speed.
+On a larger box it calls numpy's pocketfft gufuncs directly, with the bits of
 np.fft, bound once to their arrays and to 0-d float64 scales, which need no
 conversion per call, each over the last axis, the gufunc's default core
 axis, of views that move its axis there, with no axes argument.
@@ -312,11 +311,9 @@ def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
 
 
 def _differences(shape: LatticeShape) -> np.ndarray:
-    """The (V, V) table whose entry [i, j] is the row-major flat index of
-    site i minus site j, wrapped into the box.  Taps stored at the sites,
-    the origin at the centre, read through it give the circulant matrix,
-    u(x - x') at row x and column x'; a field read through its columns of
-    the kept taps gives the windows psi(x - y)."""
+    """[i, j]: the flat index of site i minus site j, wrapped into the box.
+    Taps at the sites, the origin at the centre, read through it give their
+    circulant; a field read through the kept taps' columns, its windows."""
     index = np.indices(shape.dims).reshape(shape.d, -1)
     wrapped = (index[:, :, None] - index[:, None, :] + shape.L) % shape.side
     return np.ravel_multi_index(tuple(wrapped), shape.dims)
@@ -324,21 +321,17 @@ def _differences(shape: LatticeShape) -> np.ndarray:
 
 def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float,
                  differences: np.ndarray) -> np.ndarray:
-    """The linear flow's taps u = exp(-i dt A) e_0 on the box, A the hopping
-    action, at the sites (the origin at the centre), each rounded once to
-    complex128 from a sum in clongdouble; the taps below _KEEP max |u| are
-    set to zero.
+    """The taps u = exp(-i dt A) e_0 of the linear flow on the box, at the
+    sites (the origin at the centre), rounded once to complex128 from a sum
+    in clongdouble, those below _KEEP max |u| set to zero.
 
-    The sum is Horner's form of the Taylor series through the stencil, at
-    dt / 2^s for the least s that brings dt |alpha|_1 / 2^s to at most 1/2,
-    to the degree whose remainder, at most 2 theta^(K+1) / (K+1)! in l1 for
-    theta = dt |alpha|_1 / 2^s, is below 2^-126: below 2^-66 of the least
-    tap kept.  s squarings by the circulant follow on the box, and the taps
-    are rounded and cut only after the last one.  With 64-bit significands
-    (x86's clongdouble) the taps measured within one unit in the last place
-    of the exact box flow, most of them equal to its correct rounding.  An
-    overflowing dt |alpha|_1 gives NaN taps, all kept, so the first step is
-    non-finite."""
+    The sum is Horner's Taylor sum through the stencil at dt / 2^s, the
+    least s with theta = dt |alpha|_1 / 2^s <= 1/2, to the degree whose l1
+    remainder bound 2 theta^(K+1) / (K+1)! is below 2^-126, followed by s
+    squarings by the circulant.  With x86's 64-bit significands every tap
+    measured within one unit in the last place of the exact box flow, most
+    of them its correct rounding.  An overflowing dt |alpha|_1 gives NaN
+    taps, all kept, so the first step is non-finite."""
     norm = dt * float(np.abs(pot.coeffs).sum())
     if not math.isfinite(norm):
         return np.full(shape.dims, np.nan, dtype=np.complex128)
@@ -393,14 +386,10 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     linear flow and a full rotation, the last one a half rotation.
 
     The linear flow is a fixed list of calls bound to two arrays allocated
-    here once.  A box of at most _DENSE_SITES sites runs it in real space
-    from its taps (_linear_taps), built once: with few taps relative to the
-    volume as a gather of the field's windows and one matrix-vector product
-    with the kept taps, else as the product of the taps' circulant with the
-    field, np.dot into the spare array either way, whose bits come from the
-    BLAS zgemv kernel; the next rotation reads the spare array and writes
-    back into the field array.  A flow from the taps moves nothing farther
-    than the reach of its kept taps in one step.  A larger box runs the
+    here once.  A box of at most _DENSE_SITES sites runs it from its taps,
+    built once (_linear_taps, _tap_flow), np.dot into the spare array, whose
+    bits come from the BLAS zgemv kernel; the next rotation reads the spare
+    array and writes back into the field array.  A larger box runs the
     Fourier passes around the product linear_phase * spectrum, with the bits
     of np.fft: the passes run with no Python frame of their own, their
     scales are 0-d float64 arrays built once, each runs over the gufunc's

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_convolve, random_field, same_bits
+from conftest import naive_convolve, random_field, random_kernel, same_bits
 from dnls.hopping import (
     HoppingPotential,
     KernelError,
@@ -279,9 +279,10 @@ class TestClippedOffsets:
 
 def roll_convolve(pot, shape, values):
     """The box-restricted stencil written with np.roll, one shifted copy per
-    offset in clipped_offsets order; a bit-level oracle for convolve_values."""
+    offset in clipped_offsets order, in complex128 or, for clongdouble values,
+    in clongdouble; a bit-level oracle for convolve_values."""
     axes = tuple(range(shape.d))
-    out = np.zeros(shape.dims, dtype=np.complex128)
+    out = np.zeros(shape.dims, dtype=np.promote_types(values.dtype, np.complex128))
     for offset, coeff in clipped_offsets(pot, shape):
         out += coeff * np.roll(values, shift=offset, axis=axes)
     return out
@@ -386,6 +387,18 @@ class TestStencil:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0
+
+    @pytest.mark.parametrize("d, L", [(1, 4), (2, 2), (3, 1)])
+    def test_clongdouble_values_sum_in_clongdouble(self, d, L):
+        # the extended-precision sum of Strang's taps: parts below a double's
+        # last place survive the call
+        pot, shape = random_kernel(d, 1, d), LatticeShape(d, L)
+        values = random_field(shape, L).values.astype(np.clongdouble)
+        values += values * np.longdouble(2.0**-60)
+        out = stencil(pot, shape)(values)
+        assert out.dtype == np.clongdouble
+        assert np.array_equal(out, roll_convolve(pot, shape, values))
+        assert not np.array_equal(out, out.astype(np.complex128))
 
     def test_packed_boxes_must_fit(self):
         with pytest.raises(KernelError):
