@@ -483,6 +483,7 @@ class TestIntegrate:
         assert err.value.time > 0
 
     # dt |alpha|_1 overflows: the taps are NaN, so Strang's first step is
+    # non-finite
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_kernel_blows_up_at_the_first_step(self):
         pot = HoppingPotential(d=1, range=1, coeffs=np.full(3, 1e308))
