@@ -600,7 +600,10 @@ class TestIntegrate:
     @example(d=3, ell=1, extra=1, scheme="rk4", kernel="random", zero_field=False, lam=1.0,
              stride=3, n_snap=2, seed=6).via("RK4 blocks")
     @example(d=3, ell=1, extra=0, scheme="strang", kernel="random", zero_field=False, lam=1.0,
-             stride=2, n_snap=2, seed=7).via("dense linear flow, d = 3")
+             stride=2, n_snap=2, seed=7).via("tap flow, d = 3")
+    # dt |alpha|_1 = 1.58: the taps take two squarings
+    @example(d=3, ell=2, extra=0, scheme="strang", kernel="random", zero_field=False, lam=1.0,
+             stride=2, n_snap=2, seed=8).via("squared taps, d = 3")
     @example(d=3, ell=1, extra=2, scheme="strang", kernel="random", zero_field=False, lam=1.0,
              stride=2, n_snap=2, seed=7).via("Fourier linear flow, d = 3")
     def test_snapshots_equal_iterated_steps(
