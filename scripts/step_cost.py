@@ -48,8 +48,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from speed import probe_factor  # noqa: E402
 
-from dnls.dynamics import (_DENSE_SITES, SchemeConfig, _differences, _linear_taps,  # noqa: E402
-                           _windowed, integrate)
+from dnls.dynamics import (_DENSE_SITES, SchemeConfig, _linear_taps, _windowed,  # noqa: E402
+                           integrate)
 from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
@@ -89,7 +89,7 @@ def strang_flow(pot, shape) -> tuple[str, str]:
     """The form of Strang's linear flow on the box and its kept tap count."""
     if shape.volume > _DENSE_SITES:
         return "fourier", "-"
-    taps = int(np.count_nonzero(_linear_taps(pot, shape, DT, _differences(shape))))
+    taps = int(np.count_nonzero(_linear_taps(pot, shape, DT)))
     return ("windows" if _windowed(taps, shape.volume) else "circulant"), str(taps)
 
 

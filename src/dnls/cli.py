@@ -499,16 +499,23 @@ def run_sample_gibbs(c: dict, writer: RunWriter) -> tuple[dict, dict]:
 
 
 def _stats_payload(samples, writer, c) -> dict:
-    xi = c["sampling"]["xi"]
+    xi, a = c["sampling"]["xi"], c["sampling"]["a"]
     stats = sampling.site_moments(samples, xi)
-    violations = [sampling.power_law_violations(s, c["sampling"]["a"]) for s in samples]
-    by_radius = map(sum, zip(*(v.violations_by_radius.values() for v in violations)))
+    if not (a > 0):
+        raise ConfigError(f"sampling.a must be > 0, got {a}")
+    # the counts of sampling.power_law_violations, summed over the samples,
+    # from the box's threshold and radius grid built once for all of them
+    shape = samples[0].shape
+    radii = lattice.torus_distance_grid(shape, (0,) * shape.d)
+    above = np.abs(np.stack([s.values for s in samples])) > lattice.power_weight(shape, -1.0 / a)
+    by_radius = np.bincount(np.broadcast_to(radii, above.shape)[above], minlength=shape.L + 1)
+    sites_at = np.bincount(radii.ravel(), minlength=shape.L + 1)
     payload = {
         "moment_order": xi,
         "per_site_moments": stats.per_site_moments,
         "max_moment": stats.max_moment,
-        "violations_by_radius": dict(enumerate(by_radius)),
-        "sites_by_radius": violations[0].sites_by_radius,
+        "violations_by_radius": dict(enumerate(by_radius.tolist())),
+        "sites_by_radius": dict(enumerate(sites_at.tolist())),
     }
     writer.write_json("stats.json", payload)
     _dump_fields(writer, c, "sample", samples)

@@ -21,9 +21,10 @@ At the 65- and 129-site boxes of the d = 1 checks an FFT call costs more in
 per-call setup than in arithmetic, so on a box of at most _DENSE_SITES
 sites Strang runs its linear flow in real space, from its taps u =
 exp(-i dt A) e_0, summed once in extended precision and rounded once, those
-below 2^-60 of the largest dropped: a gather of each site's windows and
-one product with the kept taps, or, where the taps are many for the box,
-one product with their circulant, with the bits of the BLAS zgemv kernel.
+below 2^-60 of the largest dropped: a gather of each site's windows and one
+product with the kept taps, or, where the taps are many for the box, one
+product with their circulant, both read through lattice.neighbor_table,
+with the bits of the BLAS zgemv kernel.
 So a step moves nothing past the kept taps' reach (4 sites in d = 1 at dt
 = 1e-3), as the exact flow moves almost nothing faster than a finite speed.
 On a larger box it calls numpy's pocketfft gufuncs directly, with the bits of
@@ -47,9 +48,10 @@ as one box's.  Nothing is stored; a callback reads each
 snapshot.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
-first and second order integral reformulations of the equation; they mix
-quadrature error (order 4 in the snapshot spacing, composite Simpson) with
-the scheme's own defect, and refinement studies separate the two.
+first and second order integral reformulations of the equation, summed at
+one site from its neighbour table row; they mix quadrature error (order 4
+in the snapshot spacing, composite Simpson) with the scheme's own defect,
+and refinement studies separate the two.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .hopping import HoppingPotential, Stencil, dispersion, require_fits, stencil
-from .lattice import DataError, FieldL, FieldRows, LatticeShape, box_starts, frozen, read_only
+from .hopping import HoppingPotential, Stencil, clipped_table, dispersion, require_fits, stencil
+from .lattice import (DataError, FieldL, FieldRows, LatticeShape, box_starts, frozen,
+                      neighbor_table, read_only)
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
@@ -76,17 +79,14 @@ SCHEMES = ("strang", "rk4")
 _STACK_SITES = 1 << 14
 # a Strang box of at most this many sites runs its linear flow from its taps
 # in real space (_linear_taps, _tap_flow), a larger one as Fourier passes.
-# The threshold was set against the dense V x V propagator product, which
-# costs what the circulant form costs; the windows form costs less.  Median
-# over 31 interleaved rounds of the dense to Fourier step time ratio,
-# standard Laplacian, one BLAS thread, shared 2-core host: in d = 1 0.71 at
-# 65 sites and 0.77 at 129; in d = 2 0.75 at 121 and 0.85 at 169, but 1.27
-# at 225 and 1.48 at 289; in d = 3 0.53 at 125 and 1.84 at 343.  In d = 1
-# the Fourier cost follows the length's prime factors: from 125 to 199 sites
-# dense costs 1.02-1.16x at lengths of small factors (125, 135, 147, 165,
-# 171) and 0.5-0.6x at primes (151, 181, 191, 197); above 200 it loses at
-# 205-221 and 289-351 (1.1-2.9x).  With two BLAS threads the d = 1 ratios
-# were 0.90 at 65 and 129 sites.
+# Step time against the Fourier passes on the same box, standard Laplacian,
+# dt = 1e-3, one BLAS thread, shared 2-core host, best of 7: in d = 1 the
+# 9-tap windows cost 0.47x at 199 sites, 0.65x at 201, 0.71x at 301 and
+# 0.35x at 601; in d = 2 the circulant of 81 taps 0.96x at 169, 1.40x at 225
+# and 1.47x at 289; in d = 3 the circulant of all taps 0.69x at 125 and
+# 1.83x at 343.  scripts/step_cost.py agrees per route: 17.4 us a step at
+# d = 1 L = 99 (windows) against 28.1 at L = 100 (Fourier).  So the value
+# holds for the circulants of d >= 2; d = 1 windows would win beyond it.
 _DENSE_SITES = 200
 # the taps kept: those of at least this fraction of the largest.  At dt =
 # 1e-3 the standard Laplacian's taps at distance 5 and beyond are below
@@ -235,25 +235,6 @@ def _second_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
     return _second_terms(lam, psi, conv, apply(conv), apply(np.abs(psi) ** 2 * psi))
 
 
-def _second_at(apply: Stencil, lam: float, stack: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    """_second_values at one site, given by its array index, over a stack of
-    fields, with its bits, read from the sites within twice the kernel range
-    of it: the actions at idx read the action and |psi|^2 psi at idx's
-    sources alone."""
-    dims, lead = stack.shape[1:], stack.shape[:1]
-    flat = stack.reshape(len(stack), -1)
-
-    def conv(source: int) -> np.ndarray:
-        return apply.at(stack, np.unravel_index(source, dims))
-
-    def cubic(source: int) -> np.ndarray:
-        psi = flat[:, source]
-        return np.abs(psi) ** 2 * psi
-
-    return _second_terms(lam, stack[(slice(None), *idx)], apply.at(stack, idx),
-                         apply.gather(idx, conv, lead), apply.gather(idx, cubic, lead))
-
-
 def _checked_stencil(pot: HoppingPotential, *shapes: LatticeShape) -> Stencil:
     for shape in shapes:
         require_fits(pot, shape)
@@ -310,27 +291,18 @@ def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
     return forward, spec, inverse
 
 
-def _differences(shape: LatticeShape) -> np.ndarray:
-    """[i, j]: the flat index of site i minus site j, wrapped into the box.
-    Taps at the sites, the origin at the centre, read through it give their
-    circulant; a field read through the kept taps' columns, its windows."""
-    index = np.indices(shape.dims).reshape(shape.d, -1)
-    wrapped = (index[:, :, None] - index[:, None, :] + shape.L) % shape.side
-    return np.ravel_multi_index(tuple(wrapped), shape.dims)
-
-
-def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float,
-                 differences: np.ndarray) -> np.ndarray:
+def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float) -> np.ndarray:
     """The taps u = exp(-i dt A) e_0 of the linear flow on the box, at the
     sites (the origin at the centre), rounded once to complex128 from a sum
     in clongdouble, those below _KEEP max |u| set to zero.
 
-    The sum is Horner's Taylor sum through the stencil at dt / 2^s, the
-    least s with theta = dt |alpha|_1 / 2^s <= 1/2, to the degree whose l1
-    remainder bound 2 theta^(K+1) / (K+1)! is below 2^-126, followed by s
-    squarings by the circulant.  With x86's 64-bit significands every tap
-    measured within one unit in the last place of the exact box flow, most
-    of them its correct rounding.  An overflowing dt |alpha|_1 gives NaN
+    The sum is Horner's Taylor sum at dt / 2^s, the least s with theta = dt
+    |alpha|_1 / 2^s <= 1/2, to the degree whose l1 remainder bound 2
+    theta^(K+1) / (K+1)! is below 2^-126, each hopping action the taps read
+    through the kernel's neighbour table times its coefficients, followed by
+    s squarings by the circulant, whose table is built only then.  With
+    x86's 64-bit significands every tap measured within one unit in the
+    last place of the exact box flow, most of them its correct rounding.  An overflowing dt |alpha|_1 gives NaN
     taps, all kept, so the first step is non-finite."""
     norm = dt * float(np.abs(pot.coeffs).sum())
     if not math.isfinite(norm):
@@ -343,36 +315,39 @@ def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float,
     while rest > 2.0 ** -126:
         degree += 1
         rest *= theta / (degree + 1)
-    apply = stencil(pot, shape)
+    coeffs, table = clipped_table(pot, shape)
+    coeffs = np.array(coeffs, dtype=np.clongdouble)
     step = np.clongdouble(-1j) * np.longdouble(math.ldexp(dt, -squarings))
     unit = np.zeros(shape.dims, dtype=np.clongdouble)
     unit[(shape.L,) * shape.d] = 1
     taps = unit
     for k in range(degree, 0, -1):
-        taps = unit + (step / k) * apply(taps)
+        taps = unit + (step / k) * (taps.ravel()[table] @ coeffs).reshape(shape.dims)
+    circulant = neighbor_table(shape, list(shape.sites())) if squarings else None
     for _ in range(squarings):
         flat = taps.ravel()
-        taps = (flat[differences] @ flat).reshape(shape.dims)
+        taps = (flat[circulant] @ flat).reshape(shape.dims)
     taps = taps.astype(np.complex128)
     size = np.abs(taps)
     taps[size < _KEEP * size.max()] = 0.0
     return taps
 
 
-def _tap_flow(taps: np.ndarray, differences: np.ndarray, src: np.ndarray, dst: np.ndarray
+def _tap_flow(taps: np.ndarray, shape: LatticeShape, src: np.ndarray, dst: np.ndarray
               ) -> list[Callable[[], None]]:
     """The calls that write the flow of src by the taps into dst (two arrays
     of the box's dims): with few taps, a gather of src into its windows, a
     (V, n_taps) array allocated here, and their product with the kept taps;
-    with many, the product of the taps' circulant with src."""
+    with many, the product of the taps' circulant with src.  Both read
+    through the neighbour table of the taps' sites."""
     taps, src, dst = taps.ravel(), src.reshape(-1), dst.reshape(-1)
-    kept = np.flatnonzero(taps)
+    kept, sites = np.flatnonzero(taps), np.array(list(shape.sites()))
     if not _windowed(len(kept), len(taps)):
-        return [partial(np.dot, taps[differences], src, dst)]
+        return [partial(np.dot, taps[neighbor_table(shape, sites)], src, dst)]
     windows = np.empty((len(taps), len(kept)), dtype=np.complex128)
     # the take method, positionally, mode "clip", as in hopping.Stencil, with
-    # a C-ordered index, which it reads uncopied
-    return [partial(src.take, differences.take(kept, 1), None, windows, "clip"),
+    # the table, C-ordered, which it reads uncopied
+    return [partial(src.take, neighbor_table(shape, sites[kept]), None, windows, "clip"),
             partial(np.dot, windows, taps[kept], dst)]
 
 
@@ -409,8 +384,7 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     real_space = flows and shape.volume <= _DENSE_SITES
     # before the work arrays, which then reuse their temporaries' freed memory
     # instead of leaving it as holes in the heap for the stepper's lifetime
-    differences = _differences(shape) if real_space else None
-    taps = _linear_taps(pot, shape, dt, differences) if real_space else None
+    taps = _linear_taps(pot, shape, dt) if real_space else None
     linear_phase = np.exp(-1j * dt * disp) if flows and not real_space else None
     half_rate = -0.5j * lam * dt
     # per rate: rate.imag and the signed zero rate.real * 0, which the phase
@@ -426,7 +400,7 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     linear: list[Callable[[], None]] = []
     flowed = field
     if taps is not None:
-        linear, flowed = _tap_flow(taps, differences, field, spare), spare
+        linear, flowed = _tap_flow(taps, shape, field, spare), spare
     elif linear_phase is not None:
         forward, spec, inverse = _fourier_passes(shape, field, spare)
         linear = [*forward, partial(np.multiply, linear_phase, spec, spec), *inverse]
@@ -623,31 +597,44 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
     return w * spacing
 
 
-def _duhamel_terms(traj: Trajectory, x: Sequence[int], t: float):
-    """(m, idx, increment, weights): t = t_m, x's array index, psi_t(x) -
-    psi_0(x) and the quadrature weights over snapshots j <= m.  None at t = 0."""
+def _row_sum(coeffs: list[float], values: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] values[..., k], from zero in order: over the leading
+    axes, the hopping action at a site from the values read through its
+    neighbour table row, with the bits of a stencil call there."""
+    acc = np.zeros(values.shape[:-1], dtype=np.complex128)
+    for k, coeff in enumerate(coeffs):
+        acc += coeff * values[..., k]
+    return acc
+
+
+def _duhamel_terms(traj: Trajectory, pot: HoppingPotential, x: Sequence[int], t: float):
+    """(increment, weights, coeffs, table, flat, i): for t = t_m, psi_t(x) -
+    psi_0(x), the quadrature weights over snapshots j <= m, the clipped
+    kernel's coefficients and neighbour table, those snapshots as rows of
+    flat values, and x's flat index.  None at t = 0."""
     m = traj.time_index(t)
-    idx = traj.shape.index(x)
+    i = np.ravel_multi_index(traj.shape.index(x), traj.shape.dims)
     if m == 0:
         return None
-    increment = traj.values[(m, *idx)] - traj.values[(0, *idx)]
-    return m, idx, increment, _quadrature_weights(m, traj.spacing)
+    require_fits(pot, traj.shape)
+    flat = traj.values[:m + 1].reshape(m + 1, -1)
+    return (flat[m, i] - flat[0, i], _quadrature_weights(m, traj.spacing),
+            *clipped_table(pot, traj.shape), flat, i)
 
 
 def duhamel_defect_first(traj: Trajectory, pot: HoppingPotential, lam: float,
                          x: Sequence[int], t: float) -> complex:
     """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed.
 
-    G_x is evaluated on the kernel's neighbourhood of x alone, over all
-    snapshots j <= m at once, with the bits of _gradient_values at x.
+    G_x is evaluated on x's neighbour table row alone, over all snapshots
+    j <= m at once, with the bits of _gradient_values at x.
     """
-    terms = _duhamel_terms(traj, x, t)
+    terms = _duhamel_terms(traj, pot, x, t)
     if terms is None:
         return 0.0j
-    m, idx, increment, weights = terms
-    stack = traj.values[:m + 1]
-    psi = stack[(slice(None), *idx)]
-    g = _checked_stencil(pot, traj.shape).at(stack, idx) + lam * (np.abs(psi) ** 2) * psi
+    increment, weights, coeffs, table, flat, i = terms
+    psi = flat[:, i]
+    g = _row_sum(coeffs, flat[:, table[i]]) + lam * (np.abs(psi) ** 2) * psi
     return complex(increment + 1j * np.sum(weights * g))
 
 
@@ -655,16 +642,19 @@ def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
                           x: Sequence[int], t: float) -> complex:
     """psi_t(x) - psi_0(x) + i t G_x(psi_0) - integral_0^t (t-s) P_x(psi_s) ds.
 
-    P_x is evaluated on the sites within twice the kernel range of x alone,
-    over all snapshots j <= m at once, with the bits of _second_values at x.
+    P_x is evaluated on x's neighbour table row and the rows of its sites
+    alone, the sites within twice the kernel range of x, over all snapshots
+    j <= m at once, with the bits of _second_values at x.
     """
-    terms = _duhamel_terms(traj, x, t)
+    terms = _duhamel_terms(traj, pot, x, t)
     if terms is None:
         return 0.0j
-    m, idx, increment, weights = terms
-    apply = _checked_stencil(pot, traj.shape)
-    p = _second_at(apply, lam, traj.values[:m + 1], idx)
-    g0 = _gradient_values(apply, lam, traj.values[0])[idx]
+    increment, weights, coeffs, table, flat, i = terms
+    psi, near = flat[:, i], flat[:, table[i]]
+    conv = _row_sum(coeffs, near)
+    twice = _row_sum(coeffs, _row_sum(coeffs, flat[:, table[table[i]]]))
+    p = _second_terms(lam, psi, conv, twice, _row_sum(coeffs, np.abs(near) ** 2 * near))
+    g0 = (conv + lam * (np.abs(psi) ** 2) * psi)[0]
     return complex(increment + 1j * t * g0 - np.sum(weights * ((t - traj.times[:len(p)]) * p)))
 
 

@@ -19,8 +19,8 @@ reads position p of the order from element s * volume + p.  So the stream
 depends only on the seed and the volume, and a chain is a prefix of any
 longer chain at its seed.  Each uniform u becomes a threshold -log(u) / beta
 and a proposal is accepted when its energy change is below it: the rule
-u < exp(-beta dE), with no exp to overflow.  One neighbour table (per site
-x, the flat index of x - offset per clipped offset) drives the colouring
+u < exp(-beta dE), with no exp to overflow.  One neighbour table, the
+lattice.neighbor_table of the clipped offsets, drives the colouring
 and two kernels that give the same bits: a large class updates as numpy
 operations on its index arrays, a small one (a one-site box, the one-site
 tail class of an odd ring) as a Python loop over its sites' (coefficient,
@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hopping import HoppingPotential, clipped_offsets
+from .hopping import HoppingPotential, clipped_table
 from .lattice import FieldL, LatticeShape, Site, field_rows, power_weight, torus_distance_grid
 
 
@@ -106,9 +106,8 @@ class GaussianSpec:
             raise MeasureError("spectral density must be finite and nonnegative")
         if not callable(self.density):
             return grid  # constant, so symmetric under mode negation
-        reflected = grid
-        for axis in range(shape.d):
-            reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
+        # mode -k, at array index -k mod side per axis
+        reflected = grid[np.ix_(*((-np.arange(shape.side)) % shape.side,) * shape.d)]
         if not np.allclose(grid, reflected, rtol=0, atol=1e-12 * max(1.0, float(grid.max()))):
             raise MeasureError("spectral density must be symmetric under mode negation")
         return grid
@@ -167,18 +166,6 @@ class GibbsChain:
     n_accepted: int
 
 
-def _neighbor_table(pot: HoppingPotential, shape: LatticeShape) -> tuple[list[float], np.ndarray]:
-    """The clipped_offsets coefficients as Python floats, and the table whose
-    row x holds the flat index of x - offset per offset, in that order; the
-    zero kernel gives no coefficients and empty rows."""
-    offsets = clipped_offsets(pot, shape)
-    flat = np.arange(shape.volume).reshape(shape.dims)
-    table = np.empty((shape.volume, len(offsets)), dtype=np.intp)
-    for j, (off, _) in enumerate(offsets):
-        table[:, j] = np.roll(flat, off, axis=tuple(range(shape.d))).ravel()
-    return [float(c) for _, c in offsets], table
-
-
 def _colour_classes(table: np.ndarray) -> list[np.ndarray]:
     """Greedy colouring, in site order, of the graph joining each site x to
     the x - offset of its table row; the zero offset is x itself and no edge.
@@ -201,7 +188,7 @@ def run_gibbs_chain(
     """Metropolis chain for exp(-beta (H - mu N)); deterministic given seed."""
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    coeffs, table = _neighbor_table(pot, shape)
+    coeffs, table = clipped_table(pot, shape)
     classes = _colour_classes(table)
     alpha0 = pot.at((0,) * pot.d)
 

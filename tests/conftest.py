@@ -29,7 +29,7 @@ import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from dnls.hopping import HoppingPotential, nearest_neighbor_laplacian  # noqa: E402
+from dnls.hopping import HoppingPotential, clipped_offsets, nearest_neighbor_laplacian  # noqa: E402
 from dnls.lattice import FieldL, LatticeShape, Site  # noqa: E402
 
 
@@ -73,6 +73,29 @@ def naive_hamiltonian(pot: HoppingPotential, field: FieldL, lam: float) -> float
             quad += pot.at(wrapped_difference(shape, x, y)) * field.at(x) * np.conj(field.at(y))
     quart = 0.5 * lam * sum(abs(field.at(x)) ** 4 for x in shape.sites())
     return float(quad.real + quart)
+
+
+def per_site_table(shape: LatticeShape, offsets) -> np.ndarray:
+    """Flat index of x - offset per site x and offset, by a per-site loop:
+    the reference for lattice.neighbor_table."""
+    table = np.empty((shape.volume, len(offsets)), dtype=np.int64)
+    for flat, coord in enumerate(np.ndindex(shape.dims)):
+        for j, off in enumerate(offsets):
+            target = tuple((c - o) % shape.side for c, o in zip(coord, off))
+            table[flat, j] = np.ravel_multi_index(target, shape.dims)
+    return table
+
+
+def roll_convolve(pot: HoppingPotential, shape: LatticeShape, values: np.ndarray) -> np.ndarray:
+    """The box-restricted stencil written with np.roll, one shifted copy per
+    offset in clipped_offsets order, summed from zero in complex128 or, for
+    clongdouble values, in clongdouble; a bit-level oracle for the stencil
+    and for the neighbour table sums of Strang's taps."""
+    axes = tuple(range(shape.d))
+    out = np.zeros(shape.dims, dtype=np.promote_types(values.dtype, np.complex128))
+    for offset, coeff in clipped_offsets(pot, shape):
+        out += coeff * np.roll(values, shift=offset, axis=axes)
+    return out
 
 
 def hopping_matrix(pot: HoppingPotential, shape: LatticeShape) -> np.ndarray:

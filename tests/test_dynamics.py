@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bessel_flow, dense_propagator, hopping_matrix, naive_convolve, random_field,
-                      random_kernel, same_bits, wrapped_difference)
+                      random_kernel, roll_convolve, same_bits, wrapped_difference)
 import dnls.dynamics
 from dnls.dynamics import (
     _fourier_passes,
@@ -29,13 +29,15 @@ from dnls.dynamics import (
 from dnls.hopping import (
     HoppingPotential,
     KernelError,
+    clipped_table,
     dispersion,
     nearest_neighbor_laplacian,
     standard_laplacian,
     stencil,
     zero_potential,
 )
-from dnls.lattice import DataError, FieldL, LatticeShape, box_starts, point_source, truncate
+from dnls.lattice import (DataError, FieldL, LatticeShape, box_starts, neighbor_table, point_source,
+                          truncate)
 from dnls.observables import hamiltonian, particle_number
 
 
@@ -80,9 +82,9 @@ def reference_differences(shape):
 def reference_taps(pot, shape, dt):
     """(taps, differences): the linear flow's taps at the sites, origin at the
     centre, as _linear_taps builds them, from plain numpy expressions:
-    Horner's Taylor sum through the stencil in clongdouble at dt / 2^s, s
-    circulant squarings, one rounding to complex128, then the taps below
-    2^-60 of the largest set to zero."""
+    Horner's Taylor sum in clongdouble at dt / 2^s, each hopping action the
+    np.roll sum of roll_convolve, s circulant squarings, one rounding to
+    complex128, then the taps below 2^-60 of the largest set to zero."""
     differences = reference_differences(shape)
     norm = dt * float(np.sum(np.abs(pot.coeffs)))
     squarings = 0
@@ -93,12 +95,12 @@ def reference_taps(pot, shape, dt):
     while rest > 2.0**-126:
         degree += 1
         rest *= theta / (degree + 1)
-    apply = stencil(pot, shape)
     unit = np.zeros(shape.dims, dtype=np.clongdouble)
     unit[(shape.L,) * shape.d] = 1
     taps = unit
     for k in range(degree, 0, -1):
-        taps = unit + (np.clongdouble(-1j) * np.longdouble(dt / 2.0**squarings) / k) * apply(taps)
+        step = np.clongdouble(-1j) * np.longdouble(dt / 2.0**squarings) / k
+        taps = unit + step * roll_convolve(pot, shape, taps)
     for _ in range(squarings):
         taps = (taps.ravel()[differences] @ taps.ravel()).reshape(shape.dims)
     taps = taps.astype(np.complex128)
@@ -838,10 +840,9 @@ class TestDenseLinearFlow:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_propagator_is_unitary(self, d, ell):
         shape = self.largest_dense_box(d)
-        differences = dnls.dynamics._differences(shape)
+        differences = neighbor_table(shape, list(shape.sites()))
         for seed in range(5):
-            taps = dnls.dynamics._linear_taps(random_kernel(d, ell, seed), shape, 0.01,
-                                              differences)
+            taps = dnls.dynamics._linear_taps(random_kernel(d, ell, seed), shape, 0.01)
             # the circulant of the kept taps
             prop = taps.ravel()[differences]
             assert unitarity_defect(prop) <= self.UNITARITY_TOL
@@ -850,6 +851,26 @@ class TestDenseLinearFlow:
 
 
 class TestLinearTaps:
+    @pytest.mark.parametrize("d, L", [(1, 4), (2, 2), (3, 1)])
+    def test_horner_table_sum_is_the_roll_sum(self, d, L):
+        # the hopping action of the taps' Horner sum: clongdouble values read
+        # through the neighbour table, times the coefficients.  Parts below
+        # a double's last place survive it, and each site sums from zero in
+        # clipped_offsets order, as the np.roll sum does: signed zeros agree
+        pot, shape = random_kernel(d, 1, d), LatticeShape(d, L)
+        rng = np.random.default_rng(L)
+        values = random_field(shape, L).values.astype(np.clongdouble)
+        values += values * np.longdouble(2.0**-60)
+        values.real[rng.random(shape.dims) < 0.5] = -0.0
+        values.imag[rng.random(shape.dims) < 0.5] = -0.0
+        coeffs, table = clipped_table(pot, shape)
+        out = (values.ravel()[table] @ np.array(coeffs, dtype=np.clongdouble)).reshape(shape.dims)
+        expected = roll_convolve(pot, shape, values)
+        assert out.dtype == expected.dtype == np.clongdouble
+        for got, want in ((out.real, expected.real), (out.imag, expected.imag)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.array_equal(out, out.astype(np.complex128))
+
     @pytest.mark.parametrize("dt", [5e-4, 1e-3, 4e-3, 0.3])
     @pytest.mark.parametrize("pot, L", [(standard_laplacian(1), 16),
                                         (nearest_neighbor_laplacian(2), 6),
@@ -857,7 +878,7 @@ class TestLinearTaps:
     def test_taps_match_the_closed_form(self, pot, L, dt):
         # dt 0.3 brings dt |alpha|_1 to 0.6, so the taps take one squaring
         shape = LatticeShape(pot.d, L)
-        taps = dnls.dynamics._linear_taps(pot, shape, dt, dnls.dynamics._differences(shape))
+        taps = dnls.dynamics._linear_taps(pot, shape, dt)
         exact = bessel_flow(shape, pot, dt)
         kept = taps != 0
         assert np.all(np.abs(taps - exact)[kept] <= 4 * np.spacing(np.abs(exact[kept])))
@@ -870,7 +891,7 @@ class TestLinearTaps:
         # closed form.  At dt 1e-3 the reach is 4: J_5(1e-3) = 2.6e-19 lies
         # below 2^-60
         shape, pot, dt, steps = LatticeShape(1, 64), standard_laplacian(1), 1e-3, 15
-        taps = dnls.dynamics._linear_taps(pot, shape, dt, dnls.dynamics._differences(shape))
+        taps = dnls.dynamics._linear_taps(pot, shape, dt)
         reach = int(np.max(np.abs(np.flatnonzero(taps) - shape.L)))
         assert reach == 4
         cfg = SchemeConfig(scheme="strang", dt=dt, t_end=steps * dt, snapshot_stride=1, lam=0.0)

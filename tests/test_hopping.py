@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_convolve, random_field, random_kernel, same_bits
+from conftest import naive_convolve, random_field, roll_convolve, same_bits
 from dnls.hopping import (
     HoppingPotential,
     KernelError,
@@ -277,17 +277,6 @@ class TestClippedOffsets:
             DIMENSION_ENTRY_POINTS[entry](standard_laplacian(kernel_d), f)
 
 
-def roll_convolve(pot, shape, values):
-    """The box-restricted stencil written with np.roll, one shifted copy per
-    offset in clipped_offsets order, in complex128 or, for clongdouble values,
-    in clongdouble; a bit-level oracle for convolve_values."""
-    axes = tuple(range(shape.d))
-    out = np.zeros(shape.dims, dtype=np.promote_types(values.dtype, np.complex128))
-    for offset, coeff in clipped_offsets(pot, shape):
-        out += coeff * np.roll(values, shift=offset, axis=axes)
-    return out
-
-
 class TestStencil:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 4),
@@ -387,18 +376,6 @@ class TestStencil:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0
-
-    @pytest.mark.parametrize("d, L", [(1, 4), (2, 2), (3, 1)])
-    def test_clongdouble_values_sum_in_clongdouble(self, d, L):
-        # the extended-precision sum of Strang's taps: parts below a double's
-        # last place survive the call
-        pot, shape = random_kernel(d, 1, d), LatticeShape(d, L)
-        values = random_field(shape, L).values.astype(np.clongdouble)
-        values += values * np.longdouble(2.0**-60)
-        out = stencil(pot, shape)(values)
-        assert out.dtype == np.clongdouble
-        assert np.array_equal(out, roll_convolve(pot, shape, values))
-        assert not np.array_equal(out, out.astype(np.complex128))
 
     def test_packed_boxes_must_fit(self):
         with pytest.raises(KernelError):

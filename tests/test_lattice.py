@@ -22,12 +22,13 @@ from dnls.lattice import (
     field_rows,
     hashed_noise_generator,
     load_field,
+    neighbor_table,
     point_source,
     regularized_abs,
     torus_distance_grid,
     truncate,
 )
-from conftest import same_bits, torus_dist_inf
+from conftest import per_site_table, same_bits, torus_dist_inf
 
 
 def reference_hashed_noise(seed, envelope_exponent=0.0, amplitude=1.0):
@@ -125,6 +126,25 @@ class TestTorusDist:
         for x in shape.sites():
             grid = torus_distance_grid(shape, x)
             assert all(grid[shape.index(y)] == torus_dist_inf(shape, x, y) for y in shape.sites())
+
+
+class TestNeighborTable:
+    """neighbor_table(shape, offsets)[x, j] is the flat index of x - offsets[j],
+    wrapped into the box, as the per-site loop of conftest finds it."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [0, 1, 2, 4])
+    def test_matches_per_site_loop(self, d, L):
+        shape = LatticeShape(d, L)
+        rng = np.random.default_rng(10 * d + L)
+        # the box's sites, the zero offset, and offsets past the side, both signs
+        offsets = ([(0,) * d] + list(shape.sites())
+                   + [tuple(row) for row in rng.integers(-3 * shape.side, 3 * shape.side, (5, d))])
+        for given in (offsets, [], np.array(offsets)):
+            table = neighbor_table(shape, given)
+            assert table.dtype == np.intp and table.flags.c_contiguous
+            assert table.shape == (shape.volume, len(given))
+            assert np.array_equal(table, per_site_table(shape, [tuple(o) for o in given]))
 
 
 class TestFieldL:

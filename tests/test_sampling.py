@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import per_site_table
 from dnls import sampling
 from dnls.hopping import (
     HoppingPotential,
     clipped_offsets,
+    clipped_table,
     nearest_neighbor_laplacian,
     standard_laplacian,
     zero_potential,
@@ -31,7 +33,6 @@ from dnls.sampling import (
     tune_proposal_sigma,
     weighted_sup,
     _colour_classes,
-    _neighbor_table,
 )
 
 POT = standard_laplacian(1)
@@ -277,30 +278,19 @@ class TestGibbsChain:
         assert (z <= 3.0).mean() >= 0.95
 
 
-def _per_site_table(pot, shape):
-    """Flat index of x - offset per site x and offset, by a per-site loop."""
-    offsets = clipped_offsets(pot, shape)
-    side = shape.side
-    table = np.empty((shape.volume, len(offsets)), dtype=np.int64)
-    for flat, coord in enumerate(np.ndindex(shape.dims)):
-        for j, (off, _) in enumerate(offsets):
-            target = tuple((c - o) % side for c, o in zip(coord, off))
-            table[flat, j] = np.ravel_multi_index(target, shape.dims)
-    return table, np.array([c for _, c in offsets])
-
-
 def _reference_chain(spec, pot, shape, seed, n_samples):
     """The Metropolis sweep one proposal at a time over an int64 neighbour
     table: sites visited colour class by colour class (greedy colouring in
     site order), draws taken in blocks of whole sweeps, accepted when
     dE < -log(u) / beta; (samples, n_proposed, n_accepted)."""
-    nbr, coeffs = _per_site_table(pot, shape)
-    n_off = len(coeffs)
-    coeff_list = [float(c) for c in coeffs]
+    offsets = clipped_offsets(pot, shape)
+    nbr = per_site_table(shape, [off for off, _ in offsets])
+    n_off = len(offsets)
+    coeff_list = [float(c) for _, c in offsets]
     nbr_list = [list(map(int, row)) for row in nbr]
     alpha0 = pot.at((0,) * pot.d)
     volume = shape.volume
-    links = [j for j, (off, _) in enumerate(clipped_offsets(pot, shape)) if any(off)]
+    links = [j for j, (off, _) in enumerate(offsets) if any(off)]
     colour = []
     for x in range(volume):
         taken = {colour[nbr_list[x][j]] for j in links if nbr_list[x][j] < x}
@@ -365,11 +355,14 @@ class TestNeighborTables:
     @pytest.mark.parametrize("kernel", [standard_laplacian, nearest_neighbor_laplacian,
                                         zero_kernel])
     def test_matches_per_site_loop(self, d, L, kernel):
+        # the sweep's table: the clipped kernel's coefficients and the
+        # neighbour table of its offsets
         pot, shape = kernel(d), LatticeShape(d, L)
-        nbr, coeffs = _per_site_table(pot, shape)
-        got_coeffs, table = _neighbor_table(pot, shape)
-        assert got_coeffs == coeffs.tolist()
+        offsets = clipped_offsets(pot, shape)
+        got_coeffs, table = clipped_table(pot, shape)
+        assert got_coeffs == [c for _, c in offsets]
         assert all(type(c) is float for c in got_coeffs)
+        nbr = per_site_table(shape, [off for off, _ in offsets])
         assert table.shape == nbr.shape and np.array_equal(table, nbr)
 
 
@@ -386,11 +379,12 @@ class TestColourClasses:
            zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_classes_partition_independent_sets(self, d, L, ell, zero, seed):
         pot, shape = _random_kernel(d, ell, zero, np.random.default_rng(seed)), LatticeShape(d, L)
-        classes = _colour_classes(_neighbor_table(pot, shape)[1])
+        classes = _colour_classes(clipped_table(pot, shape)[1])
         assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(shape.volume))
         assert all(np.all(np.diff(c) > 0) for c in classes)
-        nbr, _ = _per_site_table(pot, shape)
-        links = [j for j, (off, _) in enumerate(clipped_offsets(pot, shape)) if any(off)]
+        offsets = clipped_offsets(pot, shape)
+        nbr = per_site_table(shape, [off for off, _ in offsets])
+        links = [j for j, (off, _) in enumerate(offsets) if any(off)]
         colour = np.empty(shape.volume, dtype=np.int64)
         for c, members in enumerate(classes):
             colour[members] = c
