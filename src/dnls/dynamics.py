@@ -298,12 +298,12 @@ def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float) -> np.nd
 
     The sum is Horner's Taylor sum at dt / 2^s, the least s with theta = dt
     |alpha|_1 / 2^s <= 1/2, to the degree whose l1 remainder bound 2
-    theta^(K+1) / (K+1)! is below 2^-126, each hopping action the taps read
-    through the kernel's neighbour table times its coefficients, followed by
-    s squarings by the circulant, whose table is built only then.  With
-    x86's 64-bit significands every tap measured within one unit in the
-    last place of the exact box flow, most of them its correct rounding.  An overflowing dt |alpha|_1 gives NaN
-    taps, all kept, so the first step is non-finite."""
+    theta^(K+1) / (K+1)! is below 2^-126, each hopping action a sum over the
+    kernel's neighbour table, then s squarings by the circulant, its table
+    built only then.  With x86's 64-bit significands every tap measured
+    within one unit in the last place of the exact box flow, most of them
+    its correct rounding.  An overflowing dt |alpha|_1 gives NaN taps, all
+    kept, so the first step is non-finite."""
     norm = dt * float(np.abs(pot.coeffs).sum())
     if not math.isfinite(norm):
         return np.full(shape.dims, np.nan, dtype=np.complex128)
@@ -597,7 +597,7 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
     return w * spacing
 
 
-def _row_sum(coeffs: list[float], values: np.ndarray) -> np.ndarray:
+def _row_sum(coeffs: Sequence[float], values: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] values[..., k], from zero in order: over the leading
     axes, the hopping action at a site from the values read through its
     neighbour table row, with the bits of a stencil call there."""
@@ -609,9 +609,8 @@ def _row_sum(coeffs: list[float], values: np.ndarray) -> np.ndarray:
 
 def _duhamel_terms(traj: Trajectory, pot: HoppingPotential, x: Sequence[int], t: float):
     """(increment, weights, coeffs, table, flat, i): for t = t_m, psi_t(x) -
-    psi_0(x), the quadrature weights over snapshots j <= m, the clipped
-    kernel's coefficients and neighbour table, those snapshots as rows of
-    flat values, and x's flat index.  None at t = 0."""
+    psi_0(x), the quadrature weights and rows of flat values of snapshots j <=
+    m, the kernel's clipped_table and x's flat index.  None at t = 0."""
     m = traj.time_index(t)
     i = np.ravel_multi_index(traj.shape.index(x), traj.shape.dims)
     if m == 0:

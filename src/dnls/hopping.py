@@ -22,8 +22,7 @@ each offset's term is a shifted slice of its coefficient's scaled frames.
 So the work arrays hold one frames-size array per distinct coefficient,
 the frames themselves scaled in place for the last one: two for the
 Laplacians, about half the offset count for a kernel whose values repeat
-only as y and -y.  Single-site sums read clipped_table instead: the same
-offsets' coefficients and their lattice.neighbor_table, with the same bits.
+only as y and -y.  Single-site sums read clipped_table, with the same bits.
 """
 
 from __future__ import annotations
@@ -337,14 +336,19 @@ def clipped_offsets(pot: HoppingPotential, shape: LatticeShape) -> list[tuple[Si
     ]
 
 
-def clipped_table(pot: HoppingPotential, shape: LatticeShape) -> tuple[list[float], np.ndarray]:
-    """The clipped_offsets coefficients, and the lattice.neighbor_table of
-    their offsets: row x holds the flat index of x - offset per offset, in
-    that order, so summing coefficient times value over row x from zero
-    gives the bits of a stencil call at x.  The zero kernel gives no
-    coefficients and empty rows."""
-    clipped = clipped_offsets(pot, shape)
-    return [c for _, c in clipped], neighbor_table(shape, [o for o, _ in clipped])
+def clipped_table(pot: HoppingPotential, shape: LatticeShape
+                  ) -> tuple[tuple[float, ...], np.ndarray]:
+    """The clipped_offsets coefficients and the lattice.neighbor_table of
+    their offsets, in that order: coefficient times value summed over row x
+    from zero has the bits of a stencil call at x.  The zero kernel gives
+    none and empty rows.  Memoised as the layouts of `stencil` are, the
+    table read-only: a Duhamel defect reads a row or two of it."""
+    return _table(tuple(clipped_offsets(pot, shape)), shape)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _table(offsets: tuple, shape: LatticeShape) -> tuple[tuple[float, ...], np.ndarray]:
+    return tuple(c for _, c in offsets), frozen(neighbor_table(shape, [o for o, _ in offsets]))
 
 
 def load_potential(path) -> HoppingPotential:

@@ -4,8 +4,7 @@ The simulation box is the d-dimensional cube {-L, ..., L}^d with site
 addition taken modulo the odd side length 2L+1.  Field values are stored
 row-major over coordinates shifted to [0, 2L+1); the text dump format and
 all FFT-based code rely on this order.  neighbor_table is the one periodic
-x - y on that order, read by every sum over a site's kernel offsets or
-Strang's taps outside the stencil's padded frames.
+x - y on it, for every sum outside the stencil's padded frames.
 
 Initial data lives on the infinite lattice: a generator is a plain
 function from Z^d sites to amplitudes, pure in the site (and its seed), so
@@ -117,9 +116,10 @@ def neighbor_table(shape: LatticeShape, offsets: Sequence[Sequence[int]]) -> np.
     the flat index of x - offset, wrapped into the box, per offset in order.
     Offsets are any integer d-tuples (or an (n, d) array), the box's sites
     among them."""
-    index = np.indices(shape.dims).reshape(shape.d, -1, 1)
-    shifts = np.reshape(np.array(offsets, dtype=np.intp), (-1, shape.d)).T[:, None]
-    return np.ravel_multi_index(tuple((index - shifts) % shape.side), shape.dims)
+    shifts = np.reshape(np.array(offsets, dtype=np.intp), (-1, shape.d)).T
+    coords = np.ix_(*(np.arange(shape.side),) * shape.d)
+    wrapped = tuple((c[..., None] - s) % shape.side for c, s in zip(coords, shifts))
+    return np.ravel_multi_index(wrapped, shape.dims).reshape(shape.volume, -1)
 
 
 def torus_distance_grid(shape: LatticeShape, center: Sequence[int]) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .hopping import HoppingPotential, convolve_values, require_fits, stencil
+from .hopping import HoppingPotential, clipped_table, convolve_values, require_fits, stencil
 from .lattice import (
     FieldL,
     LatticeShape,
@@ -157,14 +157,12 @@ def weighted_flux(
     if form == "direct":
         return float(np.sum(weight * particle_flux_field(field, pot)))
     require_fits(pot, shape)
-    psi = field.values
-    axes = tuple(range(shape.d))
+    psi, weight = field.values.ravel(), weight.ravel()
+    coeffs, table = clipped_table(pot, shape)
     total = 0.0
-    for offset, coeff in pot.nonzero_offsets():
-        shifted_psi = np.roll(psi, shift=offset, axis=axes)
-        shifted_w = np.roll(weight, shift=offset, axis=axes)
-        bracket = -2.0 * np.imag(psi * np.conj(shifted_psi))
-        total += 0.5 * coeff * float(np.sum((weight - shifted_w) * bracket))
+    for coeff, near in zip(coeffs, table.T):
+        bracket = -2.0 * np.imag(psi * np.conj(psi[near]))
+        total += 0.5 * coeff * float(np.sum((weight - weight[near]) * bracket))
     return total
 
 

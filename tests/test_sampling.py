@@ -360,7 +360,7 @@ class TestNeighborTables:
         pot, shape = kernel(d), LatticeShape(d, L)
         offsets = clipped_offsets(pot, shape)
         got_coeffs, table = clipped_table(pot, shape)
-        assert got_coeffs == [c for _, c in offsets]
+        assert got_coeffs == tuple(c for _, c in offsets)
         assert all(type(c) is float for c in got_coeffs)
         nbr = per_site_table(shape, [off for off, _ in offsets])
         assert table.shape == nbr.shape and np.array_equal(table, nbr)
