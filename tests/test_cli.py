@@ -168,6 +168,8 @@ class TestConfigHandling:
         ("sample-gibbs", ["--observables.centers", "[[0,0]]"], "observables.centers"),
         ("uniqueness", ["--uniqueness.dt_list", "[1e-3, 0.0]"], "uniqueness.dt_list"),
         ("uniqueness", ["--uniqueness.dt_list", "[2e-3, -1e-3]"], "uniqueness.dt_list"),
+        ("sample-gaussian", ["--lattice.L", "2", "--sampling.a", "0"], "sampling.a"),
+        ("sample-gibbs", ["--lattice.L", "0", "--sampling.a", "-1.5"], "sampling.a"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, experiment, flags, key):
         code = run_cli("--experiment", experiment, "--out", str(tmp_path / "r"), *flags)

@@ -365,6 +365,14 @@ class TestNeighborTables:
         nbr = per_site_table(shape, [off for off, _ in offsets])
         assert table.shape == nbr.shape and np.array_equal(table, nbr)
 
+    def test_memoised_table_is_read_only(self):
+        # every caller shares one table per (clipped offsets, box)
+        shape = LatticeShape(2, 3)
+        coeffs, table = clipped_table(standard_laplacian(2), shape)
+        assert clipped_table(standard_laplacian(2), shape)[1] is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
 
 def _random_kernel(d, ell, zero, rng):
     """A random symmetric kernel of range ell (c + flip(c)), or the zero one."""
