@@ -9,7 +9,9 @@ boxes on both sides of `dynamics._DENSE_SITES`, and the `flow` column names
 the linear flow Strang runs there, with the `taps` it keeps: at most that
 many sites, from its taps in real space, as `windows` (a gather and one
 product with the kept taps) or `circulant` (one product with their
-circulant); above it `fourier`, the Fourier passes.  Strang runs
+circulant); above it the Fourier passes, `fourier` at the box side or, with
+the FFT length, `fourier/144` where the step pads to a smooth length
+(`dynamics._fourier_length`).  Strang runs
 at snapshot strides 1 and 10: inside a snapshot block it merges each step's
 closing half rotation with the next step's opening one, so at stride 1
 every step pays both half rotations and the stride-10 column shows what
@@ -32,24 +34,31 @@ A host whose speed swings in phases moves the raw columns with the phase,
 not with the code, so each row also prints its host speed factor, the
 mean of bench/speed.py's `probe_factor()` just before and just after the
 row (1.0 at the benchmark's reference speed), and each per-step time
-divided by it, which is comparable across runs and checkouts.  To compare
-two checkouts, run it in each:
+divided by it, which is comparable across runs and checkouts.  BLAS and
+OpenMP are pinned to one thread, as in bench/run.py.  To compare two
+checkouts, run it in each:
 
     PYTHONPATH=src python3 scripts/step_cost.py
 """
 
-import sys
-import time
-from pathlib import Path
+import os
 
-import numpy as np
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from speed import probe_factor  # noqa: E402
 
-from dnls.dynamics import (_DENSE_SITES, SchemeConfig, _linear_taps, _windowed,  # noqa: E402
-                           integrate)
+from dnls.dynamics import (_DENSE_SITES, _WINDOW_RATIO, SchemeConfig,  # noqa: E402
+                           _fourier_length, _linear_taps, integrate)
 from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
@@ -88,13 +97,16 @@ def repeated(call, values, calls):
 def strang_flow(pot, shape) -> tuple[str, str]:
     """The form of Strang's linear flow on the box and its kept tap count."""
     if shape.volume > _DENSE_SITES:
-        return "fourier", "-"
+        m, taps = _fourier_length(pot, shape, DT)
+        if taps is None:
+            return "fourier", "-"
+        return f"fourier/{m}", str(np.count_nonzero(taps))
     taps = int(np.count_nonzero(_linear_taps(pot, shape, DT)))
-    return ("windows" if _windowed(taps, shape.volume) else "circulant"), str(taps)
+    return ("windows" if _WINDOW_RATIO * taps <= shape.volume else "circulant"), str(taps)
 
 
 def main() -> None:
-    print(f"{'d':>2} {'L':>5} {'sites':>6} {'flow':>9} {'taps':>4} {'steps':>6} {'factor':>6}"
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'flow':>12} {'taps':>4} {'steps':>6} {'factor':>6}"
           + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9} {'scaled':>9}"
                     for scheme, stride in RUNS))
     for d, L in GRID:
@@ -111,7 +123,7 @@ def main() -> None:
             per_steps.append(best_seconds(lambda: integrate(field0, pot, cfg)) / steps * 1e6)
         factor = (before + probe_factor()) / 2
         flow, taps = strang_flow(pot, shape)
-        print(f"{d:>2} {L:>5} {shape.volume:>6} {flow:>9} {taps:>4} {steps:>6} {factor:>6.2f}"
+        print(f"{d:>2} {L:>5} {shape.volume:>6} {flow:>12} {taps:>4} {steps:>6} {factor:>6.2f}"
               + "".join(f"  {t / shape.volume:>22.4f} {t:>9.1f} {t / factor:>9.1f}"
                         for t in per_steps))
 

@@ -17,35 +17,29 @@ arithmetic (the rotation keeps |psi|), so only blocks of more than one step
 differ from single steps, in rounding.  Neither stepper allocates an array
 per step: each works in arrays it allocates once, and RK4 applies the
 stencil through its buffered form, with the bits of the plain expressions.
-At the 65- and 129-site boxes of the d = 1 checks an FFT call costs more in
-per-call setup than in arithmetic, so on a box of at most _DENSE_SITES
-sites Strang runs its linear flow in real space, from its taps u =
-exp(-i dt A) e_0, summed once in extended precision and rounded once, those
-below 2^-60 of the largest dropped: a gather of each site's windows and one
-product with the kept taps, or, where the taps are many for the box, one
-product with their circulant, both read through lattice.neighbor_table,
-with the bits of the BLAS zgemv kernel.
-So a step moves nothing past the kept taps' reach (4 sites in d = 1 at dt
-= 1e-3), as the exact flow moves almost nothing faster than a finite speed.
-On a larger box it calls numpy's pocketfft gufuncs directly, with the bits of
-np.fft, bound once to their arrays and to 0-d float64 scales, which need no
-conversion per call, each over the last axis, the gufunc's default core
-axis, of views that move its axis there, with no axes argument.
+Strang's linear flow runs on one of three routes.  A box of at most
+_DENSE_SITES sites applies the taps u = exp(-i dt A) e_0, summed in extended
+precision and rounded once, those below 2^-60 of the largest dropped, in
+real space, with the bits of the BLAS zgemv kernel: so a step moves nothing
+past their reach r (4 sites in d = 1 at dt = 1e-3), as the exact flow moves
+almost nothing faster than a finite speed.  A larger box calls numpy's
+pocketfft gufuncs, with the bits of np.fft, around exp(-i dt disp) at the
+box side n, or, where n's prime factors make that slow, around the kept
+taps' transform at a smooth length m >= n + 2 r, on the field wrap-padded
+and cropped back (_fourier_length).
 Finiteness is checked once per stored snapshot; a non-finite one replays
 its block one single step at a time and raises at the first non-finite
-step, or, ending finite, keeps the replayed row: a merged phase
-lam |psi|^2 dt can overflow where two half phases do not.  The snapshots
-form one read-only array (n, *dims) of a Trajectory; every computation over
-them runs on `Trajectory.blocks` of about 2^14 sites, so its temporaries
-stay small whatever n is.  The stack is checked once: row by row in
-integrate, or whole by the constructor for outside data.
+step, or, ending finite, keeps the replayed row: a merged phase lam |psi|^2
+dt can overflow where two half phases do not.  The snapshots form one
+read-only array (n, *dims) of a Trajectory; computations over them run on
+`Trajectory.blocks` of about 2^14 sites, so their temporaries stay small.
+The stack is checked once: row by row in integrate, or whole by the
+constructor for outside data.
 
-Several boxes of one dimension can step together with RK4 as one packed
-state (integrate_packed): one step body, built on the one stencil resolved
-for one box or for all of them, serves one box or many, and each box gets
-the bits integrate gives it, while a step costs about as many numpy calls
-as one box's.  Nothing is stored; a callback reads each
-snapshot.
+integrate_packed steps several boxes of one dimension with RK4 as one packed
+state, through the one stencil resolved for all of them: each box gets the
+bits integrate gives it, a step costs about one box's numpy calls, and a
+callback reads each snapshot, nothing stored.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation, summed at
@@ -79,25 +73,24 @@ SCHEMES = ("strang", "rk4")
 _STACK_SITES = 1 << 14
 # a Strang box of at most this many sites runs its linear flow from its taps
 # in real space (_linear_taps, _tap_flow), a larger one as Fourier passes.
-# Step time against the Fourier passes on the same box, standard Laplacian,
-# dt = 1e-3, one BLAS thread, shared 2-core host, best of 7: in d = 1 the
-# 9-tap windows cost 0.47x at 199 sites, 0.65x at 201, 0.71x at 301 and
-# 0.35x at 601; in d = 2 the circulant of 81 taps 0.96x at 169, 1.40x at 225
-# and 1.47x at 289; in d = 3 the circulant of all taps 0.69x at 125 and
-# 1.83x at 343.  scripts/step_cost.py agrees per route: 17.4 us a step at
-# d = 1 L = 99 (windows) against 28.1 at L = 100 (Fourier).  So the value
-# holds for the circulants of d >= 2; d = 1 windows would win beyond it.
+# Step time against the passes at the box side, standard Laplacian, dt =
+# 1e-3, one BLAS thread, shared 2-core host, best of 7: d = 1 windows of 9
+# taps 0.47x at 199 sites, 0.65x at 201, 0.35x at 601; d = 2, the circulant
+# of 81 taps, 0.96x at 169, 1.40x at 225; d = 3, the circulant of all taps,
+# 0.69x at 125, 1.83x at 343.  So the value holds for the circulants of d >=
+# 2; d = 1 windows would win beyond it.  The passes pad to the length m of
+# _fft_length where its cost says that pays.  us a step at side n -> at m,
+# same host, best of 4 processes each: d = 1 257 -> 270 36.2 -> 14.3, 2001 ->
+# 2025 98.8 -> 80.2; d = 2 129 -> 144 1895 -> 1087.  Sides 65 (d = 2), 17
+# and 33 (d = 3) stay, as padding loses there
 _DENSE_SITES = 200
-# the taps kept: those of at least this fraction of the largest.  At dt =
-# 1e-3 the standard Laplacian's taps at distance 5 and beyond are below
-# 2.6e-19, the Bessel tail J_5(1e-3)
+# the taps kept: those of at least this fraction of the largest; at dt = 1e-3
+# the standard Laplacian's beyond distance 4 are below J_5(1e-3) = 2.6e-19
 _KEEP = 2.0 ** -60
 # the tap flow gathers windows when the box has at least this many sites
-# per kept tap, and runs the circulant otherwise.  Per step, one BLAS
-# thread, shared 2-core host, best of 7: windows cost about 1.5 us + 1.1 ns
-# per site and tap, the circulant about 0.3 ns per site squared; they meet
-# near 13 taps at 65 sites, 25-30 at 129, 38 at 169 and 40 at 199, and at
-# 169 sites 81 taps take 9.4 us as the circulant and 17 us as windows
+# per kept tap, else runs the circulant.  Per step, as above: windows about
+# 1.5 us + 1.1 ns per site and tap, the circulant 0.3 ns per site squared;
+# they meet near 13 taps at 65 sites, 25-30 at 129, 38 at 169, 40 at 199
 _WINDOW_RATIO = 5
 
 
@@ -263,32 +256,48 @@ def p_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -
     return complex(second_time_derivative(field, pot, lam)[field.shape.index(x)])
 
 
-def _fourier_passes(shape: LatticeShape, src: np.ndarray, spare: np.ndarray
+def _fourier_passes(src: np.ndarray, spare: np.ndarray
                     ) -> tuple[list[Callable[[], None]], np.ndarray, list[Callable[[], None]]]:
-    """fftn and ifftn over the box as numpy's pocketfft gufunc calls on two
-    arrays, bound once: (forward, spec, inverse).
+    """fftn and ifftn over two arrays of one cubic shape as numpy's pocketfft
+    gufunc calls, bound once: (forward, spec, inverse).
 
-    Running the forward calls in order transforms src into spec, which is src
-    or spare; the inverse calls then transform spec back into src; each pass
-    overwrites the other array.  Like np.fft.fftn and ifftn they make one
-    call per axis, last axis first, the inverse scaled by 1/side on each, and
-    give the same bits, without the np.fft wrapper: the scales are 0-d
-    float64 arrays built here, and each pass runs on views of the two arrays
-    that move its axis last, the gufunc's default core axis, so that no call
-    takes an axes argument, whose keyword costs a slower call and an
-    allocation per call.
+    The forward calls transform src into spec, src or spare, and the inverse
+    ones spec back into src, each pass overwriting the other array.  Like
+    np.fft.fftn and ifftn, with their bits, they make one call per axis, last
+    first, the inverse scaled by 1/side on each, without their wrapper: 0-d
+    float64 scales, and views that move each pass's axis last, the gufunc's
+    default core axis, as an axes keyword costs a slower call and an allocation.
     """
     def calls(ufunc, scale: np.ndarray, src: np.ndarray, dst: np.ndarray):
         bound = []
-        for axis in reversed(range(shape.d)):
+        for axis in reversed(range(src.ndim)):
             bound.append(partial(ufunc, np.moveaxis(src, axis, -1), scale,
                                  np.moveaxis(dst, axis, -1)))
             src, dst = dst, src
         return bound, src, dst
 
     forward, spec, other = calls(_pocketfft.fft, np.array(1.0), src, spare)
-    inverse, _, _ = calls(_pocketfft.ifft, np.array(1.0 / shape.side), spec, other)
+    inverse, _, _ = calls(_pocketfft.ifft, np.array(1.0 / src.shape[-1]), spec, other)
     return forward, spec, inverse
+
+
+def _horner_plan(pot: HoppingPotential, dt: float, bound: float = 2.0 ** -126
+                 ) -> tuple[int, int] | None:
+    """(s, K) of _linear_taps' sum: the least s with theta = |dt| |alpha|_1 /
+    2^s <= 1/2, the least K with l1 remainder 2 theta^(K+1) / (K+1)! <= bound;
+    None where dt |alpha|_1 overflows."""
+    norm = abs(dt) * float(np.abs(pot.coeffs).sum())
+    if not math.isfinite(norm):
+        return None
+    squarings = 0
+    while math.ldexp(norm, -squarings) > 0.5:
+        squarings += 1
+    theta = math.ldexp(norm, -squarings)
+    degree, rest = 0, 2.0 * theta
+    while rest > bound:
+        degree += 1
+        rest *= theta / (degree + 1)
+    return squarings, degree
 
 
 def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float) -> np.ndarray:
@@ -296,25 +305,17 @@ def _linear_taps(pot: HoppingPotential, shape: LatticeShape, dt: float) -> np.nd
     sites (the origin at the centre), rounded once to complex128 from a sum
     in clongdouble, those below _KEEP max |u| set to zero.
 
-    The sum is Horner's Taylor sum at dt / 2^s, the least s with theta = dt
-    |alpha|_1 / 2^s <= 1/2, to the degree whose l1 remainder bound 2
-    theta^(K+1) / (K+1)! is below 2^-126, each hopping action a sum over the
-    kernel's neighbour table, then s squarings by the circulant, its table
-    built only then.  With x86's 64-bit significands every tap measured
-    within one unit in the last place of the exact box flow, most of them
-    its correct rounding.  An overflowing dt |alpha|_1 gives NaN taps, all
-    kept, so the first step is non-finite."""
-    norm = dt * float(np.abs(pot.coeffs).sum())
-    if not math.isfinite(norm):
+    The sum is Horner's Taylor sum at dt / 2^s to degree K (_horner_plan),
+    each hopping action a sum over the kernel's neighbour table, then s
+    squarings by the circulant, its table built only then.  With x86's
+    64-bit significands every tap measured within one unit in the last place
+    of the exact box flow, most of them its correct rounding.  A negative dt
+    gives the conjugate taps.  An overflowing dt |alpha|_1 gives NaN taps,
+    all kept, so the first step is non-finite."""
+    plan = _horner_plan(pot, dt)
+    if plan is None:
         return np.full(shape.dims, np.nan, dtype=np.complex128)
-    squarings = 0
-    while math.ldexp(norm, -squarings) > 0.5:
-        squarings += 1
-    theta = math.ldexp(norm, -squarings)
-    degree, rest = 0, 2.0 * theta
-    while rest > 2.0 ** -126:
-        degree += 1
-        rest *= theta / (degree + 1)
+    squarings, degree = plan
     coeffs, table = clipped_table(pot, shape)
     coeffs = np.array(coeffs, dtype=np.clongdouble)
     step = np.clongdouble(-1j) * np.longdouble(math.ldexp(dt, -squarings))
@@ -342,7 +343,7 @@ def _tap_flow(taps: np.ndarray, shape: LatticeShape, src: np.ndarray, dst: np.nd
     through the neighbour table of the taps' sites."""
     taps, src, dst = taps.ravel(), src.reshape(-1), dst.reshape(-1)
     kept, sites = np.flatnonzero(taps), np.array(list(shape.sites()))
-    if not _windowed(len(kept), len(taps)):
+    if _WINDOW_RATIO * len(kept) > len(taps):
         return [partial(np.dot, taps[neighbor_table(shape, sites)], src, dst)]
     windows = np.empty((len(taps), len(kept)), dtype=np.complex128)
     # the take method, positionally, mode "clip", as in hopping.Stencil, with
@@ -351,41 +352,76 @@ def _tap_flow(taps: np.ndarray, shape: LatticeShape, src: np.ndarray, dst: np.nd
             partial(np.dot, windows, taps[kept], dst)]
 
 
-def _windowed(n_taps: int, volume: int) -> bool:
-    """Whether the tap flow of a box runs as windows rather than the circulant."""
-    return _WINDOW_RATIO * n_taps <= volume
+def _fft_length(n: int, d: int, low: int) -> int:
+    """The 7-smooth length m >= low of least cost m^d times the sum of m's
+    prime factors, smallest on ties, where that cost is below n's; else n."""
+    def cost(m: int) -> int:
+        total, rest = 0, m
+        for p in range(2, math.isqrt(m) + 1):
+            while rest % p == 0:
+                total, rest = total + p, rest // p
+        return m ** d * (total + (rest > 1) * rest)
+    smooth = {1}
+    for p in (2, 3, 5, 7):
+        smooth = {s * p**k for s in smooth for k in range(low.bit_length() + 1)
+                  if s * p**k < 2 * low}
+    return min([k for k in smooth if k >= low] + [n], key=lambda k: (cost(k), k != n, k))
+
+
+def _fourier_length(pot: HoppingPotential, shape: LatticeShape, dt: float
+                    ) -> tuple[int, np.ndarray | None]:
+    """(m, taps): the FFT length _fft_length(n, d, n + 2 r) of Strang's
+    Fourier route on a box of side n and, where m > n, the kept taps of reach
+    r, built on the least box holding their Horner support.  Where the taps
+    need squarings, that box does not fit inside n, or padding does not pay
+    at the reach of a tail below _KEEP / 3 (the largest tap is above 1/3), m
+    is n and no taps are built."""
+    n, d, plan = shape.side, shape.d, _horner_plan(pot, dt)
+    if plan is None or plan[0]:
+        return n, None
+    support, bound = plan[1] * pot.range, _horner_plan(pot, dt, _KEEP / 3)[1] * pot.range
+    if 2 * support >= n or _fft_length(n, d, n + 2 * bound) == n:
+        return n, None
+    taps = _linear_taps(pot, LatticeShape(d, support), dt)
+    reach = int(np.abs(np.argwhere(taps) - support).max())
+    cut = (slice(support - reach, support + reach + 1),) * d
+    return _fft_length(n, d, n + 2 * reach), taps[cut]
 
 
 def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
     """Strang steps on raw values: half onsite rotation, then per step the full
     linear flow and a full rotation, the last one a half rotation.
 
-    The linear flow is a fixed list of calls bound to two arrays allocated
-    here once.  A box of at most _DENSE_SITES sites runs it from its taps,
-    built once (_linear_taps, _tap_flow), np.dot into the spare array, whose
-    bits come from the BLAS zgemv kernel; the next rotation reads the spare
-    array and writes back into the field array.  A larger box runs the
-    Fourier passes around the product linear_phase * spectrum, with the bits
-    of np.fft: the passes run with no Python frame of their own, their
-    scales are 0-d float64 arrays built once, each runs over the gufunc's
-    default core axis, the last, of views that move its axis there, and out
-    is passed positionally.  A vanishing dispersion makes the list empty, so
-    purely onsite runs carry no rounding from the linear flow.
+    The linear flow is a fixed list of calls bound once to arrays allocated
+    here: np.dot by the taps (_tap_flow) into the spare array, or the Fourier
+    passes around phase * spectrum on the field array or on the padded one,
+    gathered by one take and copied back cropped.  A vanishing dispersion
+    makes the list empty: onsite runs carry no rounding from a linear flow.
 
     A rotation by exp(rate |psi|^2) at an imaginary rate is computed from
     its real phase theta: cos theta and sin theta go into the real and
     imaginary parts of one array, the bits numpy's complex exp gives for a
     zero real part, with no complex cast and no complex exp.  The products
-    keep the operand order of values * rotation and linear_phase * spectrum:
-    the last bit of a complex product depends on it.
+    keep the operand order of values * rotation and phase * spectrum: the
+    last bit of a complex product depends on it.
     """
     disp = dispersion(pot, shape)
     flows = not np.all(disp == 0.0)
     real_space = flows and shape.volume <= _DENSE_SITES
+    n, d, m, taps, phase = shape.side, shape.d, shape.side, None, None
     # before the work arrays, which then reuse their temporaries' freed memory
-    # instead of leaving it as holes in the heap for the stepper's lifetime
-    taps = _linear_taps(pot, shape, dt) if real_space else None
-    linear_phase = np.exp(-1j * dt * disp) if flows and not real_space else None
+    # instead of leaving it as holes in the heap for the stepper's lifetime;
+    # the Fourier multiplier: exp(-i dt disp), or the taps' transform at m
+    if real_space:
+        taps = _linear_taps(pot, shape, dt)
+    elif flows:
+        m, taps = _fourier_length(pot, shape, dt)
+        phase = np.exp(-1j * dt * disp) if m == n else None
+    if m > n:
+        reach = len(taps) // 2
+        phase = np.fft.fftn(np.roll(np.pad(taps, (0, m - len(taps))), -reach, tuple(range(d))))
+        # padded position p holds site p - reach, wrapped (unread past n + 2 reach)
+        index = np.ravel_multi_index(np.ix_(*((np.arange(m) - reach) % n,) * d), shape.dims)
     half_rate = -0.5j * lam * dt
     # per rate: rate.imag and the signed zero rate.real * 0, which the phase
     # below adds; 0-d arrays, which numpy takes faster than Python floats
@@ -395,15 +431,20 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     rot = np.empty(shape.dims, dtype=np.complex128)
     cos, sin = rot.real, rot.imag
     field = np.empty(shape.dims, dtype=np.complex128)
-    spare = np.empty_like(field)
+    spare = np.empty((m,) * d, dtype=np.complex128)
+    padded = field if m == n else np.empty_like(spare)
     # the calls of the linear flow, and the array they leave its result in
     linear: list[Callable[[], None]] = []
     flowed = field
-    if taps is not None:
+    if real_space:
         linear, flowed = _tap_flow(taps, shape, field, spare), spare
-    elif linear_phase is not None:
-        forward, spec, inverse = _fourier_passes(shape, field, spare)
-        linear = [*forward, partial(np.multiply, linear_phase, spec, spec), *inverse]
+    elif phase is not None:
+        forward, spec, inverse = _fourier_passes(padded, spare)
+        linear = [*forward, partial(np.multiply, phase, spec, spec), *inverse]
+        if m > n:
+            # copied back cropped: a ufunc on a strided view buffers per call
+            linear = [partial(field.reshape(-1).take, index, None, padded, "clip"), *linear,
+                      partial(np.copyto, field, padded[(slice(reach, reach + n),) * d])]
 
     def rotate(src: np.ndarray, out: np.ndarray, rate: tuple[np.ndarray, np.ndarray]) -> None:
         # out = src * exp(rate * |src|^2); out may be src.  The phase is the
@@ -545,12 +586,11 @@ def integrate_packed(fields: Sequence[FieldL], pot: HoppingPotential, config: Sc
 
     The state is the fields' values laid end to end, each row-major at its
     offset of lattice.box_starts; every box gets the bits integrate gives it.
-    Nothing is stored: on_row is called on the state at t = 0 and at every
-    snapshot time, in an array that the run then overwrites.  Finiteness is
-    checked per box at each snapshot: a box gone non-finite is replayed alone
-    from the snapshot before, with integrate's stepper and checks, and, when
-    the replay raises, zeroed for the rest of the run, where it stays zero
-    and raises no warning.
+    Nothing is stored: on_row reads the state at t = 0 and at every snapshot
+    time, in an array the run then overwrites.  A box gone non-finite at a
+    snapshot is replayed alone from the one before, with integrate's stepper
+    and checks, and, when the replay raises, zeroed for the rest of the run,
+    where it stays zero and raises no warning.
     """
     if config.scheme != "rk4":
         raise ValueError(f"a packed run needs scheme rk4, got {config.scheme!r}")

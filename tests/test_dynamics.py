@@ -79,14 +79,11 @@ def reference_differences(shape):
                                            shape.dims) for y in sites] for x in sites])
 
 
-def reference_taps(pot, shape, dt):
-    """(taps, differences): the linear flow's taps at the sites, origin at the
-    centre, as _linear_taps builds them, from plain numpy expressions:
-    Horner's Taylor sum in clongdouble at dt / 2^s, each hopping action the
-    np.roll sum of roll_convolve, s circulant squarings, one rounding to
-    complex128, then the taps below 2^-60 of the largest set to zero."""
-    differences = reference_differences(shape)
-    norm = dt * float(np.sum(np.abs(pot.coeffs)))
+def reference_plan(pot, dt):
+    """(squarings, degree) of the taps' Taylor sum at dt, as _linear_taps
+    picks them: the least s with |dt| |alpha|_1 / 2^s <= 1/2, and the least
+    degree whose l1 remainder bound is below 2^-126."""
+    norm = abs(dt) * float(np.sum(np.abs(pot.coeffs)))
     squarings = 0
     while norm / 2.0**squarings > 0.5:
         squarings += 1
@@ -95,17 +92,50 @@ def reference_taps(pot, shape, dt):
     while rest > 2.0**-126:
         degree += 1
         rest *= theta / (degree + 1)
+    return squarings, degree
+
+
+def reference_taps(pot, shape, dt):
+    """The linear flow's taps at the sites, origin at the centre, as
+    _linear_taps builds them, from plain numpy expressions: Horner's Taylor
+    sum in clongdouble at dt / 2^s, each hopping action the np.roll sum of
+    roll_convolve, s circulant squarings, one rounding to complex128, then
+    the taps below 2^-60 of the largest set to zero."""
+    squarings, degree = reference_plan(pot, dt)
     unit = np.zeros(shape.dims, dtype=np.clongdouble)
     unit[(shape.L,) * shape.d] = 1
     taps = unit
     for k in range(degree, 0, -1):
         step = np.clongdouble(-1j) * np.longdouble(dt / 2.0**squarings) / k
         taps = unit + step * roll_convolve(pot, shape, taps)
+    differences = reference_differences(shape) if squarings else None
     for _ in range(squarings):
         taps = (taps.ravel()[differences] @ taps.ravel()).reshape(shape.dims)
     taps = taps.astype(np.complex128)
     taps[np.abs(taps) < 2.0**-60 * np.max(np.abs(taps))] = 0.0
-    return taps, differences
+    return taps
+
+
+def reference_padded_flow(pot, shape, dt, m):
+    """The linear flow at FFT length m > side as plain np.fft: the taps
+    built on the least box that holds their Taylor sum's support, cut to
+    their reach r and laid out circularly at length m, times the transform
+    of the field wrap-padded to length m from r sites before it, transformed
+    back and cropped to the box."""
+    support = reference_plan(pot, dt)[1] * pot.range
+    taps = reference_taps(pot, LatticeShape(shape.d, support), dt)
+    reach = int(np.max(np.abs(np.argwhere(taps) - support)))
+    near = np.arange(-reach, reach + 1)
+    laid = np.zeros((m,) * shape.d, dtype=np.complex128)
+    laid[np.ix_(*(near,) * shape.d)] = taps[np.ix_(*(near + support,) * shape.d)]
+    kernel = np.fft.fftn(laid)
+    crop = (slice(reach, reach + shape.side),) * shape.d
+
+    def linear(values):
+        padded = np.fft.fftn(np.pad(values, (reach, m - shape.side - reach), mode="wrap"))
+        return np.fft.ifftn(kernel * padded)[crop]
+
+    return linear
 
 
 def _reference_strang(pot, shape, lam, dt):
@@ -114,16 +144,20 @@ def _reference_strang(pot, shape, lam, dt):
     flow routes as the stepper's does: a box of at most _DENSE_SITES sites
     applies its taps with @, as windows (C-ordered, as the stepper's, since
     the layout picks the BLAS kernel) when the box has _WINDOW_RATIO sites
-    per kept tap, else as their circulant; a larger one runs np.fft."""
+    per kept tap, else as their circulant; a larger one runs np.fft, at the
+    stepper's FFT length (reference_padded_flow where it pads)."""
     disp = dispersion(pot, shape)
     flows = not np.all(disp == 0.0)
     fft, ifft = (np.fft.fft, np.fft.ifft) if shape.d == 1 else (np.fft.fftn, np.fft.ifftn)
     real_space = flows and shape.volume <= dnls.dynamics._DENSE_SITES
+    padded = None
     if real_space:
-        taps, differences = reference_taps(pot, shape, dt)
-        taps = taps.ravel()
+        taps, differences = reference_taps(pot, shape, dt).ravel(), reference_differences(shape)
         kept = np.flatnonzero(taps)
         windowed = dnls.dynamics._WINDOW_RATIO * len(kept) <= shape.volume
+    elif flows:
+        m = dnls.dynamics._fourier_length(pot, shape, dt)[0]
+        padded = reference_padded_flow(pot, shape, dt, m) if m > shape.side else None
 
     def rotate(values, rate):
         return values * np.exp(rate * np.abs(values) ** 2)
@@ -136,6 +170,8 @@ def _reference_strang(pot, shape, lam, dt):
             return (windows @ taps[kept]).reshape(shape.dims)
         if real_space:
             return (taps[differences] @ values.ravel()).reshape(shape.dims)
+        if padded is not None:
+            return padded(values)
         return ifft(np.exp(-1j * dt * disp) * fft(values))
 
     return rotate, linear, -0.5j * lam * dt
@@ -634,12 +670,14 @@ class TestIntegrate:
     # numpy elides the reference's temporaries and swaps the operands of its
     # complex products, so Strang's last bits move (6.9e-15 here).  Each d
     # has boxes on both sides of _DENSE_SITES: 199 and 201, 169 and 225, 125
-    # and 343 sites
+    # and 343 sites.  Strang pads its FFT at sides 201, 257, 2001 and 16,385
+    # in d = 1 and 43 in d = 2 (TestPaddedFlow), not at 65 in d = 2 or 17 in
+    # d = 3
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("d, L, tol", [
-        (1, 32, 0.0), (1, 64, 0.0), (1, 99, 0.0), (1, 100, 0.0), (1, 1000, 0.0),
-        (2, 6, 0.0), (2, 7, 0.0), (2, 32, 0.0), (3, 2, 0.0), (3, 3, 0.0), (3, 8, 0.0),
-        (1, 8192, 1e-12)])
+        (1, 32, 0.0), (1, 64, 0.0), (1, 99, 0.0), (1, 100, 0.0), (1, 128, 0.0), (1, 1000, 0.0),
+        (2, 6, 0.0), (2, 7, 0.0), (2, 21, 0.0), (2, 32, 0.0), (3, 2, 0.0), (3, 3, 0.0),
+        (3, 8, 0.0), (1, 8192, 1e-12)])
     def test_larger_boxes_against_reference(self, scheme, d, L, tol):
         shape = LatticeShape(d, L)
         f = random_field(shape, 3)
@@ -762,7 +800,8 @@ class TestStepperAllocation:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("d, L", [(1, 64), (1, 1000), (2, 16), (3, 8)])
+    # Strang pads its FFT at d = 1 L = 1000 and d = 2 L = 64
+    @pytest.mark.parametrize("d, L", [(1, 64), (1, 1000), (2, 16), (2, 64), (3, 8)])
     def test_advance_allocates_no_array_per_step(self, scheme, d, L):
         shape = LatticeShape(d, L)
         values = random_field(shape, 11).values
@@ -783,12 +822,16 @@ class TestStepperAllocation:
 
 
 class TestFourierPasses:
-    @pytest.mark.parametrize("d, L", [(1, 4), (1, 64), (2, 3), (2, 16), (3, 2), (3, 4), (3, 5)])
+    # L = 71.5 stands for side 144, the d = 2 L = 64 box's padded FFT length,
+    # which no box side is
+    @pytest.mark.parametrize("d, L", [(1, 4), (1, 64), (2, 3), (2, 16), (3, 2), (3, 4), (3, 5),
+                                      (2, 71.5)])
     def test_gufunc_passes_equal_np_fft(self, d, L):
-        shape = LatticeShape(d, L)
-        values = random_field(shape, d * 100 + L).values
+        rng = np.random.default_rng(d * 100 + int(L))
+        dims = (int(2 * L) + 1,) * d
+        values = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
         field = values.copy()
-        forward, spec, inverse = _fourier_passes(shape, field, np.empty_like(values))
+        forward, spec, inverse = _fourier_passes(field, np.empty_like(values))
         for call in forward:
             call()
         assert np.array_equal(spec, np.fft.fftn(values))
@@ -850,6 +893,72 @@ class TestDenseLinearFlow:
             assert unitarity_defect(prop * (1 + 1e-12)) > self.UNITARITY_TOL
 
 
+class TestPaddedFlow:
+    # Strang's Fourier route runs the kept taps' convolution at a 7-smooth
+    # FFT length m > side where that pays (_fourier_length).  Measured on 5
+    # random kernels per range (1 and 2) at d = 1 L = 128 and 1000 and d = 2
+    # L = 64, dt 0.01, fields of scale 1: a padded single step and the one at
+    # m = side differ by at most 3.6e-15
+    STEP_TOL = TestDenseLinearFlow.STEP_TOL
+
+    @staticmethod
+    def unpadded(pot, shape, dt):
+        return shape.side, None
+
+    # the large-box workload's boxes: d = 2 L = 64 pads, the others keep
+    # their side; the prime sides 257 and 43 pad
+    @pytest.mark.parametrize("d, L, dt, m", [
+        (2, 64, 1e-3, 144), (2, 32, 1e-3, 65), (3, 8, 1e-3, 17), (3, 16, 1e-3, 33),
+        (1, 128, 1e-3, 270), (2, 21, 1e-3, 54), (1, 128, 0.01, 270), (2, 21, 0.01, 56)])
+    def test_length_rule_on_the_standard_laplacian(self, d, L, dt, m):
+        got, taps = dnls.dynamics._fourier_length(standard_laplacian(d), LatticeShape(d, L), dt)
+        assert got == m
+        assert (taps is None) == (m == 2 * L + 1)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("d, L", [(1, 128), (2, 64)])
+    def test_padded_step_agrees_with_unpadded_step(self, d, L, ell, monkeypatch):
+        shape = LatticeShape(d, L)
+        for seed in range(5):
+            pot, f = random_kernel(d, ell, seed), random_field(shape, seed)
+            assert dnls.dynamics._fourier_length(pot, shape, 0.01)[0] > shape.side
+            padded = one_step("strang", f, pot, 1.0, 0.01).values
+            with monkeypatch.context() as patch:
+                patch.setattr(dnls.dynamics, "_fourier_length", self.unpadded)
+                unpadded = one_step("strang", f, pot, 1.0, 0.01).values
+            assert 0.0 < np.max(np.abs(padded - unpadded)) <= self.STEP_TOL
+
+    # the taps built on the least box that holds their Taylor sum's support,
+    # degree * range * 2^s, against those of a larger box: bit for bit, the
+    # rest of the larger box zero; dt 0.6 takes one or two squarings
+    @pytest.mark.parametrize("d, ell, dt, extra", [
+        (1, 1, 1e-3, 7), (1, 2, 0.01, 5), (1, 1, 0.6, 3), (2, 1, 1e-3, 4), (3, 1, 1e-3, 2)])
+    def test_support_box_taps_equal_larger_box_taps(self, d, ell, dt, extra):
+        for seed in range(2):
+            pot = random_kernel(d, ell, seed)
+            squarings, degree = reference_plan(pot, dt)
+            support = degree * ell << squarings
+            small = dnls.dynamics._linear_taps(pot, LatticeShape(d, support), dt)
+            large = dnls.dynamics._linear_taps(pot, LatticeShape(d, support + extra), dt)
+            inner = (slice(extra, extra + 2 * support + 1),) * d
+            assert same_bits(small, large[inner])
+            large[inner] = 0.0
+            assert not large.any()
+
+    # the taps the padded route keeps equal the box's own kept taps
+    @pytest.mark.parametrize("d, L", [(1, 128), (2, 21), (3, 18)])
+    def test_padded_route_keeps_the_box_taps(self, d, L):
+        pot, shape = standard_laplacian(d), LatticeShape(d, L)
+        m, taps = dnls.dynamics._fourier_length(pot, shape, 1e-3)
+        assert m > shape.side
+        full = dnls.dynamics._linear_taps(pot, shape, 1e-3)
+        reach = len(taps) // 2
+        near = (slice(L - reach, L + reach + 1),) * d
+        assert same_bits(taps, full[near])
+        full[near] = 0.0
+        assert not full.any()
+
+
 class TestLinearTaps:
     @pytest.mark.parametrize("d, L", [(1, 4), (2, 2), (3, 1)])
     def test_horner_table_sum_is_the_roll_sum(self, d, L):
@@ -884,6 +993,23 @@ class TestLinearTaps:
         assert np.all(np.abs(taps - exact)[kept] <= 4 * np.spacing(np.abs(exact[kept])))
         # what is cut lies below 2^-60 of the largest tap
         assert np.all(np.abs(exact[~kept]) < 2.0**-60 * np.max(np.abs(exact)))
+
+    # A is real and symmetric, so exp(i dt A) = conj(exp(-i dt A)); every
+    # operation of the sum conjugates exactly, and the cut taps are +0 both
+    # ways, where conj gives -0 imaginary parts.  dt 1 takes squarings
+    @pytest.mark.parametrize("d, L, dt", [(1, 16, 1e-3), (1, 16, 1.0), (2, 6, 0.01),
+                                          (3, 3, 0.01)])
+    def test_negative_dt_gives_the_conjugate_taps(self, d, L, dt):
+        shape = LatticeShape(d, L)
+        for seed in range(3):
+            pot = random_kernel(d, 1, seed)
+            assert (reference_plan(pot, dt)[0] > 0) == (dt == 1.0)
+            forward = dnls.dynamics._linear_taps(pot, shape, dt)
+            backward = dnls.dynamics._linear_taps(pot, shape, -dt)
+            kept = forward != 0
+            assert np.count_nonzero(backward) > 1
+            assert np.array_equal(backward, np.conj(forward))
+            assert same_bits(backward[kept], np.conj(forward[kept]))
 
     def test_strang_moves_nothing_past_the_tap_reach(self):
         # lam 0 from a point source: after n steps every site farther than n
