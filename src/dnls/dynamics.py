@@ -80,9 +80,9 @@ _STACK_SITES = 1 << 14
 # 0.69x at 125, 1.83x at 343.  So the value holds for the circulants of d >=
 # 2; d = 1 windows would win beyond it.  The passes pad to the length m of
 # _fft_length where its cost says that pays.  us a step at side n -> at m,
-# same host, best of 4 processes each: d = 1 257 -> 270 36.2 -> 14.3, 2001 ->
-# 2025 98.8 -> 80.2; d = 2 129 -> 144 1895 -> 1087.  Sides 65 (d = 2), 17
-# and 33 (d = 3) stay, as padding loses there
+# same host, best of 4 processes each: d = 1 257 -> 270 39.3 -> 15.2, 2001 ->
+# 2025 103 -> 80; d = 2 43 -> 54 149 -> 86, 129 -> 144 1105 -> 664.  The rule
+# keeps sides 65 (d = 2), 17 and 33 (d = 3) of the large-box workload
 _DENSE_SITES = 200
 # the taps kept: those of at least this fraction of the largest; at dt = 1e-3
 # the standard Laplacian's beyond distance 4 are below J_5(1e-3) = 2.6e-19
@@ -256,29 +256,22 @@ def p_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -
     return complex(second_time_derivative(field, pot, lam)[field.shape.index(x)])
 
 
-def _fourier_passes(src: np.ndarray, spare: np.ndarray
-                    ) -> tuple[list[Callable[[], None]], np.ndarray, list[Callable[[], None]]]:
-    """fftn and ifftn over two arrays of one cubic shape as numpy's pocketfft
-    gufunc calls, bound once: (forward, spec, inverse).
+def _fourier_passes(values: np.ndarray
+                    ) -> tuple[list[Callable[[], None]], list[Callable[[], None]]]:
+    """fftn and ifftn of an array of one side on every axis, in place, as
+    numpy's pocketfft gufunc calls bound once: (forward, inverse).
 
-    The forward calls transform src into spec, src or spare, and the inverse
-    ones spec back into src, each pass overwriting the other array.  Like
-    np.fft.fftn and ifftn, with their bits, they make one call per axis, last
-    first, the inverse scaled by 1/side on each, without their wrapper: 0-d
-    float64 scales, and views that move each pass's axis last, the gufunc's
-    default core axis, as an axes keyword costs a slower call and an allocation.
+    Like np.fft.fftn and ifftn, with their bits, they make one call per axis,
+    last first, the inverse scaled by 1/side on each, without their wrapper:
+    0-d float64 scales, and views that move each pass's axis last, the
+    gufunc's default core axis, as an axes keyword costs a slower call and an
+    allocation.  The gufunc reads each row whole before it writes it, so its
+    out may be its input.
     """
-    def calls(ufunc, scale: np.ndarray, src: np.ndarray, dst: np.ndarray):
-        bound = []
-        for axis in reversed(range(src.ndim)):
-            bound.append(partial(ufunc, np.moveaxis(src, axis, -1), scale,
-                                 np.moveaxis(dst, axis, -1)))
-            src, dst = dst, src
-        return bound, src, dst
-
-    forward, spec, other = calls(_pocketfft.fft, np.array(1.0), src, spare)
-    inverse, _, _ = calls(_pocketfft.ifft, np.array(1.0 / src.shape[-1]), spec, other)
-    return forward, spec, inverse
+    views = [np.moveaxis(values, axis, -1) for axis in reversed(range(values.ndim))]
+    one, scale = np.array(1.0), np.array(1.0 / values.shape[-1])
+    return ([partial(_pocketfft.fft, view, one, view) for view in views],
+            [partial(_pocketfft.ifft, view, scale, view) for view in views])
 
 
 def _horner_plan(pot: HoppingPotential, dt: float, bound: float = 2.0 ** -126
@@ -393,10 +386,11 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     linear flow and a full rotation, the last one a half rotation.
 
     The linear flow is a fixed list of calls bound once to arrays allocated
-    here: np.dot by the taps (_tap_flow) into the spare array, or the Fourier
-    passes around phase * spectrum on the field array or on the padded one,
-    gathered by one take and copied back cropped.  A vanishing dispersion
-    makes the list empty: onsite runs carry no rounding from a linear flow.
+    here: np.dot by the taps (_tap_flow) into a second array, or the Fourier
+    passes in place around phase * spectrum, on the field array or on the
+    padded one, gathered by one take and copied back cropped.  A vanishing
+    dispersion makes the list empty: onsite runs carry no rounding from a
+    linear flow.
 
     A rotation by exp(rate |psi|^2) at an imaginary rate is computed from
     its real phase theta: cos theta and sin theta go into the real and
@@ -428,19 +422,20 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     half, full = ((np.array(rate.imag), np.array(rate.real * 0.0))
                   for rate in (half_rate, 2 * half_rate))
     mod = np.empty(shape.dims)
-    rot = np.empty(shape.dims, dtype=np.complex128)
-    cos, sin = rot.real, rot.imag
     field = np.empty(shape.dims, dtype=np.complex128)
-    spare = np.empty((m,) * d, dtype=np.complex128)
-    padded = field if m == n else np.empty_like(spare)
+    padded = field if m == n else np.empty((m,) * d, dtype=np.complex128)
+    # the rotation's factor, in the padded array where there is one: idle then
+    rot = np.empty_like(field) if m == n else padded.reshape(-1)[:shape.volume].reshape(shape.dims)
+    cos, sin = rot.real, rot.imag
     # the calls of the linear flow, and the array they leave its result in
     linear: list[Callable[[], None]] = []
     flowed = field
     if real_space:
-        linear, flowed = _tap_flow(taps, shape, field, spare), spare
+        flowed = np.empty_like(field)
+        linear = _tap_flow(taps, shape, field, flowed)
     elif phase is not None:
-        forward, spec, inverse = _fourier_passes(padded, spare)
-        linear = [*forward, partial(np.multiply, phase, spec, spec), *inverse]
+        forward, inverse = _fourier_passes(padded)
+        linear = [*forward, partial(np.multiply, phase, padded, padded), *inverse]
         if m > n:
             # copied back cropped: a ufunc on a strided view buffers per call
             linear = [partial(field.reshape(-1).take, index, None, padded, "clip"), *linear,
