@@ -6,15 +6,22 @@ particle-number and energy drifts; the energy column should shrink by ~4x
 per halving, the particle-number column should stay at rounding level.
 """
 
-import argparse
+import os
 
-import numpy as np
+# one BLAS/OpenMP thread, as in bench/run.py; set before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
-from dnls.dynamics import SchemeConfig, integrate
-from dnls.hopping import standard_laplacian
-from dnls.lattice import LatticeShape
-from dnls.observables import hamiltonian, particle_number
-from dnls.sampling import GaussianSpec, sample_gaussian
+import argparse  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from dnls.dynamics import SchemeConfig, integrate  # noqa: E402
+from dnls.hopping import standard_laplacian  # noqa: E402
+from dnls.lattice import LatticeShape  # noqa: E402
+from dnls.observables import hamiltonian, particle_number  # noqa: E402
+from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
 
 
 def main() -> None:

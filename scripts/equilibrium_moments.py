@@ -7,11 +7,18 @@ supremum plus the site-uniformity diagnostic of the per-site moments.  Stability
 face of the almost-sure power-law growth class.
 """
 
-import argparse
+import os
 
-from dnls.hopping import standard_laplacian
-from dnls.lattice import LatticeShape
-from dnls.sampling import (
+# one BLAS/OpenMP thread, as in bench/run.py; set before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+
+from dnls.hopping import standard_laplacian  # noqa: E402
+from dnls.lattice import LatticeShape  # noqa: E402
+from dnls.sampling import (  # noqa: E402
     GibbsSpec,
     acceptance_fraction,
     median_with_se,

@@ -6,12 +6,19 @@ fitted decay parameters and the runtime of the one packed integration that
 runs every size.
 """
 
-import argparse
+import os
 
-from dnls.convergence import SweepConfig, run_box_sweep
-from dnls.dynamics import SchemeConfig
-from dnls.hopping import standard_laplacian
-from dnls.lattice import hashed_noise_generator
+# one BLAS/OpenMP thread, as in bench/run.py; set before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+
+from dnls.convergence import SweepConfig, run_box_sweep  # noqa: E402
+from dnls.dynamics import SchemeConfig  # noqa: E402
+from dnls.hopping import standard_laplacian  # noqa: E402
+from dnls.lattice import hashed_noise_generator  # noqa: E402
 
 
 def main() -> None:

@@ -17,12 +17,19 @@ traced runs most of it.  To compare two checkouts, run it in each:
     PYTHONPATH=src python3 scripts/gibbs_cost.py
 """
 
-import time
-import tracemalloc
+import os
 
-from dnls.hopping import standard_laplacian
-from dnls.lattice import LatticeShape
-from dnls.sampling import GibbsSpec, run_gibbs_chain, tune_proposal_sigma
+# one BLAS/OpenMP thread, as in bench/run.py; set before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+from dnls.hopping import standard_laplacian  # noqa: E402
+from dnls.lattice import LatticeShape  # noqa: E402
+from dnls.sampling import GibbsSpec, run_gibbs_chain, tune_proposal_sigma  # noqa: E402
 
 GRID = ((1, 0), (1, 64), (1, 128), (1, 256), (2, 8), (3, 4))
 TUNE_GRID = ((1, 0), (1, 8))

@@ -17,16 +17,22 @@ Usage, comparing a refactor against its parent:
     diff before.txt after.txt
 """
 
-import contextlib
-import hashlib
-import io
-import json
 import os
-import sys
-import tempfile
-from pathlib import Path
 
-from dnls import cli
+# one BLAS/OpenMP thread, as in bench/run.py; set before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from dnls import cli  # noqa: E402
 
 # (run label, experiment, flags); the label is also the relative output
 # directory, and runs may read artefacts of earlier runs

@@ -30,6 +30,11 @@ bound once, as the RK4 stepper applies it) and per one-shot
 `hopping.stencil` and binds its work arrays on every call, as `hamiltonian`
 and the flux do; it takes about 5 s more.
 
+A third table times `observables.weighted_bound_prefactor`, the bound
+check's weighted-norm constant, in microseconds per call at the bench's
+bound-check boxes (d = 2 L = 32, d = 3 L = 8) and at d = 1 L = 64, for a
+power and an exponential weight at eps = 0.1; it takes a few seconds.
+
 A host whose speed swings in phases moves the raw columns with the phase,
 not with the code, so each row also prints its host speed factor, the
 mean of bench/speed.py's `probe_factor()` just before and just after the
@@ -49,6 +54,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 
 import sys  # noqa: E402
 import time  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -61,6 +67,7 @@ from dnls.dynamics import (_DENSE_SITES, _WINDOW_RATIO, SchemeConfig,  # noqa: E
                            _fourier_length, _linear_taps, integrate)
 from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
+from dnls.observables import WeightSpec, weighted_bound_prefactor  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
 
 GRID = ((1, 32), (1, 64), (1, 99), (1, 100), (1, 1000), (2, 6), (2, 7), (2, 8), (2, 32),
@@ -76,6 +83,10 @@ REPEATS = 5
 STENCIL_GRID = ((1, 64), (2, 64), (3, 16))
 # sites applied per timed stencil run; the call count is this over the volume
 STENCIL_SITES = 2_000_000
+PREFACTOR_GRID = ((2, 32), (3, 8), (1, 64))
+PREFACTOR_WEIGHTS = (WeightSpec("power", 1.0), WeightSpec("exponential", 0.5))
+PREFACTOR_EPS = 0.1
+PREFACTOR_CALLS = 10
 
 
 def best_seconds(run) -> float:
@@ -143,6 +154,20 @@ def main() -> None:
         factor = (before + probe_factor()) / 2
         print(f"{d:>2} {L:>5} {shape.volume:>6} {calls:>6} {factor:>6.2f}"
               + "".join(f"  {t:>26.1f} {t / factor:>9.1f}" for t in per_call))
+
+    print()
+    print(f"{'d':>2} {'L':>5} {'sites':>6} {'calls':>6} {'factor':>6}"
+          + "".join(f"  {f'prefactor/{spec.kind} us/call':>32} {'scaled':>9}"
+                    for spec in PREFACTOR_WEIGHTS))
+    for d, L in PREFACTOR_GRID:
+        shape = LatticeShape(d=d, L=L)
+        before = probe_factor()
+        per_call = [best_seconds(repeated(partial(weighted_bound_prefactor, shape, PREFACTOR_EPS),
+                                          spec, PREFACTOR_CALLS)) / PREFACTOR_CALLS * 1e6
+                    for spec in PREFACTOR_WEIGHTS]
+        factor = (before + probe_factor()) / 2
+        print(f"{d:>2} {L:>5} {shape.volume:>6} {PREFACTOR_CALLS:>6} {factor:>6.2f}"
+              + "".join(f"  {t:>32.1f} {t / factor:>9.1f}" for t in per_call))
 
 
 if __name__ == "__main__":

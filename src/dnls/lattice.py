@@ -263,7 +263,7 @@ def hashed_noise_generator(
         h = keyed.copy()
         h.update(",".join(map(str, z)).encode("ascii"))
         bits = int.from_bytes(h.digest(), "little")
-        modulus = amplitude * regularized_abs(z) ** p * math.sqrt((bits >> 64) / 2.0**64)
+        modulus = (amplitude * regularized_abs(z) ** p if p else amplitude) * math.sqrt((bits >> 64) / 2.0**64)
         angle = two_pi * ((bits & _LOW64) / 2.0**64)
         return modulus * complex(math.cos(angle), math.sin(angle))
 

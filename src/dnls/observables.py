@@ -27,13 +27,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .hopping import HoppingPotential, clipped_table, convolve_values, require_fits, stencil
-from .lattice import (
-    FieldL,
-    LatticeShape,
-    Site,
-    power_weight,
-    torus_distance_grid,
-)
+from .lattice import FieldL, LatticeShape, Site, power_weight, torus_distance_grid
 
 PASS_SLACK = 1e-9
 
@@ -240,21 +234,27 @@ def weighted_norm(field: FieldL, spec: WeightSpec) -> float:
 
 
 def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) -> float:
-    """sup_x sum_y exp(-(eps/2) dist(x,y)) Phi(x)/Phi(y) over the box."""
+    """sup_x sum_y k_dist(x,y) Phi(x)/Phi(y) over the box, with k_r = exp(-(eps/2) r).
+
+    By parts over r: sum_y k_dist(x,y)/Phi(y) = sum_{r<L} (k_r - k_{r+1}) B_r(x) + k_L B_L,
+    B_r(x) the sum of 1/Phi over the sup-ball of radius r around x, (2r+1)^d sites, from
+    window sums of a wrap-padded 1/Phi.  As k_r - k_{r+1} = -expm1(-eps/2) k_r > 0, every
+    term is positive, so the rounding error stays relative whatever the weight's range.
+    """
     if not (eps > 0):
         raise ValueError(f"eps must be > 0, got {eps}")
-    side = shape.side
-    phi = _weight_grid(shape, spec)
-    # exp(-(eps/2) dist(x, y)) depends on y - x only: site x reads it as the
-    # window of the origin's grid, tiled twice per axis, starting at L - x
-    tiled = np.tile(_local_weight(shape, 0.5 * eps, (0,) * shape.d), (2,) * shape.d)
-    best = 0.0
-    for idx in np.ndindex(shape.dims):
-        starts = [(shape.L - i) % side for i in idx]
-        window = tiled[tuple(slice(s, s + side) for s in starts)]
-        total = float(np.sum(window / phi))
-        best = max(best, total * float(phi[idx]))
-    return best
+    L, n, phi = shape.L, shape.side, _weight_grid(shape, spec)
+    padded = np.pad(1.0 / phi, L, mode="wrap")
+    inner = padded[..., L:L + n].copy()
+    sums = np.full(shape.dims, math.exp(-0.5 * eps * L) * float(np.sum(1.0 / phi)))
+    for r in range(L):
+        ball = inner
+        for axis in range(shape.d - 1):
+            ball = np.lib.stride_tricks.sliding_window_view(ball, 2 * r + 1, axis)[
+                (slice(None),) * axis + (slice(L - r, L - r + n),)].sum(axis=-1)
+        sums += -math.expm1(-0.5 * eps) * math.exp(-0.5 * eps * r) * ball
+        inner += padded[..., L + r + 1:L + r + 1 + n] + padded[..., L - r - 1:L - r - 1 + n]
+    return float(np.max(sums * phi))
 
 
 @dataclass(frozen=True)

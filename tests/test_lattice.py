@@ -288,7 +288,7 @@ class TestGenerators:
         assert gen_a((1,)) != hashed_noise_generator(seed=43, envelope_exponent=0.3)((1,))
 
     @pytest.mark.parametrize("d, L", [(1, 40), (2, 6), (3, 3)])
-    @pytest.mark.parametrize("p", [0.0, 0.45])
+    @pytest.mark.parametrize("p", [0.0, 0.45, 0, -0.0])  # any zero skips <z>**p, exactly 1.0
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, -3])
     def test_hashed_noise_bit_identical_to_reference(self, d, L, p, seed):
         shape = LatticeShape(d, L)
