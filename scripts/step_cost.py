@@ -35,13 +35,19 @@ check's weighted-norm constant, in microseconds per call at the bench's
 bound-check boxes (d = 2 L = 32, d = 3 L = 8) and at d = 1 L = 64, for a
 power and an exponential weight at eps = 0.1; it takes a few seconds.
 
+A fourth table times acceptance criterion 7's box sweep: its 18 boxes in
+d = 1 (L = 8, 9, 12, 13, ..., 40, 41), standard Laplacian, dt = 1e-3,
+stepped as one packed RK4 state by `integrate_packed` at snapshot stride 1
+with a no-op callback, in microseconds per step of all 18 boxes.
+
 A host whose speed swings in phases moves the raw columns with the phase,
-not with the code, so each row also prints its host speed factor, the
-mean of bench/speed.py's `probe_factor()` just before and just after the
-row (1.0 at the benchmark's reference speed), and each per-step time
-divided by it, which is comparable across runs and checkouts.  BLAS and
-OpenMP are pinned to one thread, as in bench/run.py.  To compare two
-checkouts, run it in each:
+not with the code, so each row also prints its host speed factor and each
+per-step time divided by it, which is comparable across runs and checkouts.
+The factor is bench/speed.py's `Speedometer`, sampling the probe every 20 ms
+throughout, over the span of the row's timed calls (1.0 at the benchmark's
+reference speed), as bench/run.py takes it for each task.  BLAS and OpenMP
+are pinned to one thread, as in bench/run.py.  To compare two checkouts,
+run it in each:
 
     PYTHONPATH=src python3 scripts/step_cost.py
 """
@@ -61,10 +67,10 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from speed import probe_factor  # noqa: E402
+from speed import Speedometer  # noqa: E402
 
 from dnls.dynamics import (_DENSE_SITES, _WINDOW_RATIO, SchemeConfig,  # noqa: E402
-                           _fourier_length, _linear_taps, integrate)
+                           _fourier_length, _linear_taps, integrate, integrate_packed)
 from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.observables import WeightSpec, weighted_bound_prefactor  # noqa: E402
@@ -87,6 +93,16 @@ PREFACTOR_GRID = ((2, 32), (3, 8), (1, 64))
 PREFACTOR_WEIGHTS = (WeightSpec("power", 1.0), WeightSpec("exponential", 0.5))
 PREFACTOR_EPS = 0.1
 PREFACTOR_CALLS = 10
+# acceptance criterion 7's box sizes: each L of range(8, 41, 4) and L + 1
+SWEEP_SIZES = tuple(L + e for L in range(8, 41, 4) for e in (0, 1))
+
+
+def timed_row(meter: Speedometer, runs) -> tuple[list[float], float]:
+    """The best-of-REPEATS seconds of each run, and the host speed factor
+    over the span of all of them."""
+    start = time.perf_counter()
+    seconds = [best_seconds(run) for run in runs]
+    return seconds, meter.factor(start, time.perf_counter())
 
 
 def best_seconds(run) -> float:
@@ -116,7 +132,7 @@ def strang_flow(pot, shape) -> tuple[str, str]:
     return ("windows" if _WINDOW_RATIO * taps <= shape.volume else "circulant"), str(taps)
 
 
-def main() -> None:
+def step_table(meter: Speedometer) -> None:
     print(f"{'d':>2} {'L':>5} {'sites':>6} {'flow':>12} {'taps':>4} {'steps':>6} {'factor':>6}"
           + "".join(f"  {f'{scheme}/{stride} us/site-step':>22} {'us/step':>9} {'scaled':>9}"
                     for scheme, stride in RUNS))
@@ -126,19 +142,18 @@ def main() -> None:
         field0 = sample_gaussian(GaussianSpec(density=1.0), shape, 0)
         strides = max(1, -(-SITE_STEPS // (shape.volume * STRIDE)))
         steps = strides * STRIDE
-        before = probe_factor()
-        per_steps = []
-        for scheme, stride in RUNS:
-            cfg = SchemeConfig(scheme=scheme, dt=DT, t_end=steps * DT,
-                               snapshot_stride=stride, lam=1.0)
-            per_steps.append(best_seconds(lambda: integrate(field0, pot, cfg)) / steps * 1e6)
-        factor = (before + probe_factor()) / 2
+        seconds, factor = timed_row(meter, [
+            partial(integrate, field0, pot, SchemeConfig(scheme=scheme, dt=DT, t_end=steps * DT,
+                                                         snapshot_stride=stride, lam=1.0))
+            for scheme, stride in RUNS])
+        per_steps = [t / steps * 1e6 for t in seconds]
         flow, taps = strang_flow(pot, shape)
         print(f"{d:>2} {L:>5} {shape.volume:>6} {flow:>12} {taps:>4} {steps:>6} {factor:>6.2f}"
               + "".join(f"  {t / shape.volume:>22.4f} {t:>9.1f} {t / factor:>9.1f}"
                         for t in per_steps))
 
-    print()
+
+def stencil_table(meter: Speedometer) -> None:
     print(f"{'d':>2} {'L':>5} {'sites':>6} {'calls':>6} {'factor':>6}"
           + "".join(f"  {f'{name} us/call':>26} {'scaled':>9}"
                     for name in ("buffered stencil", "convolve_values")))
@@ -147,27 +162,52 @@ def main() -> None:
         pot = standard_laplacian(d)
         values = sample_gaussian(GaussianSpec(density=1.0), shape, 0).values
         calls = max(1, STENCIL_SITES // shape.volume)
-        before = probe_factor()
-        per_call = [best_seconds(repeated(call, values, calls)) / calls * 1e6
-                    for call in (stencil(pot, shape).buffered(),
-                                 lambda v: convolve_values(pot, shape, v))]
-        factor = (before + probe_factor()) / 2
+        seconds, factor = timed_row(meter, [
+            repeated(call, values, calls) for call in (
+                stencil(pot, shape).buffered(), lambda v: convolve_values(pot, shape, v))])
+        per_call = [t / calls * 1e6 for t in seconds]
         print(f"{d:>2} {L:>5} {shape.volume:>6} {calls:>6} {factor:>6.2f}"
               + "".join(f"  {t:>26.1f} {t / factor:>9.1f}" for t in per_call))
 
-    print()
+
+def prefactor_table(meter: Speedometer) -> None:
     print(f"{'d':>2} {'L':>5} {'sites':>6} {'calls':>6} {'factor':>6}"
           + "".join(f"  {f'prefactor/{spec.kind} us/call':>32} {'scaled':>9}"
                     for spec in PREFACTOR_WEIGHTS))
     for d, L in PREFACTOR_GRID:
         shape = LatticeShape(d=d, L=L)
-        before = probe_factor()
-        per_call = [best_seconds(repeated(partial(weighted_bound_prefactor, shape, PREFACTOR_EPS),
-                                          spec, PREFACTOR_CALLS)) / PREFACTOR_CALLS * 1e6
-                    for spec in PREFACTOR_WEIGHTS]
-        factor = (before + probe_factor()) / 2
+        seconds, factor = timed_row(meter, [
+            repeated(partial(weighted_bound_prefactor, shape, PREFACTOR_EPS), spec,
+                     PREFACTOR_CALLS) for spec in PREFACTOR_WEIGHTS])
+        per_call = [t / PREFACTOR_CALLS * 1e6 for t in seconds]
         print(f"{d:>2} {L:>5} {shape.volume:>6} {PREFACTOR_CALLS:>6} {factor:>6.2f}"
               + "".join(f"  {t:>32.1f} {t / factor:>9.1f}" for t in per_call))
+
+
+def sweep_table(meter: Speedometer) -> None:
+    shapes = [LatticeShape(d=1, L=L) for L in SWEEP_SIZES]
+    sites = sum(shape.volume for shape in shapes)
+    fields = [sample_gaussian(GaussianSpec(density=1.0), shape, 0) for shape in shapes]
+    steps = -(-SITE_STEPS // sites)
+    cfg = SchemeConfig(scheme="rk4", dt=DT, t_end=steps * DT, snapshot_stride=1, lam=1.0)
+    (seconds,), factor = timed_row(meter, [
+        partial(integrate_packed, fields, standard_laplacian(1), cfg, lambda row: None)])
+    t = seconds / steps * 1e6
+    print(f"{'d':>2} {'boxes':>5} {'sites':>6} {'steps':>6} {'factor':>6}"
+          f"  {'packed rk4/1 us/step':>22} {'scaled':>9}")
+    print(f"{1:>2} {len(shapes):>5} {sites:>6} {steps:>6} {factor:>6.2f}"
+          f"  {t:>22.1f} {t / factor:>9.1f}")
+
+
+def main() -> None:
+    with Speedometer() as meter:
+        step_table(meter)
+        print()
+        stencil_table(meter)
+        print()
+        prefactor_table(meter)
+        print()
+        sweep_table(meter)
 
 
 if __name__ == "__main__":

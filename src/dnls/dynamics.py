@@ -27,19 +27,22 @@ pocketfft gufuncs, with the bits of np.fft, around exp(-i dt disp) at the
 box side n, or, where n's prime factors make that slow, around the kept
 taps' transform at a smooth length m >= n + 2 r, on the field wrap-padded
 and cropped back (_fourier_length).
-Finiteness is checked once per stored snapshot; a non-finite one replays
-its block one single step at a time and raises at the first non-finite
-step, or, ending finite, keeps the replayed row: a merged phase lam |psi|^2
-dt can overflow where two half phases do not.  The snapshots form one
-read-only array (n, *dims) of a Trajectory; computations over them run on
-`Trajectory.blocks` of about 2^14 sites, so their temporaries stay small.
+
+One loop (_run) drives both entry points: integrate steps one box into a
+buffer of all its snapshots, integrate_packed several boxes of one dimension
+with RK4 as one packed state, through the one stencil resolved for all of
+them, into a ring of two rows that a callback reads at each snapshot, nothing
+stored.  Each box gets the bits integrate gives it, and a packed step costs
+about one box's numpy calls.  Finiteness is checked once per row; a box gone
+non-finite replays its block alone, one single step at a time, and fails at
+the first non-finite step, or, ending finite, keeps the replayed row: a
+merged phase lam |psi|^2 dt can overflow where two half phases do not.
+integrate raises the failure; integrate_packed returns it per box and zeroes
+the box, and the loop stops once every box has failed.  The snapshots form
+one read-only array (n, *dims) of a Trajectory; computations over them run
+on `Trajectory.blocks` of about 2^14 sites, so their temporaries stay small.
 The stack is checked once: row by row in integrate, or whole by the
 constructor for outside data.
-
-integrate_packed steps several boxes of one dimension with RK4 as one packed
-state, through the one stencil resolved for all of them: each box gets the
-bits integrate gives it, a step costs about one box's numpy calls, and a
-callback reads each snapshot, nothing stored.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation, summed at
@@ -527,50 +530,74 @@ def _rk4(hopping: Stencil, lam: float, dt: float) -> Stepper:
     return advance
 
 
-def _rk4_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: float) -> Stepper:
-    """RK4 steps on one box."""
-    return _rk4(_checked_stencil(pot, shape), lam, dt)
+def _stepper(pot: HoppingPotential, shapes: Sequence[LatticeShape], config: SchemeConfig
+             ) -> Stepper:
+    """The config's stepper on states of the given boxes: RK4 over one box or
+    several packed end to end (the stencil's dims), or Strang on one box."""
+    if config.scheme == "strang":
+        (shape,) = shapes
+        return _strang_stepper(pot, shape, config.lam, config.dt)
+    return _rk4(_checked_stencil(pot, *shapes), config.lam, config.dt)
 
 
-_STEPPERS = {"strang": _strang_stepper, "rk4": _rk4_stepper}
+def _run(fields: Sequence[FieldL], pot: HoppingPotential, config: SchemeConfig, n: int,
+         on_row: Callable[[np.ndarray], None] | None = None
+         ) -> tuple[list[BlowUpError | None], np.ndarray]:
+    """Advance the fields to t_end as one state, their values end to end at
+    their lattice.box_starts offsets, snapshot j in rows[j % n] and read by
+    on_row, if given; return per field the BlowUpError of its own run, or
+    None, and the rows.  A box that fails is zeroed and stays zero, raising
+    no warning; the checks and the replay are the module docstring's."""
+    shapes = [field.shape for field in fields]
+    starts = box_starts(shapes)
+    dt, stride = config.dt, config.snapshot_stride
+    advance = _stepper(pot, shapes, config)
+    # after the stepper and its temporaries: allocated before them, the rows
+    # raised large-box's peak RSS by 2.8 MB
+    rows = np.empty((n, starts[-1]), dtype=np.complex128)
+    # the rows in the stepper's dims: a lone box's own
+    states = rows.reshape(n, *(shapes[0].dims if len(shapes) == 1 else (starts[-1],)))
+    np.concatenate([field.values.ravel() for field in fields], out=rows[0])
+    errors: list[BlowUpError | None] = [None] * len(fields)
+    if on_row is not None:
+        on_row(rows[0])
+    for j in range(1, config.n_steps() // stride + 1):
+        row = rows[j % n]
+        advance(states[(j - 1) % n], states[j % n], stride)
+        if not np.isfinite(row).all():
+            prev = rows[(j - 1) % n]
+            for b in np.flatnonzero(~np.logical_and.reduceat(np.isfinite(row), starts[:-1])):
+                shape, box = shapes[b], slice(starts[b], starts[b + 1])
+                replay = advance if len(shapes) == 1 else _stepper(pot, [shape], config)
+                src, dst = prev[box].reshape(shape.dims), row[box].reshape(shape.dims)
+                spares = np.empty((2, *shape.dims), dtype=np.complex128)
+                for k in range(1, stride + 1):
+                    out = dst if k == stride else spares[k % 2]
+                    replay(src, out, 1)
+                    if not np.isfinite(out).all():
+                        bad = (j - 1) * stride + k
+                        errors[b] = BlowUpError(time=bad * dt, step=bad)
+                        row[box] = 0.0
+                        break
+                    src = out
+        if on_row is not None:
+            on_row(row)
+        if None not in errors:
+            break
+    return errors, rows
 
 
 def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Trajectory:
-    """Advance field0 to t_end, one stepper call per snapshot row of one buffer.
-
-    Finiteness is checked once per stored row: a non-finite row replays its
-    block from the row before, one checked single step at a time, and the
-    run aborts at the first offending step; a replay ending finite keeps its
-    row (the merged block overflowed) and the run goes on.
-    """
+    """Advance field0 to t_end, one stepper call per snapshot row of one
+    buffer, and raise the BlowUpError of its first non-finite step."""
     shape, dt, stride = field0.shape, config.dt, config.snapshot_stride
-    advance = _STEPPERS[config.scheme](pot, shape, config.lam, dt)
-    steps = config.n_steps()
-    times = np.arange(0, steps + 1, stride) * dt
-    values = np.empty((len(times), *shape.dims), dtype=np.complex128)
-    values[0] = field0.values
-
-    for j in range(1, len(times)):
-        advance(values[j - 1], values[j], stride)
-        if not np.isfinite(values[j]).all():
-            _replay(advance, values[j - 1], values[j], stride, (j - 1) * stride, dt)
-    # every row is checked above, and the frozen buffer is stored uncopied
-    return Trajectory._checked(shape, frozen(times), frozen(values), dt, stride)
-
-
-def _replay(advance: Stepper, src: np.ndarray, dst: np.ndarray, steps: int, done: int,
-            dt: float) -> None:
-    """Advance src by steps single steps into dst, steps done + 1 ... done +
-    steps of a run, checking each: raises BlowUpError at the first
-    non-finite one."""
-    spares = np.empty((2, *src.shape), dtype=np.complex128)
-    for k in range(1, steps + 1):
-        out = dst if k == steps else spares[k % 2]
-        advance(src, out, 1)
-        if not np.isfinite(out).all():
-            step = done + k
-            raise BlowUpError(time=step * dt, step=step)
-        src = out
+    times = np.arange(0, config.n_steps() + 1, stride) * dt
+    (error,), values = _run([field0], pot, config, len(times))
+    if error is not None:
+        raise error
+    # every row is checked by _run, and the frozen buffer is stored uncopied
+    values = frozen(values.reshape(len(times), *shape.dims))
+    return Trajectory._checked(shape, frozen(times), values, dt, stride)
 
 
 def integrate_packed(fields: Sequence[FieldL], pot: HoppingPotential, config: SchemeConfig,
@@ -579,43 +606,14 @@ def integrate_packed(fields: Sequence[FieldL], pot: HoppingPotential, config: Sc
     packed state, and return per field the BlowUpError integrate would raise
     on it, or None.
 
-    The state is the fields' values laid end to end, each row-major at its
-    offset of lattice.box_starts; every box gets the bits integrate gives it.
-    Nothing is stored: on_row reads the state at t = 0 and at every snapshot
-    time, in an array the run then overwrites.  A box gone non-finite at a
-    snapshot is replayed alone from the one before, with integrate's stepper
-    and checks, and, when the replay raises, zeroed for the rest of the run,
-    where it stays zero and raises no warning.
+    Every box gets the bits integrate gives it (_run), and a box that blows
+    up is zeroed for the rest of the run.  Nothing is stored: on_row reads
+    the state at t = 0 and at every snapshot time, until every box has
+    failed, in an array the run then overwrites.
     """
     if config.scheme != "rk4":
         raise ValueError(f"a packed run needs scheme rk4, got {config.scheme!r}")
-    shapes = [field.shape for field in fields]
-    starts = box_starts(shapes)
-    dt, stride = config.dt, config.snapshot_stride
-    hopping = _checked_stencil(pot, *shapes)
-    advance = _rk4(hopping, config.lam, dt)
-    steps = config.n_steps()
-    rows = np.empty((2, starts[-1]), dtype=np.complex128)
-    # the rows in the stencil's dims: a lone box's own
-    states = rows.reshape(2, *hopping.dims)
-    np.concatenate([field.values.ravel() for field in fields], out=rows[0])
-    errors: list[BlowUpError | None] = [None] * len(fields)
-    on_row(rows[0])
-    for j in range(1, steps // stride + 1):
-        prev, row = rows[(j - 1) % 2], rows[j % 2]
-        advance(states[(j - 1) % 2], states[j % 2], stride)
-        if not np.isfinite(row).all():
-            finite = np.logical_and.reduceat(np.isfinite(row), starts[:-1])
-            for b in np.flatnonzero(~finite):
-                shape, box = shapes[b], slice(starts[b], starts[b + 1])
-                try:
-                    _replay(_rk4_stepper(pot, shape, config.lam, dt), prev[box].reshape(shape.dims),
-                            row[box].reshape(shape.dims), stride, (j - 1) * stride, dt)
-                except BlowUpError as err:
-                    errors[b] = err
-                    row[box] = 0.0
-        on_row(row)
-    return errors
+    return _run(fields, pot, config, 2, on_row)[0]
 
 
 def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:

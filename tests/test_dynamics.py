@@ -689,7 +689,7 @@ class TestIntegrate:
 
 class TestIntegratePacked:
     @pytest.mark.parametrize("d, sizes, ell, stride", [
-        (1, (3, 8, 5, 8), 1, 1), (2, (2, 4, 3), 2, 3), (3, (2, 3), 1, 2),
+        (1, (3, 8, 5, 8), 1, 1), (2, (2, 4, 3), 2, 3), (3, (2, 3), 1, 2), (1, (5,), 1, 2),
     ])
     def test_rows_equal_separate_runs(self, d, sizes, ell, stride):
         # every box of every row, in any order of sizes, repeats included
@@ -704,6 +704,62 @@ class TestIntegratePacked:
             traj = integrate(field, pot, cfg)
             got = np.stack([row[lo:hi] for row in rows]).reshape(traj.values.shape)
             assert same_bits(got, traj.values)
+
+    # RK4 at dt = 0.5 overshoots on a box of scale 1 or 2, not on boxes of
+    # scale 0.1.  The premise, as in TestIntegrate: the late box's first bad
+    # single step lies inside a later snapshot block
+    DT, STRIDE, STEPS = 0.5, 2, 10
+    BLOW_UP = SchemeConfig(scheme="rk4", dt=DT, t_end=DT * STEPS, snapshot_stride=STRIDE, lam=1.0)
+
+    def late_blow_up(self, pot):
+        def premise(f):
+            _, first_bad = reference_single_steps("rk4", f, pot, 1.0, self.DT, self.STEPS)
+            inside = first_bad is not None and first_bad > self.STRIDE
+            return first_bad if inside and first_bad % self.STRIDE != 0 else None
+
+        return first_field_with(LatticeShape(1, 4), 1.0, premise)
+
+    def packed_rows(self, fields, pot):
+        rows = []
+        errors = integrate_packed(fields, pot, self.BLOW_UP, lambda row: rows.append(row.copy()))
+        for field, err in zip(fields, errors):
+            if err is not None:
+                with pytest.raises(BlowUpError) as alone:
+                    integrate(field, pot, self.BLOW_UP)
+                assert (err.step, err.time) == (alone.value.step, alone.value.time)
+        return errors, np.stack(rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_box_blows_up(self):
+        pot = standard_laplacian(1)
+        bad, first_bad = self.late_blow_up(pot)
+        fields = [random_field(LatticeShape(1, 3), 0, 0.1), bad,
+                  random_field(LatticeShape(1, 5), 2, 0.1)]
+        errors, rows = self.packed_rows(fields, pot)
+        assert errors[1] is not None and errors[1].step == first_bad
+        assert len(rows) == self.STEPS // self.STRIDE + 1
+        starts = box_starts([field.shape for field in fields])
+        assert np.all(rows[-(-first_bad // self.STRIDE):, starts[1]:starts[2]] == 0)
+        for b in (0, 2):
+            assert errors[b] is None
+            traj = integrate(fields[b], pot, self.BLOW_UP)
+            got = rows[:, starts[b]:starts[b + 1]].reshape(traj.values.shape)
+            assert same_bits(got, traj.values)
+
+    # the boxes of scale 2 blow up in the first block, the late box in a
+    # later one: the run delivers that block's row and stops before t_end
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_stops_once_every_box_blew_up(self):
+        pot = standard_laplacian(1)
+        bad, first_bad = self.late_blow_up(pot)
+        fields = [random_field(LatticeShape(1, 3), 3, 2.0), bad,
+                  random_field(LatticeShape(1, 5), 5, 2.0)]
+        errors, rows = self.packed_rows(fields, pot)
+        assert all(err is not None and err.step < first_bad for err in errors[::2])
+        last = -(-first_bad // self.STRIDE)
+        assert 1 < last < self.STEPS // self.STRIDE
+        assert len(rows) == last + 1
+        assert np.all(rows[-1] == 0)
 
     def test_strang_rejected(self):
         cfg = SchemeConfig(scheme="strang", dt=1e-2, t_end=0.1)
@@ -735,7 +791,7 @@ class TestStrangRotation:
         for k in range(1, steps + 1):
             expected = rotate(expected, half_rate if k == steps else 2 * half_rate)
         out = np.empty_like(values)
-        dnls.dynamics._STEPPERS["strang"](pot, self.SHAPE, lam, dt)(values, out, steps)
+        dnls.dynamics._strang_stepper(pot, self.SHAPE, lam, dt)(values, out, steps)
         return out, expected
 
     def field(self, scale, zeros):
@@ -805,7 +861,8 @@ class TestStepperAllocation:
     def test_advance_allocates_no_array_per_step(self, scheme, d, L):
         shape = LatticeShape(d, L)
         values = random_field(shape, 11).values
-        advance = dnls.dynamics._STEPPERS[scheme](standard_laplacian(d), shape, 1.0, 1e-3)
+        advance = dnls.dynamics._stepper(standard_laplacian(d), [shape],
+                                         SchemeConfig(scheme=scheme))
         assert self._block_peak(advance, values) < values.nbytes // 4
 
     @pytest.mark.parametrize("d, sizes", [(1, (8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29, 32,
