@@ -20,7 +20,7 @@ import numpy as np  # noqa: E402
 from dnls.dynamics import SchemeConfig, integrate  # noqa: E402
 from dnls.hopping import standard_laplacian  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
-from dnls.observables import hamiltonian, particle_number  # noqa: E402
+from dnls.observables import observable_series  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
 
 
@@ -44,8 +44,8 @@ def main() -> None:
         cfg = SchemeConfig(scheme="strang", dt=dt, t_end=args.t_end,
                            snapshot_stride=stride, lam=args.lam)
         traj = integrate(field0, pot, cfg)
-        n = np.array([particle_number(s) for s in traj.snapshots])
-        h = np.array([hamiltonian(s, pot, args.lam) for s in traj.snapshots])
+        _, rows = observable_series(traj, pot, args.lam)
+        n, h = np.array(rows)[:, 1:3].T
         n_drift = np.max(np.abs(n - n[0])) / n[0]
         h_drift = np.max(np.abs(h - h[0]))
         print(f"{dt:>10.1e}  {n_drift:>14.3e}  {h_drift:>14.3e}")

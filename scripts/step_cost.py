@@ -26,7 +26,7 @@ A second table times the hopping stencil alone, with the standard
 Laplacian, at the sizes where the RK4 step and the energies spend most of
 their time: microseconds per apply of a buffered stencil (`Stencil.buffered`,
 bound once, as the RK4 stepper applies it) and per one-shot
-`convolve_values` call, which looks its layout up in the memo of
+`stencil(pot, shape)(values)` call, which looks its layout up in the memo of
 `hopping.stencil` and binds its work arrays on every call, as `hamiltonian`
 and the flux do; it takes about 5 s more.
 
@@ -71,7 +71,7 @@ from speed import Speedometer  # noqa: E402
 
 from dnls.dynamics import (_DENSE_SITES, _WINDOW_RATIO, SchemeConfig,  # noqa: E402
                            _fourier_length, _linear_taps, integrate, integrate_packed)
-from dnls.hopping import convolve_values, standard_laplacian, stencil  # noqa: E402
+from dnls.hopping import standard_laplacian, stencil  # noqa: E402
 from dnls.lattice import LatticeShape  # noqa: E402
 from dnls.observables import WeightSpec, weighted_bound_prefactor  # noqa: E402
 from dnls.sampling import GaussianSpec, sample_gaussian  # noqa: E402
@@ -156,7 +156,7 @@ def step_table(meter: Speedometer) -> None:
 def stencil_table(meter: Speedometer) -> None:
     print(f"{'d':>2} {'L':>5} {'sites':>6} {'calls':>6} {'factor':>6}"
           + "".join(f"  {f'{name} us/call':>26} {'scaled':>9}"
-                    for name in ("buffered stencil", "convolve_values")))
+                    for name in ("buffered stencil", "one-shot stencil")))
     for d, L in STENCIL_GRID:
         shape = LatticeShape(d=d, L=L)
         pot = standard_laplacian(d)
@@ -164,7 +164,7 @@ def stencil_table(meter: Speedometer) -> None:
         calls = max(1, STENCIL_SITES // shape.volume)
         seconds, factor = timed_row(meter, [
             repeated(call, values, calls) for call in (
-                stencil(pot, shape).buffered(), lambda v: convolve_values(pot, shape, v))])
+                stencil(pot, shape).buffered(), lambda v: stencil(pot, shape)(v))])
         per_call = [t / calls * 1e6 for t in seconds]
         print(f"{d:>2} {L:>5} {shape.volume:>6} {calls:>6} {factor:>6.2f}"
               + "".join(f"  {t:>26.1f} {t / factor:>9.1f}" for t in per_call))

@@ -145,12 +145,7 @@ def require_fits(pot: HoppingPotential, shape: LatticeShape) -> None:
 def convolve(pot: HoppingPotential, field: FieldL) -> FieldL:
     """Wrapped convolution: out(x) = sum_y alpha(x - y) field(y)."""
     require_fits(pot, field.shape)
-    return FieldL(field.shape, frozen(convolve_values(pot, field.shape, field.values)))
-
-
-def convolve_values(pot: HoppingPotential, shape: LatticeShape, values: np.ndarray) -> np.ndarray:
-    """Stencil of the box-restricted kernel on a raw array; fixed offset order."""
-    return stencil(pot, shape)(values)
+    return FieldL(field.shape, frozen(stencil(pot, field.shape)(field.values)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .hopping import HoppingPotential, clipped_table, convolve_values, require_fits, stencil
+from .hopping import HoppingPotential, clipped_table, require_fits, stencil
 from .lattice import FieldL, LatticeShape, Site, power_weight, torus_distance_grid
 
 PASS_SLACK = 1e-9
@@ -75,7 +75,7 @@ def hamiltonian(field: FieldL, pot: HoppingPotential, lam: float) -> float:
     plain kernel precomposed with the embedding, never folded).
     """
     psi = field.values
-    return _energy(psi, convolve_values(pot, field.shape, psi), lam)
+    return _energy(psi, stencil(pot, field.shape)(psi), lam)
 
 
 def _energy(psi: np.ndarray, conv: np.ndarray, lam: float) -> float:
@@ -123,7 +123,7 @@ def particle_flux_field(field: FieldL, pot: HoppingPotential) -> np.ndarray:
     construction, and it sums to zero over the box.
     """
     require_fits(pot, field.shape)
-    return _flux(field.values, convolve_values(pot, field.shape, field.values))
+    return _flux(field.values, stencil(pot, field.shape)(field.values))
 
 
 def _flux(psi: np.ndarray, conv: np.ndarray) -> np.ndarray:
@@ -244,9 +244,10 @@ def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) 
     if not (eps > 0):
         raise ValueError(f"eps must be > 0, got {eps}")
     L, n, phi = shape.L, shape.side, _weight_grid(shape, spec)
-    padded = np.pad(1.0 / phi, L, mode="wrap")
+    reciprocal = 1.0 / phi
+    padded = np.pad(reciprocal, L, mode="wrap")
     inner = padded[..., L:L + n].copy()
-    sums = np.full(shape.dims, math.exp(-0.5 * eps * L) * float(np.sum(1.0 / phi)))
+    sums = np.full(shape.dims, math.exp(-0.5 * eps * L) * float(np.sum(reciprocal)))
     for r in range(L):
         ball = inner
         for axis in range(shape.d - 1):

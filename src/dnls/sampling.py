@@ -39,11 +39,12 @@ loop class of a sweep at a time.  Each retained sample is a row of one
 (n_samples, volume) buffer, frozen once when the chain ends and checked once
 by lattice.field_rows; the samples read its rows through one lazy view.
 
-Two results back the checks on the samples: SampleStats (per-site moments,
-their standard errors and the largest) and PowerLawViolations (sites above
-<x>^(1/a) of one sample, counted per radius).  That threshold and the weight
-of weighted_sup are lattice.power_weight, the one power weight <x>^(-p) that
-the observables' power-weighted norms use too.
+Two results back the checks on a sample set, each reduced from the set's
+values stacked once as one (n, *dims) array: SampleStats (per-site moments,
+their standard errors and the largest) and PowerLawViolations (the sites above
+<x>^(1/a) of all the samples, counted per radius).  That threshold and the
+weight of weighted_sup are lattice.power_weight, the one power weight <x>^(-p)
+that the observables' power-weighted norms use too.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hopping import HoppingPotential, clipped_table
-from .lattice import FieldL, LatticeShape, Site, field_rows, power_weight, torus_distance_grid
+from .lattice import FieldL, LatticeShape, field_rows, power_weight, torus_distance_grid
 
 
 # tune_proposal_sigma: target acceptance, rounds and sweeps per round
@@ -406,10 +407,7 @@ def site_moments(samples: Sequence[FieldL], xi: float) -> SampleStats:
         raise ValueError("need at least 2 samples for standard errors")
     if not (xi > 0):
         raise ValueError(f"moment order must be > 0, got {xi}")
-    shape = samples[0].shape
-    if any(s.shape != shape for s in samples):
-        raise ValueError("samples live on different lattices")
-    stack = np.stack([np.abs(s.values) ** xi for s in samples])
+    stack = np.abs(_stacked(samples)) ** xi
     means = stack.mean(axis=0)
     ses = stack.std(axis=0, ddof=1) / math.sqrt(len(samples))
     return SampleStats(per_site_moments=means, per_site_se=ses, max_moment=float(means.max()))
@@ -424,36 +422,42 @@ def site_uniformity_z(stats: SampleStats) -> float:
 
 @dataclass(frozen=True)
 class PowerLawViolations:
-    """Sites of one sample where |psi(x)| > <x>^(1/a), with counts of those
-    sites and of all sites per sup-norm radius."""
+    """Per sup-norm radius: the sites where |psi(x)| > <x>^(1/a), summed over
+    the samples of a set, and the sites of the box."""
 
-    violations_total: int
-    violation_sites: tuple[Site, ...]
     violations_by_radius: dict[int, int]
     sites_by_radius: dict[int, int]
 
 
-def power_law_violations(sample: FieldL, a: float) -> PowerLawViolations:
-    """Sites where |psi(x)| exceeds <x>^(1/a), with counts per sup-norm radius.
+def power_law_violations(samples: Sequence[FieldL], a: float) -> PowerLawViolations:
+    """Sites where |psi(x)| exceeds <x>^(1/a), per sup-norm radius, over all
+    the samples of a set at once; the total is the sum of the counts.
 
     Uses the true coordinates of the box sites.
     """
     if not (a > 0):
         raise ValueError(f"exponent a must be > 0, got {a}")
-    shape = sample.shape
-    mask = np.abs(sample.values) > power_weight(shape, -1.0 / a)
+    stack = _stacked(samples)
+    shape = samples[0].shape
+    above = np.abs(stack) > power_weight(shape, -1.0 / a)
     radii = torus_distance_grid(shape, (0,) * shape.d)
+    violations_at = np.bincount(np.broadcast_to(radii, above.shape)[above], minlength=shape.L + 1)
     sites_at = np.bincount(radii.ravel(), minlength=shape.L + 1)
-    violations_at = np.bincount(radii[mask], minlength=shape.L + 1)
-    sites = tuple(
-        tuple(int(i) - shape.L for i in idx) for idx in np.argwhere(mask)
-    )
     return PowerLawViolations(
-        violations_total=int(mask.sum()),
-        violation_sites=sites,
         violations_by_radius=dict(enumerate(violations_at.tolist())),
         sites_by_radius=dict(enumerate(sites_at.tolist())),
     )
+
+
+def _stacked(samples: Sequence[FieldL]) -> np.ndarray:
+    """The samples' values as one (n, *dims) stack; ValueError for an empty set
+    or samples on different boxes."""
+    if len(samples) == 0:
+        raise ValueError("need at least 1 sample")
+    shape = samples[0].shape
+    if any(s.shape != shape for s in samples):
+        raise ValueError("samples live on different lattices")
+    return np.stack([s.values for s in samples])
 
 
 def weighted_sup(sample: FieldL, exponent: float) -> float:

@@ -424,6 +424,30 @@ class TestSampling:
         assert code == 0
         assert (out / "stats.json").exists()
 
+    @pytest.mark.parametrize("experiment, flags", [
+        ("sample-gaussian", ("--lattice.L", "8", "--sampling.n_samples", "30")),
+        ("sample-gibbs", ("--lattice.L", "4", "--sampling.n_samples", "20",
+                          "--sampling.burn_in", "20", "--sampling.thinning", "2")),
+    ])
+    def test_violation_counts_equal_a_per_sample_loop(self, tmp_path, experiment, flags):
+        a = 8.0
+        sample_dir, stats_dir = tmp_path / "samples", tmp_path / "stats"
+        assert run_cli("--experiment", experiment, "--out", str(sample_dir), "--seed", "14",
+                       "--sampling.a", str(a), "--dump_fields", "true", *flags) == 0
+        assert run_cli("--experiment", "stats", "--out", str(stats_dir), "--sampling.a", str(a),
+                       "--stats.fields_dir", str(sample_dir / "fields")) == 0
+        counts = {}
+        for path in sorted((sample_dir / "fields").glob("*.txt")):
+            field = load_field(path)
+            for x, value in zip(field.shape.sites(), field.values.ravel().tolist()):
+                if abs(value) > (1.0 + sum(c * c for c in x)) ** (1.0 / a / 2.0):
+                    r = max(abs(c) for c in x)
+                    counts[r] = counts.get(r, 0) + 1
+        assert counts
+        expected = {str(r): counts.get(r, 0) for r in range(field.shape.L + 1)}
+        for out in (sample_dir, stats_dir):
+            assert read_json(out / "stats.json")["violations_by_radius"] == expected
+
     def test_stats_on_dump_with_lines_past_the_box_exit_2(self, tmp_path, capsys):
         sample_dir = tmp_path / "samples"
         code = run_cli(

@@ -10,7 +10,6 @@ from dnls.hopping import (
     clipped_offsets,
     convolve,
     convolve_fourier,
-    convolve_values,
     dispersion,
     load_potential,
     nearest_neighbor_laplacian,
@@ -25,7 +24,7 @@ from dnls.sampling import GibbsSpec, run_gibbs_chain
 # every entry point that resolves a kernel on a box through clipped_offsets
 DIMENSION_ENTRY_POINTS = {
     "hamiltonian": lambda pot, f: hamiltonian(f, pot, 1.0),
-    "convolve_values": lambda pot, f: convolve_values(pot, f.shape, f.values),
+    "convolve": convolve,
     "stencil": lambda pot, f: stencil(pot, f.shape),
     "run_gibbs_chain": lambda pot, f: run_gibbs_chain(
         GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.5, burn_in=1, thinning=1),
@@ -303,7 +302,7 @@ class TestStencil:
         # sum started from a zeroed accumulator, as the oracle's does
         values.real[rng.random(shape.dims) < 0.15] = -0.0
         values.imag[rng.random(shape.dims) < 0.15] = -0.0
-        assert same_bits(convolve_values(pot, shape, values), roll_convolve(pot, shape, values))
+        assert same_bits(stencil(pot, shape)(values), roll_convolve(pot, shape, values))
 
         apply = stencil(pot, shape)
         stack = np.stack([values, 2.0 * values - 1j, np.conj(values)])
@@ -389,6 +388,6 @@ class TestStencil:
         with pytest.raises(ValueError, match="dims"):
             stencil(pot, shape)(np.zeros(dims, dtype=np.complex128))
         with pytest.raises(ValueError, match="dims"):
-            convolve_values(pot, shape, np.zeros(dims))
+            stencil(pot, shape)(np.zeros(dims))
         with pytest.raises(ValueError, match="dims"):
             stencil(pot, shape, shape)(np.zeros(dims[-1], dtype=np.complex128))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import per_site_table
+from conftest import per_site_table, same_bits
 from dnls import sampling
 from dnls.hopping import (
     HoppingPotential,
@@ -18,7 +18,7 @@ from dnls.hopping import (
     standard_laplacian,
     zero_potential,
 )
-from dnls.lattice import FieldL, LatticeShape
+from dnls.lattice import FieldL, LatticeShape, power_weight
 from dnls.sampling import (
     GaussianSpec,
     GibbsSpec,
@@ -502,6 +502,23 @@ class TestSiteMoments:
         assert stats.max_moment == 0.0
         assert np.all(stats.per_site_moments == 0.0)
 
+    @pytest.mark.parametrize("source", ["list", "chain"])
+    def test_equals_the_row_by_row_stack(self, source):
+        if source == "list":
+            shape = LatticeShape(2, 4)
+            samples = [sample_gaussian(GaussianSpec(density=1.0), shape, s) for s in range(30)]
+        else:
+            spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.5, burn_in=10,
+                             thinning=2)
+            samples = run_gibbs_chain(spec, POT, LatticeShape(1, 16), 3, 30).samples
+        for xi in (0.7, 2.0, 3.5):
+            stats = site_moments(samples, xi)
+            stack = np.stack([np.abs(s.values) ** xi for s in samples])
+            assert same_bits(stats.per_site_moments, stack.mean(axis=0))
+            assert same_bits(stats.per_site_se,
+                             stack.std(axis=0, ddof=1) / math.sqrt(len(samples)))
+            assert stats.max_moment == float(stack.mean(axis=0).max())
+
     def test_flat_gaussian_second_moment(self):
         shape = LatticeShape(1, 8)
         sigma2 = 0.5
@@ -514,27 +531,70 @@ class TestSiteMoments:
 
 class TestPowerLawViolations:
     def test_zero_field(self):
-        stats = power_law_violations(FieldL.zero(LatticeShape(1, 8)), 2.0)
-        assert stats.violations_total == 0
+        stats = power_law_violations([FieldL.zero(LatticeShape(1, 8))], 2.0)
+        assert sum(stats.violations_by_radius.values()) == 0
 
     def test_constructed_field_all_violate(self):
         shape = LatticeShape(1, 6)
         a = 2.0
         coords = np.arange(-6, 7).astype(float)
         values = 1.01 * (1.0 + coords**2) ** (1.0 / (2 * a))
-        stats = power_law_violations(FieldL(shape, values.astype(complex)), a)
-        assert stats.violations_total == shape.volume
+        stats = power_law_violations([FieldL(shape, values.astype(complex))], a)
         assert sum(stats.violations_by_radius.values()) == shape.volume
+        assert stats.violations_by_radius == stats.sites_by_radius
 
     def test_radius_bookkeeping(self):
         shape = LatticeShape(1, 3)
         values = np.zeros(7, dtype=complex)
         values[shape.index((3,))] = 100.0
-        stats = power_law_violations(FieldL(shape, values), 2.0)
-        assert stats.violations_total == 1
+        stats = power_law_violations([FieldL(shape, values)], 2.0)
+        assert sum(stats.violations_by_radius.values()) == 1
         assert stats.violations_by_radius[3] == 1
-        assert stats.violation_sites == ((3,),)
         assert stats.sites_by_radius == {0: 1, 1: 2, 2: 2, 3: 2}
+
+    @pytest.mark.parametrize("kind", ["gaussian", "gibbs"])
+    @pytest.mark.parametrize("d, L", [(1, 16), (2, 4), (3, 2)])
+    def test_set_equals_the_sum_of_one_sample_calls(self, kind, d, L):
+        shape = LatticeShape(d, L)
+        if kind == "gaussian":
+            samples = [sample_gaussian(GaussianSpec(density=1.0), shape, s) for s in range(25)]
+        else:
+            spec = GibbsSpec(beta=1.0, mu=-1.0, lam=1.0, proposal_sigma=0.5, burn_in=20,
+                             thinning=2)
+            samples = run_gibbs_chain(spec, standard_laplacian(d), shape, 5, 20).samples
+        a = 8.0
+        stats = power_law_violations(samples, a)
+        expected = dict.fromkeys(range(L + 1), 0)
+        for s in samples:
+            one = power_law_violations([s], a)
+            assert one.sites_by_radius == stats.sites_by_radius
+            for r, cnt in one.violations_by_radius.items():
+                expected[r] += cnt
+        assert stats.violations_by_radius == expected
+        assert sum(expected.values()) > 0
+
+    def test_planted_sites_at_and_just_above_the_threshold(self):
+        shape, a = LatticeShape(1, 8), 2.0
+        threshold = power_weight(shape, -1.0 / a)
+        above, at = shape.index((3,)), shape.index((-5,))
+        planted = np.zeros(shape.dims, dtype=complex)
+        planted[above] = np.nextafter(threshold[above], np.inf)
+        planted[at] = threshold[at]
+        samples = [FieldL(shape, planted), FieldL.zero(shape), FieldL(shape, planted)]
+        stats = power_law_violations(samples, a)
+        expected = dict.fromkeys(range(shape.L + 1), 0)
+        for s in samples:
+            for r, cnt in power_law_violations([s], a).violations_by_radius.items():
+                expected[r] += cnt
+        assert stats.violations_by_radius == expected
+        assert {r: cnt for r, cnt in expected.items() if cnt} == {3: 2}
+
+    def test_empty_or_mixed_set_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            power_law_violations([], 2.0)
+        with pytest.raises(ValueError, match="different lattices"):
+            power_law_violations([FieldL.zero(LatticeShape(1, 2)),
+                                  FieldL.zero(LatticeShape(1, 3))], 2.0)
 
     def test_chebyshev_consistency(self):
         # empirical violation rate at each radius should not beat the
@@ -546,16 +606,12 @@ class TestPowerLawViolations:
         samples = [sample_gaussian(spec, shape, s) for s in range(400)]
         stats = site_moments(samples, xi)
         moment_max = float(np.max(stats.per_site_moments))
-        counts: dict[int, int] = {}
-        for s in samples:
-            v = power_law_violations(s, a)
-            for r, cnt in v.violations_by_radius.items():
-                counts[r] = counts.get(r, 0) + cnt
+        counts = power_law_violations(samples, a).violations_by_radius
         n = len(samples)
         for r in range(shape.L + 1):
             sites = 2 if r > 0 else 1
             trials = n * sites
-            freq = counts.get(r, 0) / trials
+            freq = counts[r] / trials
             bound = moment_max / (1.0 + r * r) ** (xi / (2 * a))
             se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
             assert freq <= bound + 3.0 * se
