@@ -245,9 +245,10 @@ def weighted_bound_prefactor(shape: LatticeShape, eps: float, spec: WeightSpec) 
         raise ValueError(f"eps must be > 0, got {eps}")
     L, n, phi = shape.L, shape.side, _weight_grid(shape, spec)
     reciprocal = 1.0 / phi
-    padded = np.pad(reciprocal, L, mode="wrap")
-    inner = padded[..., L:L + n].copy()
     sums = np.full(shape.dims, math.exp(-0.5 * eps * L) * float(np.sum(reciprocal)))
+    padded = np.pad(reciprocal, L, mode="wrap")
+    del reciprocal  # freed before the loop, whose temporaries set the peak
+    inner = padded[..., L:L + n].copy()
     for r in range(L):
         ball = inner
         for axis in range(shape.d - 1):
