@@ -40,7 +40,7 @@ from .lattice import FieldL, Generator, LatticeShape, box_starts, truncate
 
 
 def _require_common_grid(a: Trajectory, b: Trajectory) -> None:
-    if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
+    if not np.array_equal(a.times, b.times):
         raise ValueError("trajectories do not share a time grid")
 
 

@@ -41,8 +41,10 @@ integrate raises the failure; integrate_packed returns it per box and zeroes
 the box, and the loop stops once every box has failed.  The snapshots form
 one read-only array (n, *dims) of a Trajectory; computations over them run
 on `Trajectory.blocks` of about 2^14 sites, so their temporaries stay small.
-The stack is checked once: row by row in integrate, or whole by the
-constructor for outside data.
+Its times are not stored but derived from the step grid, t_j = j * stride *
+dt, so every snapshot time is on the grid that time_index reads.  The stack
+is checked once: row by row in integrate, or whole by lattice.field_rows in
+the constructor for outside data.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation, summed at
@@ -61,9 +63,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .hopping import HoppingPotential, Stencil, clipped_table, dispersion, require_fits, stencil
-from .lattice import (DataError, FieldL, FieldRows, LatticeShape, box_starts, frozen,
-                      neighbor_table, read_only)
+from .hopping import (HoppingPotential, Stencil, _row_sum, clipped_table, dispersion,
+                      require_fits, stencil)
+from .lattice import (DataError, FieldL, FieldRows, LatticeShape, box_starts, field_rows,
+                      frozen, neighbor_table, read_only)
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
@@ -139,33 +142,33 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run on the uniform grid t_j = j * dt * stride; snapshot
-    j is values[j], one read-only array (len(times), *dims) checked once: here,
-    or row by row by the integrate call that made it."""
+    """Snapshots of one run on the uniform grid t_j = j * stride * dt; snapshot
+    j is values[j], one read-only array (n, *dims) checked once: here, by
+    lattice.field_rows, or row by row by the integrate call that made it."""
 
     shape: LatticeShape
-    times: np.ndarray
     values: np.ndarray
     dt: float
     stride: int
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.complex128)
-        if times.ndim != 1 or len(times) == 0:
-            raise DataError("snapshot times must be a nonempty 1-d array")
-        if np.any(np.diff(times) <= 0):
-            raise DataError("snapshot times must be strictly increasing")
-        expected = (len(times), *self.shape.dims)
-        if values.shape != expected:
-            raise DataError(f"expected snapshots of shape {expected}, got {values.shape}")
-        object.__setattr__(self, "times", read_only(times))
-        object.__setattr__(self, "values", read_only(values))
-        if not all(np.isfinite(block).all() for _, block in self.blocks()):
-            raise DataError("snapshots contain non-finite values")
+        values = read_only(np.asarray(self.values, dtype=np.complex128))
+        field_rows(self.shape, values)
+        if len(values) == 0:
+            raise DataError("a trajectory needs at least one snapshot")
+        if not 0 < self.dt < math.inf:
+            raise DataError(f"dt must be finite and > 0, got {self.dt}")
+        if self.stride < 1:
+            raise DataError(f"stride must be >= 1, got {self.stride}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.values)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """t_j = j * stride * dt, read-only; the bits of integrate's step times."""
+        return frozen(np.arange(len(self)) * self.stride * self.dt)
 
     @property
     def spacing(self) -> float:
@@ -173,8 +176,8 @@ class Trajectory:
 
     def time_index(self, t: float) -> int:
         """Index of a grid time; rejects off-grid times."""
-        idx = int(round(t / self.spacing)) if self.spacing > 0 else 0
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        idx = int(round(t / self.spacing))
+        if idx < 0 or idx >= len(self) or abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not on the snapshot grid")
         return idx
 
@@ -187,12 +190,12 @@ class Trajectory:
             yield j, self.values[j:min(j + b, count)]
 
     @classmethod
-    def _checked(cls, shape: LatticeShape, times: np.ndarray, values: np.ndarray, dt: float,
-                 stride: int) -> Trajectory:
-        """A Trajectory over read-only times and values that already hold what
-        the constructor checks, built without scanning them again."""
+    def _checked(cls, shape: LatticeShape, values: np.ndarray, dt: float, stride: int
+                 ) -> Trajectory:
+        """A Trajectory over read-only values that already hold what the
+        constructor checks, built without scanning them again."""
         traj = object.__new__(cls)
-        traj.__dict__.update(shape=shape, times=times, values=values, dt=dt, stride=stride)
+        traj.__dict__.update(shape=shape, values=values, dt=dt, stride=stride)
         return traj
 
     @cached_property
@@ -242,21 +245,12 @@ def energy_gradient(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndar
     return _gradient_values(_checked_stencil(pot, field.shape), lam, field.values)
 
 
-def g_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -> complex:
-    """Single-site evolution polynomial; depends on values within the kernel range."""
-    return complex(energy_gradient(field, pot, lam)[field.shape.index(x)])
-
-
 def second_time_derivative(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
     """The five-term polynomial giving d^2 psi/dt^2 pointwise.
 
     Depends on values within twice the kernel range of each site.
     """
     return _second_values(_checked_stencil(pot, field.shape), lam, field.values)
-
-
-def p_site(field: FieldL, pot: HoppingPotential, lam: float, x: Sequence[int]) -> complex:
-    return complex(second_time_derivative(field, pot, lam)[field.shape.index(x)])
 
 
 def _fourier_passes(values: np.ndarray
@@ -590,14 +584,13 @@ def _run(fields: Sequence[FieldL], pot: HoppingPotential, config: SchemeConfig, 
 def integrate(field0: FieldL, pot: HoppingPotential, config: SchemeConfig) -> Trajectory:
     """Advance field0 to t_end, one stepper call per snapshot row of one
     buffer, and raise the BlowUpError of its first non-finite step."""
-    shape, dt, stride = field0.shape, config.dt, config.snapshot_stride
-    times = np.arange(0, config.n_steps() + 1, stride) * dt
-    (error,), values = _run([field0], pot, config, len(times))
+    shape, stride = field0.shape, config.snapshot_stride
+    n = config.n_steps() // stride + 1
+    (error,), values = _run([field0], pot, config, n)
     if error is not None:
         raise error
     # every row is checked by _run, and the frozen buffer is stored uncopied
-    values = frozen(values.reshape(len(times), *shape.dims))
-    return Trajectory._checked(shape, frozen(times), values, dt, stride)
+    return Trajectory._checked(shape, frozen(values.reshape(n, *shape.dims)), config.dt, stride)
 
 
 def integrate_packed(fields: Sequence[FieldL], pot: HoppingPotential, config: SchemeConfig,
@@ -628,16 +621,6 @@ def _quadrature_weights(n_intervals: int, spacing: float) -> np.ndarray:
     w = np.ones(n_intervals + 1)
     w[0] = w[-1] = 0.5
     return w * spacing
-
-
-def _row_sum(coeffs: Sequence[float], values: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] values[..., k], from zero in order: over the leading
-    axes, the hopping action at a site from the values read through its
-    neighbour table row, with the bits of a stencil call there."""
-    acc = np.zeros(values.shape[:-1], dtype=np.complex128)
-    for k, coeff in enumerate(coeffs):
-        acc += coeff * values[..., k]
-    return acc
 
 
 def _duhamel_terms(traj: Trajectory, pot: HoppingPotential, x: Sequence[int], t: float):
@@ -692,11 +675,10 @@ def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
 
 def subsample(traj: Trajectory, factor: int) -> Trajectory:
     """Coarser snapshot view of the same run (every factor-th snapshot);
-    its times and values are views of traj's, not checked again.
+    its values are a view of traj's, not checked again.
 
     Requires the snapshot count to cover t_end at the coarser spacing.
     """
     if factor < 1 or (len(traj) - 1) % factor != 0:
         raise ValueError(f"cannot subsample {len(traj)} snapshots by {factor}")
-    return Trajectory._checked(traj.shape, traj.times[::factor], traj.values[::factor], traj.dt,
-                               traj.stride * factor)
+    return Trajectory._checked(traj.shape, traj.values[::factor], traj.dt, traj.stride * factor)

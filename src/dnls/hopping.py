@@ -22,7 +22,8 @@ each offset's term is a shifted slice of its coefficient's scaled frames.
 So the work arrays hold one frames-size array per distinct coefficient,
 the frames themselves scaled in place for the last one: two for the
 Laplacians, about half the offset count for a kernel whose values repeat
-only as y and -y.  Single-site sums read clipped_table, with the same bits.
+only as y and -y.  Single-site sums read clipped_table and add its rows up
+in _row_sum, with the same bits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -344,6 +345,17 @@ def clipped_table(pot: HoppingPotential, shape: LatticeShape
 @functools.lru_cache(maxsize=_LAYOUTS)
 def _table(offsets: tuple, shape: LatticeShape) -> tuple[tuple[float, ...], np.ndarray]:
     return tuple(c for _, c in offsets), frozen(neighbor_table(shape, [o for o, _ in offsets]))
+
+
+def _row_sum(coeffs: Sequence[float], values: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] values[..., k], from zero in order: with coeffs and
+    the values read through rows of a clipped_table, the hopping action at
+    those rows' sites, over any leading axes, with the bits of a stencil
+    call there."""
+    acc = np.zeros(values.shape[:-1], dtype=np.complex128)
+    for k, coeff in enumerate(coeffs):
+        acc += coeff * values[..., k]
+    return acc
 
 
 def load_potential(path) -> HoppingPotential:

@@ -22,7 +22,8 @@ and a proposal is accepted when its energy change is below it: the rule
 u < exp(-beta dE), with no exp to overflow.  One neighbour table, the
 lattice.neighbor_table of the clipped offsets, drives the colouring
 and two kernels that give the same bits: a large class updates as numpy
-operations on its index arrays, a small one (a one-site box, the one-site
+operations on its rows of the table, its neighbour sums those of the
+Duhamel defects (hopping._row_sum), a small one (a one-site box, the one-site
 tail class of an odd ring) as a Python loop over its sites' (coefficient,
 neighbour index) rows.  The loop works in real arithmetic on Python float
 lists of the state's real and imaginary parts: the whole state when every
@@ -56,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hopping import HoppingPotential, clipped_table
+from .hopping import HoppingPotential, _row_sum, clipped_table
 from .lattice import FieldL, LatticeShape, field_rows, power_weight, torus_distance_grid
 
 
@@ -209,8 +210,8 @@ def run_gibbs_chain(
     sq = [a * a + b * b for a, b in zip(re, im)]
 
     # per class, in sweep order: where its draws start within one sweep's
-    # draws, its sites, and either its neighbour index arrays and None for
-    # the numpy kernel, or for the Python loop the sites it reads (its own
+    # draws, its sites, and either its rows of the table and None for the
+    # numpy kernel, or for the Python loop the sites it reads (its own
     # first; all when it runs every class), its (coefficient, index) rows into
     # those, and their |psi|^2; it reads only its own draws, n_loop a sweep
     n_loop = sum(idx.size for idx in classes if idx.size < _NUMPY_CLASS_MIN)
@@ -219,7 +220,7 @@ def run_gibbs_chain(
     start = 0
     for idx in classes:
         if idx.size >= _NUMPY_CLASS_MIN:
-            plan.append((start, idx, list(table[idx].T), None, None))
+            plan.append((start, idx, table[idx], None, None))
         else:
             reads = (np.arange(volume) if n_loop == volume
                      else np.concatenate([idx, np.setdiff1d(table[idx], idx)]))
@@ -349,11 +350,9 @@ def _update_loop(rows, draws, re, im, sq, half_lam, mu) -> int:
 
 def _update_class(state, sites, nbrs, coeffs, delta, quad, threshold, half_lam, mu) -> int:
     """One Metropolis step at every site of a colour class at once, in the
-    Python loop's arithmetic; quad is alpha0 |delta|^2. Returns the number
-    accepted."""
-    h = 0.0j
-    for c, k in zip(coeffs, nbrs):
-        h = h + c * state[k]
+    Python loop's arithmetic; nbrs is the class's clipped_table rows, quad
+    alpha0 |delta|^2. Returns the number accepted."""
+    h = _row_sum(coeffs, state[nbrs])
     old = state[sites]
     new = old + delta
     old2 = old.real * old.real + old.imag * old.imag

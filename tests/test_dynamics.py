@@ -19,10 +19,8 @@ from dnls.dynamics import (
     duhamel_defect_first,
     duhamel_defect_second,
     energy_gradient,
-    g_site,
     integrate,
     integrate_packed,
-    p_site,
     second_time_derivative,
     subsample,
 )
@@ -271,27 +269,57 @@ class TestSchemeConfig:
 class TestTrajectory:
     SHAPE = LatticeShape(2, 1)
 
-    def _build(self, values, times=(0.0, 0.5, 1.0)):
-        return Trajectory(shape=self.SHAPE, times=np.array(times), values=values,
-                          dt=0.5, stride=1)
+    def _build(self, values, dt=0.5, stride=1):
+        return Trajectory(shape=self.SHAPE, values=values, dt=dt, stride=stride)
 
     def _stack(self, n=3):
         return np.stack([random_field(self.SHAPE, seed).values for seed in range(n)])
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(DataError):
-            self._build(self._stack(4))
-        with pytest.raises(DataError):
             self._build(self._stack().reshape(3, 9))
 
     def test_empty_times_rejected(self):
+        # an empty stack, so no snapshot times
         with pytest.raises(DataError):
-            self._build(np.empty((0, 3, 3), dtype=np.complex128), times=())
+            self._build(np.empty((0, 3, 3), dtype=np.complex128))
+
+    @pytest.mark.parametrize("dt, stride", [(0.0, 1), (-0.5, 1), (np.nan, 1), (np.inf, 1),
+                                            (0.5, 0), (0.5, -2)])
+    def test_bad_step_grid_rejected(self, dt, stride):
+        with pytest.raises(DataError):
+            self._build(self._stack(), dt=dt, stride=stride)
+
+    def test_times_are_not_stored(self):
+        # one time grid, (dt, stride): no field or parameter can disagree with it
+        assert "times" not in Trajectory.__dataclass_fields__
+        with pytest.raises(TypeError):
+            Trajectory(shape=self.SHAPE, times=np.array([0.0, 0.5, 2.0]), values=self._stack(),
+                       dt=0.5, stride=1)
+
+    @pytest.mark.parametrize("dt, stride, n", [(0.5, 1, 3), (0.003, 4, 26), (0.1, 1, 1001),
+                                               (1.0 / 3.0, 7, 50), (1e-3, 10, 101)])
+    def test_time_index_inverts_times_of_outside_data(self, dt, stride, n):
+        traj = Trajectory(shape=LatticeShape(1, 0), values=np.ones((n, 1)), dt=dt,
+                          stride=stride)
+        assert len(traj.times) == n and not traj.times.flags.writeable
+        assert [traj.time_index(float(t)) for t in traj.times] == list(range(n))
+
+    @pytest.mark.parametrize("scheme, dt, t_end, stride", [
+        ("strang", 0.003, 0.3, 4), ("rk4", 0.01, 0.6, 3), ("strang", 0.1, 2.0, 1),
+        ("rk4", 1e-3, 0.05, 5)])
+    def test_time_index_inverts_times_of_integrate_and_subsample(self, scheme, dt, t_end,
+                                                                  stride):
+        cfg = SchemeConfig(scheme=scheme, dt=dt, t_end=t_end, snapshot_stride=stride)
+        traj = integrate(random_field(LatticeShape(1, 3), 2), standard_laplacian(1), cfg)
+        views = [traj] + [subsample(traj, k) for k in range(2, len(traj))
+                          if (len(traj) - 1) % k == 0]
+        for view in views:
+            assert [view.time_index(float(t)) for t in view.times] == list(range(len(view)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_rejected_in_any_block(self, bad, monkeypatch):
-        # one snapshot per block, and the bad entry in the last one
-        monkeypatch.setattr(dnls.dynamics, "_STACK_SITES", self.SHAPE.volume)
+    def test_non_finite_entry_rejected_in_any_block(self, bad):
+        # the bad entry in the last snapshot
         values = self._stack()
         values[2, 1, 0] = bad
         with pytest.raises(DataError):
@@ -343,21 +371,24 @@ class TestTrajectory:
 class TestEvolutionPolynomials:
     def test_g_zero_field(self):
         shape = LatticeShape(1, 4)
-        assert g_site(FieldL.zero(shape), standard_laplacian(1), 1.0, (0,)) == 0
+        g = energy_gradient(FieldL.zero(shape), standard_laplacian(1), 1.0)
+        assert g[shape.index((0,))] == 0
 
     def test_g_delta_peak(self):
         f = truncate(point_source(1.0), LatticeShape(1, 4))
         pot = standard_laplacian(1)
-        assert g_site(f, pot, 1.0, (0,)) == pytest.approx(2.0)
-        assert g_site(f, pot, 1.0, (1,)) == pytest.approx(-0.5)
-        assert g_site(f, pot, 1.0, (-1,)) == pytest.approx(-0.5)
+        g = energy_gradient(f, pot, 1.0)
+        assert g[f.shape.index((0,))] == pytest.approx(2.0)
+        assert g[f.shape.index((1,))] == pytest.approx(-0.5)
+        assert g[f.shape.index((-1,))] == pytest.approx(-0.5)
 
     def test_g_linear_case_is_convolution(self):
         f = random_field(LatticeShape(1, 5), 0)
         pot = standard_laplacian(1)
+        g = energy_gradient(f, pot, 0.0)
         for x in [(-3,), (0,), (4,)]:
             expected = naive_convolve(pot, f)[f.shape.index(x)]
-            assert g_site(f, pot, 0.0, x) == pytest.approx(expected, abs=1e-13)
+            assert g[f.shape.index(x)] == pytest.approx(expected, abs=1e-13)
 
     def test_rhs_zero(self):
         shape = LatticeShape(1, 3)
@@ -380,21 +411,23 @@ class TestEvolutionPolynomials:
 
     def test_p_zero_field(self):
         shape = LatticeShape(1, 4)
-        assert p_site(FieldL.zero(shape), standard_laplacian(1), 1.0, (0,)) == 0
+        p = second_time_derivative(FieldL.zero(shape), standard_laplacian(1), 1.0)
+        assert p[shape.index((0,))] == 0
 
     def test_p_linear_case(self):
         f = random_field(LatticeShape(1, 5), 1)
         pot = standard_laplacian(1)
         mat = hopping_matrix(pot, f.shape)
         expected = -(mat @ (mat @ f.values))
-        got = np.array([p_site(f, pot, 0.0, x) for x in f.shape.sites()])
+        p = second_time_derivative(f, pot, 0.0)
+        got = np.array([p[f.shape.index(x)] for x in f.shape.sites()])
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_p_delta_peak_frozen_value(self):
         # five paper terms at the origin: -3/2 - 1 - 2 - 1 + 1 = -9/2
         f = truncate(point_source(1.0), LatticeShape(1, 4))
         pot = standard_laplacian(1)
-        value = p_site(f, pot, 1.0, (0,))
+        value = second_time_derivative(f, pot, 1.0)[f.shape.index((0,))]
         assert value == pytest.approx(-4.5, abs=1e-14)
         assert naive_second_derivative(f, pot, 1.0, (0,)) == pytest.approx(-4.5, abs=1e-14)
 
@@ -402,25 +435,32 @@ class TestEvolutionPolynomials:
     def test_p_matches_naive(self, d, L, lam, seed):
         f = random_field(LatticeShape(d, L), seed)
         pot = standard_laplacian(d)
+        p = second_time_derivative(f, pot, lam)
         for x in [(0,) * d, (1,) * d]:
-            assert p_site(f, pot, lam, x) == pytest.approx(
+            assert p[f.shape.index(x)] == pytest.approx(
                 naive_second_derivative(f, pot, lam, x), rel=1e-12
             )
 
     def test_locality_bit_identical(self):
+        # G at x reads the sites within the kernel range of x, P within twice it
         shape = LatticeShape(1, 8)
         pot = standard_laplacian(1)
         f = random_field(shape, 5)
+        origin = shape.index((0,))
+
+        def at_origin(field):
+            return (energy_gradient(field, pot, 1.0)[origin],
+                    second_time_derivative(field, pot, 1.0)[origin])
+
+        g0, p0 = at_origin(f)
         bumped = f.values.copy()
         bumped[shape.index((4,))] += 3.0  # outside ball(0, 2*ell)
-        g = FieldL(shape, bumped)
-        assert g_site(f, pot, 1.0, (0,)) == g_site(g, pot, 1.0, (0,))
-        assert p_site(f, pot, 1.0, (0,)) == p_site(g, pot, 1.0, (0,))
+        g, p = at_origin(FieldL(shape, bumped))
+        assert g == g0 and p == p0
         bumped2 = f.values.copy()
         bumped2[shape.index((2,))] += 3.0  # inside ball(0, 2*ell), outside ball(0, ell)
-        h = FieldL(shape, bumped2)
-        assert g_site(f, pot, 1.0, (0,)) == g_site(h, pot, 1.0, (0,))
-        assert p_site(f, pot, 1.0, (0,)) != p_site(h, pot, 1.0, (0,))
+        g, p = at_origin(FieldL(shape, bumped2))
+        assert g == g0 and p != p0
 
 
 class TestSteps:
@@ -1175,12 +1215,10 @@ class TestDuhamel:
             duhamel_defect_first(traj, standard_laplacian(1), 1.0, (0,), 0.03)
 
     def _oracle_trajectory(self, shape, pot, f, T, n_snap):
-        times = np.linspace(0.0, T, n_snap + 1)
-        values = np.stack([dense_propagator(pot, shape, t) @ f.values for t in times])
-        return Trajectory(
-            shape=shape, times=times, values=values,
-            dt=times[1] - times[0], stride=1,
-        )
+        dt = T / n_snap
+        values = np.stack([dense_propagator(pot, shape, j * dt) @ f.values
+                           for j in range(n_snap + 1)])
+        return Trajectory(shape=shape, values=values, dt=dt, stride=1)
 
     def test_second_residual_on_exact_linear_trajectory(self):
         shape = LatticeShape(1, 8)

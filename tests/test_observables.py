@@ -234,10 +234,8 @@ class TestGrowthBound:
         shape = LatticeShape(1, 4)
         zero = FieldL.zero(shape)
         bump = truncate(point_source(1.0), shape)
-        traj = Trajectory(
-            shape=shape, times=np.array([0.0, 1.0]), values=np.stack([zero.values, bump.values]),
-            dt=1.0, stride=1,
-        )
+        traj = Trajectory(shape=shape, values=np.stack([zero.values, bump.values]), dt=1.0,
+                          stride=1)
         with pytest.raises(UndefinedRatioError):
             growth_bound_report(traj, standard_laplacian(1), 0.1, (0,))
 
@@ -428,7 +426,7 @@ class TestSeries:
 
 def _random_trajectory(rng, shape, n):
     values = rng.standard_normal((n, *shape.dims)) + 1j * rng.standard_normal((n, *shape.dims))
-    return Trajectory(shape=shape, times=0.1 * np.arange(n), values=values, dt=0.1, stride=1)
+    return Trajectory(shape=shape, values=values, dt=0.1, stride=1)
 
 
 class TestStackedReductions:

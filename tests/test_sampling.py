@@ -19,6 +19,7 @@ from dnls.hopping import (
     zero_potential,
 )
 from dnls.lattice import FieldL, LatticeShape, power_weight
+from dnls.observables import hamiltonian, particle_number
 from dnls.sampling import (
     GaussianSpec,
     GibbsSpec,
@@ -278,17 +279,15 @@ class TestGibbsChain:
         assert (z <= 3.0).mean() >= 0.95
 
 
-def _reference_chain(spec, pot, shape, seed, n_samples):
+def _replay_chain(spec, pot, shape, seed, n_samples, accepts):
     """The Metropolis sweep one proposal at a time over an int64 neighbour
     table: sites visited colour class by colour class (greedy colouring in
-    site order), draws taken in blocks of whole sweeps, accepted when
-    dE < -log(u) / beta; (samples, n_proposed, n_accepted)."""
+    site order), draws taken in blocks of whole sweeps, the state a Python
+    complex list; the proposal old + delta at site i is taken when
+    accepts(state, i, delta, -log(u) / beta); (samples, n_proposed,
+    n_accepted)."""
     offsets = clipped_offsets(pot, shape)
-    nbr = per_site_table(shape, [off for off, _ in offsets])
-    n_off = len(offsets)
-    coeff_list = [float(c) for _, c in offsets]
-    nbr_list = [list(map(int, row)) for row in nbr]
-    alpha0 = pot.at((0,) * pot.d)
+    nbr_list = per_site_table(shape, [off for off, _ in offsets]).tolist()
     volume = shape.volume
     links = [j for j, (off, _) in enumerate(offsets) if any(off)]
     colour = []
@@ -301,9 +300,6 @@ def _reference_chain(spec, pot, shape, seed, n_samples):
     order = sorted(range(volume), key=lambda x: (colour[x], x))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    beta = spec.beta
-    mu = spec.mu
-    half_lam = 0.5 * spec.lam
     sigma = spec.proposal_sigma
     block = max(1, 2**14 // volume)
 
@@ -323,30 +319,62 @@ def _reference_chain(spec, pot, shape, seed, n_samples):
             im = rng.standard_normal(block * volume)
             us = rng.random(block * volume)
             with np.errstate(divide="ignore"):
-                thresholds = -np.log(us) / beta
+                thresholds = -np.log(us) / spec.beta
         for p, i in enumerate(order):
             j = s * volume + p
             delta = complex(sigma * re[j], sigma * im[j])
-            h = 0.0j
-            row = nbr_list[i]
-            for k in range(n_off):
-                h += coeff_list[k] * state[row[k]]
-            old = state[i]
-            old2 = old.real * old.real + old.imag * old.imag
-            new = old + delta
-            new2 = new.real * new.real + new.imag * new.imag
-            d2 = delta.real * delta.real + delta.imag * delta.imag
-            cross = delta.real * h.real + delta.imag * h.imag
-            d_quad = 2.0 * cross + alpha0 * d2
-            d_energy = d_quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
             n_proposed += 1
-            if d_energy < thresholds[j]:
-                state[i] = new
+            if accepts(state, i, delta, thresholds[j]):
+                state[i] = state[i] + delta
                 n_accepted += 1
         if sweep >= spec.burn_in and (sweep - spec.burn_in + 1) % spec.thinning == 0:
             samples.append(FieldL(shape, np.array(state).reshape(shape.dims)))
 
     return samples[:n_samples], n_proposed, n_accepted
+
+
+def _reference_chain(spec, pot, shape, seed, n_samples):
+    """_replay_chain accepting when the local energy change dE, summed over
+    the site's neighbour table row, is below the threshold."""
+    offsets = clipped_offsets(pot, shape)
+    nbr_list = per_site_table(shape, [off for off, _ in offsets]).tolist()
+    coeff_list = [float(c) for _, c in offsets]
+    alpha0 = pot.at((0,) * pot.d)
+    mu = spec.mu
+    half_lam = 0.5 * spec.lam
+
+    def accepts(state, i, delta, limit):
+        h = 0.0j
+        for c, k in zip(coeff_list, nbr_list[i]):
+            h += c * state[k]
+        old = state[i]
+        old2 = old.real * old.real + old.imag * old.imag
+        new = old + delta
+        new2 = new.real * new.real + new.imag * new.imag
+        d2 = delta.real * delta.real + delta.imag * delta.imag
+        cross = delta.real * h.real + delta.imag * h.imag
+        d_quad = 2.0 * cross + alpha0 * d2
+        d_energy = d_quad + half_lam * (new2 * new2 - old2 * old2) - mu * (new2 - old2)
+        return d_energy < limit
+
+    return _replay_chain(spec, pot, shape, seed, n_samples, accepts)
+
+
+def _observable_chain(spec, pot, shape, seed, n_samples):
+    """_replay_chain accepting when the change of H - mu N, each of the two
+    states' hamiltonian and particle_number taken whole, is below the
+    threshold."""
+    def grand(state):
+        field = FieldL(shape, np.array(state).reshape(shape.dims))
+        return hamiltonian(field, pot, spec.lam), particle_number(field)
+
+    def accepts(state, i, delta, limit):
+        proposed = list(state)
+        proposed[i] = state[i] + delta
+        (h, n), (h_new, n_new) = grand(state), grand(proposed)
+        return h_new - h - spec.mu * (n_new - n) < limit
+
+    return _replay_chain(spec, pot, shape, seed, n_samples, accepts)
 
 
 class TestNeighborTables:
@@ -462,6 +490,42 @@ class TestSweepBits:
         # draws come in whole blocks, so a chain is a prefix of any longer one
         for got, want in zip(longer.samples, chain.samples):
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+class TestSweepEnergyChange:
+    """The chain's local energy change equals the change of H - mu N taken
+    from the observables: a replay that accepts on hamiltonian and
+    particle_number of whole states gives the chain's samples bit for bit.
+    About 2,000 proposals a box, with the loop kernel alone (d = 1 L = 0 and
+    4, d = 2 L = 2, d = 3 L = 1) and the numpy kernel (d = 1 L = 40, classes
+    of 40, 40 and 1; d = 2 L = 6 nearest-neighbour, classes of 73, 72, 12 and
+    12), at a chemical potential of each sign."""
+
+    BOXES = {
+        "d1-L0": (1, 0, "standard"), "d1-L4": (1, 4, "standard"),
+        "d2-L2-nn": (2, 2, "nearest"), "d2-L2-random": (2, 2, "random"),
+        "d3-L1-random": (3, 1, "random"),
+        "d1-L40": (1, 40, "standard"), "d2-L6-nn": (2, 6, "nearest"),
+    }
+
+    @pytest.mark.parametrize("mu", [-1.0, 2.0])
+    @pytest.mark.parametrize("box", list(BOXES))
+    def test_chain_equals_observable_replay(self, box, mu):
+        assert sampling._NUMPY_CLASS_MIN <= 40
+        d, L, kernel = self.BOXES[box]
+        if kernel == "random":
+            pot = _random_kernel(d, 1, False, np.random.default_rng(17 + d))
+        else:
+            pot = (standard_laplacian if kernel == "standard" else nearest_neighbor_laplacian)(d)
+        shape = LatticeShape(d, L)
+        spec = GibbsSpec(beta=1.3, mu=mu, lam=0.8, proposal_sigma=0.6, burn_in=0, thinning=1)
+        n_samples = -(-2000 // shape.volume)
+        chain = run_gibbs_chain(spec, pot, shape, 11, n_samples)
+        samples, n_proposed, n_accepted = _observable_chain(spec, pot, shape, 11, n_samples)
+        assert (chain.n_proposed, chain.n_accepted) == (n_proposed, n_accepted)
+        assert 0 < n_accepted < n_proposed
+        for got, want in zip(chain.samples, samples, strict=True):
+            assert same_bits(got.values, want.values)
 
 
 class TestAcceptance:

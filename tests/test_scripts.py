@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from dnls import cli
+
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
@@ -25,3 +27,12 @@ def test_script_imports(path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     namespace = runpy.run_path(str(path), run_name="smoke")
     assert callable(namespace.get("main"))
+
+
+def test_reference_runs_cover_every_experiment(monkeypatch):
+    # the refactor oracle's byte-identity check reaches only the experiments
+    # it runs, so a new experiment must join its reference configs
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = SCRIPTS[0].parent / "reference_artifacts.py"
+    runs = runpy.run_path(str(path), run_name="smoke")["REFERENCE_RUNS"]
+    assert {experiment for _, experiment, _ in runs} == set(cli.RUNNERS)
