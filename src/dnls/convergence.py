@@ -44,12 +44,6 @@ def _require_common_grid(a: Trajectory, b: Trajectory) -> None:
         raise ValueError("trajectories do not share a time grid")
 
 
-def _require_nested(big: Trajectory, small: Trajectory) -> None:
-    _require_common_grid(big, small)
-    if big.shape.L <= small.shape.L:
-        raise ValueError("first trajectory must live on the larger box")
-
-
 def _window_slices(shape: LatticeShape, k: int) -> tuple[slice, ...]:
     if k > shape.L:
         raise ValueError(f"window half-width {k} exceeds box half-width {shape.L}")
@@ -73,7 +67,9 @@ def window_disagreement(
     t: float,
 ) -> float:
     """Supremum of pointwise disagreement over the centered window of half-width k."""
-    _require_nested(traj_big, traj_small)
+    _require_common_grid(traj_big, traj_small)
+    if traj_big.shape.L <= traj_small.shape.L:
+        raise ValueError("first trajectory must live on the larger box")
     big_sl = _window_slices(traj_big.shape, k)
     small_sl = _window_slices(traj_small.shape, k)
     m = traj_small.time_index(t)

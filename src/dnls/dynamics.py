@@ -15,8 +15,9 @@ an array its caller passes.  Strang merges each step's closing half rotation
 with the next step's opening one into one full rotation, exact in exact
 arithmetic (the rotation keeps |psi|), so only blocks of more than one step
 differ from single steps, in rounding.  Neither stepper allocates an array
-per step: each works in arrays it allocates once, and RK4 applies the
-stencil through its buffered form, with the bits of the plain expressions.
+per step: each works in arrays it allocates once.  RK4 is one stage loop over
+a supplied gradient; the equation's (_nls_gradient, also energy_gradient)
+applies the stencil buffered, with the bits of the plain expressions.
 Strang's linear flow runs on one of three routes.  A box of at most
 _DENSE_SITES sites applies the taps u = exp(-i dt A) e_0, summed in extended
 precision and rounded once, those below 2^-60 of the largest dropped, in
@@ -43,8 +44,8 @@ one read-only array (n, *dims) of a Trajectory; computations over them run
 on `Trajectory.blocks` of about 2^14 sites, so their temporaries stay small.
 Its times are not stored but derived from the step grid, t_j = j * stride *
 dt, so every snapshot time is on the grid that time_index reads.  The stack
-is checked once: row by row in integrate, or whole by lattice.field_rows in
-the constructor for outside data.
+is checked once: row by row in integrate, or in the same blocks by
+lattice.field_rows in the constructor for outside data.
 
 Duhamel residuals quantify how well a computed trajectory satisfies the
 first and second order integral reformulations of the equation, summed at
@@ -65,18 +66,17 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .hopping import (HoppingPotential, Stencil, _row_sum, clipped_table, dispersion,
                       require_fits, stencil)
-from .lattice import (DataError, FieldL, FieldRows, LatticeShape, box_starts, field_rows,
-                      frozen, neighbor_table, read_only)
+from .lattice import (DataError, FieldL, FieldRows, LatticeShape, _row_blocks, box_starts,
+                      field_rows, frozen, neighbor_table, read_only)
 
 # a stepper advances `steps` steps from `values`, writing the result into
 # `out` (an array of the same shape that does not overlap `values`)
 Stepper = Callable[[np.ndarray, np.ndarray, int], None]
+# a gradient writes the right-hand side at `psi`, up to -i, into `out` and returns it
+Gradient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 SCHEMES = ("strang", "rk4")
 
-# sites per block of Trajectory.blocks (256 KiB of complex values); bounds
-# the temporaries of a computation over all snapshots, whatever their count
-_STACK_SITES = 1 << 14
 # a Strang box of at most this many sites runs its linear flow from its taps
 # in real space (_linear_taps, _tap_flow), a larger one as Fourier passes.
 # Step time against the passes at the box side, standard Laplacian, dt =
@@ -175,19 +175,15 @@ class Trajectory:
         return self.dt * self.stride
 
     def time_index(self, t: float) -> int:
-        """Index of a grid time; rejects off-grid times."""
-        idx = int(round(t / self.spacing))
+        """Index of a grid time; rejects off-grid times, infinite and NaN ones too."""
+        idx = int(round(q)) if abs(q := t / self.spacing) < len(self) else -1
         if idx < 0 or idx >= len(self) or abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not on the snapshot grid")
         return idx
 
     def blocks(self, count: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-        """(j, values[j:j+b]) over the first count snapshots (default all),
-        b snapshots of about _STACK_SITES sites in all."""
-        count = len(self) if count is None else count
-        b = max(1, _STACK_SITES // self.shape.volume)
-        for j in range(0, count, b):
-            yield j, self.values[j:min(j + b, count)]
+        """lattice._row_blocks over the first count snapshots (default all)."""
+        return _row_blocks(self.shape, self.values[:count])
 
     @classmethod
     def _checked(cls, shape: LatticeShape, values: np.ndarray, dt: float, stride: int
@@ -209,12 +205,6 @@ class Trajectory:
         return FieldL(self.shape, frozen(self.values[-1].copy()))
 
 
-def _gradient_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
-    """energy_gradient on a raw array or a stack of them; also the RK4
-    right-hand side up to -i."""
-    return apply(psi) + lam * (np.abs(psi) ** 2) * psi
-
-
 def _second_terms(lam: float, psi: np.ndarray, conv: np.ndarray, twice: np.ndarray,
                   cubic: np.ndarray) -> np.ndarray:
     """The five-term polynomial from psi, its hopping action conv, and the
@@ -228,12 +218,6 @@ def _second_terms(lam: float, psi: np.ndarray, conv: np.ndarray, twice: np.ndarr
     return out
 
 
-def _second_values(apply: Stencil, lam: float, psi: np.ndarray) -> np.ndarray:
-    """second_time_derivative on a raw array."""
-    conv = apply(psi)
-    return _second_terms(lam, psi, conv, apply(conv), apply(np.abs(psi) ** 2 * psi))
-
-
 def _checked_stencil(pot: HoppingPotential, *shapes: LatticeShape) -> Stencil:
     for shape in shapes:
         require_fits(pot, shape)
@@ -241,8 +225,9 @@ def _checked_stencil(pot: HoppingPotential, *shapes: LatticeShape) -> Stencil:
 
 
 def energy_gradient(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
-    """(alpha * psi)(x) + lam |psi(x)|^2 psi(x) over the box."""
-    return _gradient_values(_checked_stencil(pot, field.shape), lam, field.values)
+    """(alpha * psi)(x) + lam |psi(x)|^2 psi(x) over the box (_nls_gradient)."""
+    psi = field.values
+    return _nls_gradient(_checked_stencil(pot, field.shape), lam)(psi, np.empty_like(psi))
 
 
 def second_time_derivative(field: FieldL, pot: HoppingPotential, lam: float) -> np.ndarray:
@@ -250,7 +235,9 @@ def second_time_derivative(field: FieldL, pot: HoppingPotential, lam: float) -> 
 
     Depends on values within twice the kernel range of each site.
     """
-    return _second_values(_checked_stencil(pot, field.shape), lam, field.values)
+    apply, psi = _checked_stencil(pot, field.shape), field.values
+    conv = apply(psi)
+    return _second_terms(lam, psi, conv, apply(conv), apply(np.abs(psi) ** 2 * psi))
 
 
 def _fourier_passes(values: np.ndarray
@@ -464,11 +451,30 @@ def _strang_stepper(pot: HoppingPotential, shape: LatticeShape, lam: float, dt: 
     return advance
 
 
-def _rk4(hopping: Stencil, lam: float, dt: float) -> Stepper:
-    """Classical fourth-order steps on the raw right-hand side of states of
-    the stencil's dims (one box, or several packed end to end), in arrays
-    allocated here once, the hopping action running through the stencil's
-    buffered form.
+def _nls_gradient(hopping: Stencil, lam: float) -> Gradient:
+    """out = hopping(psi) + lam |psi|^2 psi on states of the stencil's dims,
+    through its buffered form, in arrays allocated here once; each product
+    runs with out= in the plain expression's operand order, with its bits."""
+    apply = hopping.buffered()
+    # lam |psi|^2 in the real parts of a complex array whose imaginary parts
+    # stay +0: the value a product with psi would cast it to, without the
+    # cast buffer numpy allocates on every such call; lam 0-d, as _rk4's scalars
+    weight = np.zeros(hopping.dims, dtype=np.complex128)
+    mod, lam = weight.real, np.array(lam)
+
+    def gradient(psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.abs(psi, out=mod)
+        np.square(mod, out=mod)
+        np.multiply(lam, mod, out=mod)
+        np.multiply(weight, psi, out=out)
+        return np.add(apply(psi), out, out=out)
+
+    return gradient
+
+
+def _rk4(gradient: Gradient, dims: tuple[int, ...], dt: float) -> Stepper:
+    """Classical fourth-order steps of dpsi/dt = -i gradient(psi) on states
+    of shape dims, in arrays allocated here once.
 
     The stages are gradients g with the -i of the right-hand side folded
     into the step scalars -i dt/2, -i dt and -i dt/6; multiplying by -i only
@@ -479,25 +485,11 @@ def _rk4(hopping: Stencil, lam: float, dt: float) -> Stepper:
     with out= in the operand order of the plain expressions, so the bits
     equal theirs whatever temporaries numpy would elide.
     """
-    apply, dims = hopping.buffered(), hopping.dims
     grad, stage, increment = np.empty((3, *dims), dtype=np.complex128)
-    # lam |psi|^2 in the real parts of a complex array whose imaginary parts
-    # stay +0: the value a product with psi would cast it to, without the
-    # cast buffer numpy allocates on every such call
-    weight = np.zeros(dims, dtype=np.complex128)
-    mod = weight.real
     # the scalars as 0-d arrays, which numpy takes faster than Python
     # numbers, with the same bits
     half, full, sixth = np.array(-0.5j * dt), np.array(-1j * dt), np.array(-1j * dt / 6.0)
-    two, lam = np.array(2.0 + 0j), np.array(lam)
-
-    def gradient(psi: np.ndarray, out: np.ndarray) -> None:
-        # out = apply(psi) + lam |psi|^2 psi, as _gradient_values
-        np.abs(psi, out=mod)
-        np.square(mod, out=mod)
-        np.multiply(lam, mod, out=mod)
-        np.multiply(weight, psi, out=out)
-        np.add(apply(psi), out, out=out)
+    two = np.array(2.0 + 0j)
 
     def advance(values: np.ndarray, out: np.ndarray, steps: int) -> None:
         y = values
@@ -531,7 +523,8 @@ def _stepper(pot: HoppingPotential, shapes: Sequence[LatticeShape], config: Sche
     if config.scheme == "strang":
         (shape,) = shapes
         return _strang_stepper(pot, shape, config.lam, config.dt)
-    return _rk4(_checked_stencil(pot, *shapes), config.lam, config.dt)
+    hopping = _checked_stencil(pot, *shapes)
+    return _rk4(_nls_gradient(hopping, config.lam), hopping.dims, config.dt)
 
 
 def _run(fields: Sequence[FieldL], pot: HoppingPotential, config: SchemeConfig, n: int,
@@ -642,7 +635,7 @@ def duhamel_defect_first(traj: Trajectory, pot: HoppingPotential, lam: float,
     """psi_t(x) - psi_0(x) + i * integral_0^t G_x(psi_s) ds, signed.
 
     G_x is evaluated on x's neighbour table row alone, over all snapshots
-    j <= m at once, with the bits of _gradient_values at x.
+    j <= m at once, with the bits of _nls_gradient at x.
     """
     terms = _duhamel_terms(traj, pot, x, t)
     if terms is None:
@@ -659,7 +652,7 @@ def duhamel_defect_second(traj: Trajectory, pot: HoppingPotential, lam: float,
 
     P_x is evaluated on x's neighbour table row and the rows of its sites
     alone, the sites within twice the kernel range of x, over all snapshots
-    j <= m at once, with the bits of _second_values at x.
+    j <= m at once, with the bits of second_time_derivative at x.
     """
     terms = _duhamel_terms(traj, pot, x, t)
     if terms is None:

@@ -31,6 +31,10 @@ import numpy as np
 Site = tuple[int, ...]
 Generator = Callable[[Site], complex]
 
+# sites per block of _row_blocks (256 KiB of complex values); bounds the
+# temporaries of a computation over a whole stack, whatever its row count
+_STACK_SITES = 1 << 14
+
 
 class InvalidSiteError(ValueError):
     """Site coordinates do not fit the lattice box."""
@@ -187,9 +191,16 @@ def field_rows(shape: LatticeShape, stack: np.ndarray) -> FieldRows:
     stack = read_only(np.asarray(stack, dtype=np.complex128))
     if stack.shape[1:] != shape.dims:
         raise DataError(f"expected a stack of fields of shape {shape.dims}, got {stack.shape}")
-    if not np.isfinite(stack).all():
+    if not all(np.isfinite(block).all() for _, block in _row_blocks(shape, stack)):
         raise DataError("field contains non-finite values")
     return FieldRows(shape, stack)
+
+
+def _row_blocks(shape: LatticeShape, stack: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(j, stack[j:j+b]) over an (n, *shape.dims) stack, b rows of about _STACK_SITES sites."""
+    b = max(1, _STACK_SITES // shape.volume)
+    for j in range(0, len(stack), b):
+        yield j, stack[j:j + b]
 
 
 class FieldRows(Sequence[FieldL]):

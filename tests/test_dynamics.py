@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (bessel_flow, dense_propagator, hopping_matrix, naive_convolve, random_field,
                       random_kernel, roll_convolve, same_bits, wrapped_difference)
 import dnls.dynamics
+import dnls.lattice
 from dnls.dynamics import (
     _fourier_passes,
     SCHEMES,
@@ -318,12 +319,36 @@ class TestTrajectory:
             assert [view.time_index(float(t)) for t in view.times] == list(range(len(view)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_rejected_in_any_block(self, bad):
-        # the bad entry in the last snapshot
+    def test_non_finite_entry_rejected_in_any_block(self, bad, monkeypatch):
+        # the bad entry in the last snapshot, checked in blocks of one snapshot
+        monkeypatch.setattr(dnls.lattice, "_STACK_SITES", self.SHAPE.volume)
         values = self._stack()
         values[2, 1, 0] = bad
         with pytest.raises(DataError):
             self._build(values)
+
+    def test_outside_stack_checked_in_small_blocks(self):
+        # 101 snapshots at d = 2 L = 32, 6.8 MB read-only: the finiteness
+        # check's temporaries are a block's, not a whole-stack boolean (427 KB)
+        shape = LatticeShape(2, 32)
+        values = np.ones((101, *shape.dims), dtype=np.complex128)
+        values.setflags(write=False)
+        tracemalloc.start()
+        try:
+            traj = Trajectory(shape=shape, values=values, dt=1e-3, stride=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.values is values
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("t", [0.35, -0.1, 5.0, np.inf, -np.inf, np.nan])
+    def test_off_grid_time_rejected(self, t):
+        # grid 0, 0.5, 1.0: between two times, before the first, past the
+        # last, infinite and NaN all raise the one off-grid error
+        traj = self._build(self._stack())
+        with pytest.raises(ValueError, match="not on the snapshot grid"):
+            traj.time_index(t)
 
     def test_writeable_input_copied_and_frozen(self):
         values = self._stack()
@@ -369,6 +394,20 @@ class TestTrajectory:
 
 
 class TestEvolutionPolynomials:
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -2.5, 1e300])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gradient_bits_are_the_plain_expression(self, d, ell, lam):
+        # the one gradient, _nls_gradient, as energy_gradient runs it; at lam
+        # 1e300, lam |psi|^2 overflows, and both sides give the same inf and NaN
+        for L, seed in [(ell, 0), (ell + 1, 1), (ell + 2, 2)]:
+            shape, pot = LatticeShape(d, L), random_kernel(d, ell, seed)
+            v = random_field(shape, seed).values
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = stencil(pot, shape)(v) + lam * (np.abs(v) ** 2) * v
+                got = energy_gradient(FieldL(shape, v), pot, lam)
+            assert same_bits(got, expected)
+
     def test_g_zero_field(self):
         shape = LatticeShape(1, 4)
         g = energy_gradient(FieldL.zero(shape), standard_laplacian(1), 1.0)
@@ -523,6 +562,22 @@ class TestSteps:
             errors.append(np.max(np.abs(traj.final.values - exact)))
         ratio = errors[0] / errors[1]
         assert 12 <= ratio <= 20
+
+
+class TestRK4OnSuppliedGradient:
+    def test_diagonal_linear_gradient_gives_the_stability_polynomial(self):
+        # dpsi/dt = -i c psi site by site: each step multiplies psi by
+        # R(-i c dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+        rng = np.random.default_rng(17)
+        c = rng.standard_normal(7)
+        psi0 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        dt, n = 0.01, 100
+        advance = dnls.dynamics._rk4(lambda psi, out: np.multiply(c, psi, out=out), (7,), dt)
+        out = np.empty_like(psi0)
+        advance(psi0, out, n)
+        z = -1j * c * dt
+        expected = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) ** n * psi0
+        assert np.max(np.abs(out - expected) / np.abs(expected)) <= 1e-12
 
 
 class TestIntegrate:
@@ -913,8 +968,7 @@ class TestStepperAllocation:
         shapes = [LatticeShape(d, L) for L in sizes]
         values = np.concatenate([random_field(shape, L).values.ravel()
                                  for shape, L in zip(shapes, sizes)])
-        advance = dnls.dynamics._rk4(
-            dnls.dynamics._checked_stencil(standard_laplacian(d), *shapes), 1.0, 1e-3)
+        advance = dnls.dynamics._stepper(standard_laplacian(d), shapes, SchemeConfig(scheme="rk4"))
         assert self._block_peak(advance, values) < values.nbytes // 4
 
 

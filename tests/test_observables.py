@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_hamiltonian, random_field, torus_dist_inf
-import dnls.dynamics
+import dnls.lattice
 from dnls.convergence import drift, window_disagreement
 from dnls.dynamics import SchemeConfig, Trajectory, integrate
 from dnls.hopping import HoppingPotential, standard_laplacian, zero_potential
@@ -451,7 +451,7 @@ class TestStackedReductions:
         traj = _random_trajectory(rng, shape, n)
         big = _random_trajectory(rng, LatticeShape(d, shape.L + 1), n)
         t = float(traj.times[m])
-        with mock.patch.object(dnls.dynamics, "_STACK_SITES", block_sites):
+        with mock.patch.object(dnls.lattice, "_STACK_SITES", block_sites):
             _, rows = observable_series(traj, pot, lam, [LocalizationParams(eps, center)])
             report = weighted_bound_check(traj, pot, eps, spec)
             got_drift = drift(traj, t)
